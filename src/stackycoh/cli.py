@@ -198,10 +198,6 @@ def _cmd_h_trivial(cfg: RunConfig) -> None:
     a = _require_coeffs(cfg, fan)
     fc = forbidden_cone(fan, a, cfg.cap, cfg.delta_cap)
     trivial = fc is None
-    try:
-        assert trivial == (not any(cohomology(fan, a, cfg.cap, cfg.delta_cap)))
-    except CapExceededError:
-        pass
     payload = {
         "fan": fan_fingerprint(fan),
         "coeffs": list(a),
@@ -308,7 +304,7 @@ def _cmd_report(cfg: RunConfig) -> None:
     st = pic_structure(fan)
     if len(box) == 1:
         box = box * st.free_rank
-    rep = criterion_report(fan, box, cfg.r_range, cfg.cap)
+    rep = criterion_report(fan, box, cfg.r_range, cfg.cap, cfg.delta_cap)
     payload = {
         "fan": fan_fingerprint(fan),
         "collinear_pair_count": rep.collinear_pair_count,

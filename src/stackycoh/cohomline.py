@@ -4,6 +4,9 @@ Every computation reduces to sign systems over the fan's rays: a class a
 and an index set I carve out the polyhedron of linear functionals whose
 value pattern is non-negative exactly on I. Counting integer points of
 the weak systems over the family Delta gives all cohomology dimensions.
+The rows of both the weak and the strict system depend only on I, so
+each (fan, I) pair has one Fourier-Motzkin tower, and a class only
+enters through the right-hand side.
 """
 
 from __future__ import annotations
@@ -11,19 +14,23 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     DEFAULT_CAP,
     GE,
     GT,
+    IntegerPoints,
+    IntMatrix,
     IntVector,
     LinearSystem,
     PointsStatus,
-    feasible,
-    has_integer_point,
-    integer_points,
+    Tower,
+    build_tower,
     system,
+    tower_feasible,
+    tower_points,
 )
 from .fan import StackyFan
 from .homology import DEFAULT_DELTA_CAP, delta_family
@@ -46,41 +53,51 @@ def sign_polyhedron(
     Weak: a_i + f(v_i) >= 0 on I and <= -1 off I (integer points matter).
     Strict: a_i + f(v_i) > 0 on I and < 0 off I (rational interior).
     """
-    if len(a) != fan.nrays:
-        raise ValueError("coefficient vector length must equal the ray count")
     if strictness not in ("weak", "strict"):
         raise ValueError(f"unknown strictness {strictness!r}")
-    I = set(index_set)
-    rows = []
-    for i in range(1, fan.nrays + 1):
-        v = fan.rays[i - 1]
-        ai = int(a[i - 1])
-        if strictness == "weak":
-            if i in I:
-                rows.append((v, GE, -ai))
-            else:
-                rows.append((tuple(-x for x in v), GE, ai + 1))
-        else:
-            if i in I:
-                rows.append((v, GT, -ai))
-            else:
-                rows.append((tuple(-x for x in v), GT, ai))
-    return system(fan.rank, rows)
+    I = frozenset(index_set)
+    strict = strictness == "strict"
+    rel = GT if strict else GE
+    rows = zip(_signed_rays(fan, I), _rhs(fan, a, I, strict))
+    return system(fan.rank, [(v, rel, bi) for v, bi in rows])
 
 
-def _weak_count(
-    fan: StackyFan, a: Sequence[int], I: frozenset[int], cap: int
-) -> int:
-    res = integer_points(sign_polyhedron(fan, a, I, "weak"), cap)
-    if res.status is PointsStatus.UNBOUNDED_WITH_LATTICE_POINT:
-        raise PropernessError(
-            f"infinite-dimensional contribution from index set {sorted(I)}"
-        )
+def _signed_rays(fan: StackyFan, I: frozenset[int]) -> IntMatrix:
+    # the rows of both sign systems of I: v_i on I, -v_i off I
+    return tuple(v if i in I else tuple(map(neg, v)) for i, v in enumerate(fan.rays, 1))
+
+
+def _tower(fan: StackyFan, I: frozenset[int]) -> Tower:
+    return build_tower(_signed_rays(fan, I), fan.rank)
+
+
+def _rhs(fan: StackyFan, a: Sequence[int], I: frozenset[int], strict: bool) -> list[int]:
+    # b(a): -a_i on I, and a_i + 1 (weak) or a_i (strict) off I
+    if len(a) != fan.nrays:
+        raise ValueError("coefficient vector length must equal the ray count")
+    off = 0 if strict else 1
+    return [-int(ai) if i in I else int(ai) + off for i, ai in enumerate(a, 1)]
+
+
+def _weak_points(
+    fan: StackyFan, a: Sequence[int], I: frozenset[int], cap: int, first_only: bool = False
+) -> IntegerPoints:
+    """Lattice points of the weak system of (a, I), or existence only.
+
+    Without first_only every point is listed, and an unbounded system
+    with a lattice point is an error; with it the search stops at the
+    first point, and an unbounded system only reports that one exists.
+    """
+    res = tower_points(_tower(fan, I), _rhs(fan, a, I, False), cap, first_only)
     if res.status is PointsStatus.CAP_EXCEEDED:
         raise CapExceededError(
             f"lattice point enumeration exceeded the cap {cap} on index set {sorted(I)}"
         )
-    return len(res.points)
+    if res.status is PointsStatus.UNBOUNDED_WITH_LATTICE_POINT and not first_only:
+        raise PropernessError(
+            f"infinite-dimensional contribution from index set {sorted(I)}"
+        )
+    return res
 
 
 def cohomology(
@@ -97,12 +114,22 @@ def cohomology(
     m = fan.rank
     h = [0] * (m + 1)
     for I, betti in delta_family(fan, delta_cap).members:
-        c = _weak_count(fan, a, I, cap)
+        c = len(_weak_points(fan, a, I, cap).points)
         if c == 0:
             continue
         for j in range(m + 1):
             h[j] += c * betti[m - j]
     return tuple(h)
+
+
+def _first_member(
+    fan: StackyFan, a: Sequence[int], cap: int, delta_cap: int, first_only: bool
+) -> Optional[tuple[frozenset[int], IntegerPoints]]:
+    for I, _ in delta_family(fan, delta_cap).members:
+        res = _weak_points(fan, a, I, cap, first_only)
+        if res.status is not PointsStatus.INFEASIBLE:
+            return I, res
+    return None
 
 
 def first_forbidden(
@@ -112,15 +139,8 @@ def first_forbidden(
     delta_cap: int = DEFAULT_DELTA_CAP,
 ) -> Optional[frozenset[int]]:
     """First index set in Delta whose weak system has an integer point."""
-    for I, _ in delta_family(fan, delta_cap).members:
-        ex = has_integer_point(sign_polyhedron(fan, a, I, "weak"), cap)
-        if ex is None:
-            raise CapExceededError(
-                f"lattice point search exceeded the cap {cap} on index set {sorted(I)}"
-            )
-        if ex:
-            return I
-    return None
+    found = _first_member(fan, a, cap, delta_cap, first_only=True)
+    return None if found is None else found[0]
 
 
 def is_h_trivial(
@@ -147,19 +167,16 @@ def forbidden_cone(
     cap: int = DEFAULT_CAP,
     delta_cap: int = DEFAULT_DELTA_CAP,
 ) -> Optional[ForbiddenCone]:
-    for I, _ in delta_family(fan, delta_cap).members:
-        res = integer_points(sign_polyhedron(fan, a, I, "weak"), cap)
-        if res.status is PointsStatus.UNBOUNDED_WITH_LATTICE_POINT:
-            raise PropernessError(
-                f"infinite-dimensional contribution from index set {sorted(I)}"
-            )
-        if res.status is PointsStatus.CAP_EXCEEDED:
-            raise CapExceededError(
-                f"lattice point enumeration exceeded the cap {cap} on index set {sorted(I)}"
-            )
-        if res.points:
-            return ForbiddenCone(index_set=I, witness=res.points[0])
-    return None
+    """First index set in Delta with lattice points, and the first point."""
+    found = _first_member(fan, a, cap, delta_cap, first_only=False)
+    if found is None:
+        return None
+    I, res = found
+    return ForbiddenCone(index_set=I, witness=res.points[0])
+
+
+def _in_interior(fan: StackyFan, a: Sequence[int], I: frozenset[int]) -> bool:
+    return tower_feasible(_tower(fan, I), _rhs(fan, a, I, True), (True,) * fan.nrays)
 
 
 def in_interior_ZI(
@@ -172,16 +189,14 @@ def in_interior_ZI(
     I = frozenset(index_set)
     if I not in delta_family(fan, delta_cap):
         raise ValueError(f"{sorted(I)} is not in the index family of the fan")
-    ok, _ = feasible(sign_polyhedron(fan, a, I, "strict"))
-    return ok
+    return _in_interior(fan, a, I)
 
 
 def outside_all_interiors(
     fan: StackyFan, a: Sequence[int], delta_cap: int = DEFAULT_DELTA_CAP
 ) -> bool:
     return not any(
-        feasible(sign_polyhedron(fan, a, I, "strict"))[0]
-        for I, _ in delta_family(fan, delta_cap).members
+        _in_interior(fan, a, I) for I, _ in delta_family(fan, delta_cap).members
     )
 
 

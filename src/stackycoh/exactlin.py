@@ -4,17 +4,20 @@ Everything here runs on Python ints and fractions.Fraction; no floating
 point enters anywhere. The module provides the normal forms, kernels and
 the Fourier-Motzkin machinery that the rest of the package is built on:
 Smith normal form with unimodular transforms, reduced-echelon kernels,
-affine dimension, exact linear-inequality feasibility with witnesses, and
-lattice-point enumeration with recession detection.
+affine dimension, and integer Fourier-Motzkin towers. A tower depends
+only on the coefficient rows of a system; feasibility with witnesses,
+recession detection and lattice-point enumeration read it for any
+right-hand side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 IntVector = tuple[int, ...]
@@ -67,10 +70,6 @@ def dot(x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
     if len(x) != len(y):
         raise ValueError("dot of vectors with different lengths")
     return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
-
-
-def mat_vec(a: Sequence[Sequence[Rational]], x: Sequence[Rational]) -> RatVector:
-    return tuple(dot(row, x) for row in a)
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -333,159 +332,164 @@ def system(nvars: int, rows: Iterable[tuple[Sequence[Rational], str, Rational]])
     return LinearSystem(nvars, tuple(built))
 
 
-def _combine(p: Row, q: Row, j: int) -> Row:
-    # positive combination cancelling variable j: (-q_j) * p + p_j * q
-    a = -q.coeffs[j]
-    b = p.coeffs[j]
-    coeffs = tuple(a * x + b * y for x, y in zip(p.coeffs, q.coeffs))
-    rhs = a * p.rhs + b * q.rhs
-    rel = GT if (p.rel == GT or q.rel == GT) else GE
-    return _normalize_row(coeffs, rel, rhs)
+def _system_tower(sys: LinearSystem) -> tuple["Tower", list[int], tuple[bool, ...]]:
+    """The tower of the system as R x >= b, with b and the strict flags.
 
-
-def _drop_var(row: Row, j: int) -> Row:
-    coeffs = row.coeffs[:j] + row.coeffs[j + 1 :]
-    return Row(coeffs, row.rel, row.rhs)
-
-
-def fm_eliminate(sys: LinearSystem, var: int) -> LinearSystem:
-    """Project out one variable by Fourier-Motzkin elimination.
-
-    An equality row mentioning the variable is used for substitution first;
-    otherwise all (lower bound, upper bound) pairs are combined, and a
-    combination is strict whenever either parent is strict.
+    Each row is scaled to integers; an equality enters as two opposite rows.
     """
-    if not 0 <= var < sys.nvars:
-        raise ValueError("variable index out of range")
-    eq_idx = None
-    for i, row in enumerate(sys.rows):
-        if row.rel == EQ and row.coeffs[var] != 0:
-            eq_idx = i
-            break
-    out: list[Row] = []
-    if eq_idx is not None:
-        e = sys.rows[eq_idx]
-        c = e.coeffs[var]
-        for i, row in enumerate(sys.rows):
-            if i == eq_idx:
+    rows, b, strict = [], [], []
+    for r in sys.rows:
+        scale = math.lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs))
+        coeffs = tuple(int(c * scale) for c in r.coeffs)
+        rhs = int(r.rhs * scale)
+        for sign in (1, -1) if r.rel == EQ else (1,):
+            rows.append(tuple(sign * c for c in coeffs))
+            b.append(sign * rhs)
+            strict.append(r.rel == GT)
+    return build_tower(tuple(rows), sys.nvars), b, tuple(strict)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin towers
+#
+# A tower row (coeffs, mult) is the non-negative combination mult of the
+# original rows, so it reads coeffs . x >= mult . b for every right-hand
+# side b, strictly when mult uses a strict original row.
+
+TowerRow = tuple[IntVector, IntVector]
+
+TOWER_CACHE_SIZE = 1024
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    # stops at the shorter vector: a row of levels[k + 1] times x_0..x_{k-1}
+    return sum(map(mul, x, y))
+
+
+def _is_strict(mult: IntVector, strict: Sequence[bool]) -> bool:
+    return any(s for m, s in zip(mult, strict) if m)
+
+
+def _eliminate(rows: Sequence[TowerRow], var: int, max_support: int) -> list[TowerRow]:
+    """Project out x_var: keep the rows free of it, combine (+, -) pairs.
+
+    Each combination is divided by the joint gcd of its coefficients and
+    multipliers. Duplicates are dropped, and so is a combination of more
+    than max_support original rows (Chernikov's rule), which the others
+    imply.
+    """
+    out: list[TowerRow] = []
+    pos, neg = [], []
+    for coeffs, mult in rows:
+        c = coeffs[var]
+        if c == 0:
+            out.append((coeffs[:var] + coeffs[var + 1 :], mult))
+        else:
+            (pos if c > 0 else neg).append((coeffs, mult, abs(c)))
+    for pc, pm, p in pos:
+        for qc, qm, q in neg:
+            mult = tuple(q * x + p * y for x, y in zip(pm, qm))
+            if len(mult) - mult.count(0) > max_support:
                 continue
-            f = row.coeffs[var]
-            if f == 0:
-                out.append(_drop_var(row, var))
-            else:
-                coeffs = tuple(x - (f / c) * y for x, y in zip(row.coeffs, e.coeffs))
-                rhs = row.rhs - (f / c) * e.rhs
-                nr = _normalize_row(coeffs, row.rel, rhs)
-                out.append(_drop_var(nr, var))
-        return LinearSystem(sys.nvars - 1, tuple(out))
-
-    pos = [r for r in sys.rows if r.coeffs[var] > 0]
-    neg = [r for r in sys.rows if r.coeffs[var] < 0]
-    for row in sys.rows:
-        if row.coeffs[var] == 0:
-            out.append(_drop_var(row, var))
-    for p in pos:
-        for q in neg:
-            out.append(_drop_var(_combine(p, q, var), var))
-    return LinearSystem(sys.nvars - 1, tuple(out))
+            coeffs = tuple(q * x + p * y for x, y in zip(pc, qc))
+            coeffs = coeffs[:var] + coeffs[var + 1 :]
+            g = math.gcd(*coeffs, *mult)
+            out.append((tuple(x // g for x in coeffs), tuple(x // g for x in mult)))
+    return list(dict.fromkeys(out))
 
 
-def _constant_rows_consistent(sys: LinearSystem) -> bool:
-    for row in sys.rows:
-        if any(c != 0 for c in row.coeffs):
-            continue
-        z = Fraction(0)
-        if row.rel == GE and not z >= row.rhs:
-            return False
-        if row.rel == GT and not z > row.rhs:
-            return False
-        if row.rel == EQ and z != row.rhs:
+@dataclass(frozen=True)
+class Tower:
+    """Fourier-Motzkin projections of R x >= b, shared by every b.
+
+    levels[k] holds the rows of the projection onto x_0..x_{k-1}: the
+    variables are eliminated from the last down, so once x_0..x_{k-1} are
+    fixed the rows of levels[k + 1] bound x_k, and levels[0] are the
+    constant rows that decide feasibility. recession is None exactly when
+    the polyhedron is bounded; otherwise it is a primitive recession ray
+    z, and reduced is the tower of the rows that a unimodular change of
+    variables with first column z leaves free of the first variable,
+    together with the indices of those rows among the original ones.
+    """
+
+    nvars: int
+    levels: tuple[tuple[TowerRow, ...], ...]
+    recession: Optional[IntVector] = None
+    reduced: Optional[tuple["Tower", tuple[int, ...]]] = None
+
+
+@lru_cache(maxsize=TOWER_CACHE_SIZE)
+def build_tower(rows: IntMatrix, nvars: int) -> Tower:
+    """The tower of the integer rows R, eliminating x_{nvars-1}, ..., x_0."""
+    n = len(rows)
+    level = [(r, tuple(int(i == j) for j in range(n))) for i, r in enumerate(rows)]
+    levels = [tuple(level)]
+    for k in range(nvars - 1, -1, -1):
+        level = _eliminate(level, k, nvars - k + 1)
+        levels.append(tuple(level))
+    levels.reverse()
+    tower = Tower(nvars, tuple(levels))
+    # the recession cone is {0} exactly when every level bounds its
+    # variable from both sides
+    for k in range(nvars):
+        signs = {coeffs[k] > 0 for coeffs, _ in levels[k + 1] if coeffs[k]}
+        if len(signs) < 2:
+            prefix = (0,) * k + (1 if signs != {False} else -1,)
+            ray = _lift(tower, (0,) * n, (), prefix)
+            scale = math.lcm(*(f.denominator for f in ray))
+            ints = [int(f * scale) for f in ray]
+            g = math.gcd(*ints)
+            z = tuple(x // g for x in ints)
+            w = _unimodular_with_first_column(z)
+            moved = [tuple(_dot(r, col) for col in zip(*w)) for r in rows]
+            keep = tuple(i for i, r in enumerate(moved) if r[0] == 0)
+            sub = build_tower(tuple(moved[i][1:] for i in keep), nvars - 1)
+            return Tower(nvars, tuple(levels), z, (sub, keep))
+    return tower
+
+
+def tower_feasible(tower: Tower, b: Sequence[int], strict: Sequence[bool] = ()) -> bool:
+    """Whether R x >= b has a rational solution; rows flagged in strict are >."""
+    for _, mult in tower.levels[0]:
+        s = _dot(mult, b)
+        if s > 0 or (s == 0 and _is_strict(mult, strict)):
             return False
     return True
 
 
-def _strict_count(sys: LinearSystem, var: int) -> int:
-    return sum(1 for r in sys.rows if r.rel == GT and r.coeffs[var] != 0)
+def _lift(tower: Tower, b: Sequence[int], strict: Sequence[bool], prefix: Sequence[Rational]) -> RatVector:
+    """Extend a point of the projection onto the first len(prefix) variables.
 
-
-def _var_bounds(sys: LinearSystem, var: int, values: dict[int, Fraction]):
-    """Bounds on one variable after substituting known values.
-
-    Returns (lower, lower_strict, upper, upper_strict) with None for an
-    absent bound; every row must involve only `var` and valued variables.
+    Each further coordinate takes the midpoint of its fiber, or steps one
+    past its only bound, or 0 when the fiber is the whole line.
     """
-    lo = hi = None
-    lo_strict = hi_strict = False
-    for row in sys.rows:
-        c = row.coeffs[var]
-        rest = row.rhs - sum(
-            row.coeffs[k] * values[k] for k in range(sys.nvars) if k != var and row.coeffs[k] != 0
-        )
-        if c == 0:
-            continue
-        bound = rest / c
-        if row.rel == EQ:
-            if lo is None or bound > lo or (bound == lo and not lo_strict):
-                lo, lo_strict = bound, False
-            if hi is None or bound < hi or (bound == hi and not hi_strict):
-                hi, hi_strict = bound, False
-            continue
-        strict = row.rel == GT
-        if c > 0:
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_strict = bound, strict
-        else:
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-    return lo, lo_strict, hi, hi_strict
-
-
-def feasible(sys: LinearSystem) -> tuple[bool, Optional[RatVector]]:
-    """Exact rational feasibility with a witness.
-
-    Eliminates variables one at a time, always choosing the variable with
-    the fewest strict rows (ties broken by lowest index), then rebuilds a
-    witness by back-substitution through the recorded projections.
-    """
-    labels = list(range(sys.nvars))
-    steps: list[tuple[LinearSystem, list[int], int]] = []
-    work = sys
-    while work.nvars > 0:
-        pos = min(range(work.nvars), key=lambda j: (_strict_count(work, j), j))
-        steps.append((work, labels[:], pos))
-        work = fm_eliminate(work, pos)
-        labels.pop(pos)
-    if not _constant_rows_consistent(work):
-        return False, None
-
-    values: dict[int, Fraction] = {}
-    for sys_t, labels_t, pos_t in reversed(steps):
-        local = {
-            j: values[lab]
-            for j, lab in enumerate(labels_t)
-            if j != pos_t
-        }
-        lo, lo_strict, hi, hi_strict = _var_bounds(sys_t, pos_t, local)
+    x = [Fraction(v) for v in prefix]
+    for k in range(len(x), tower.nvars):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for coeffs, mult in tower.levels[k + 1]:
+            c = coeffs[k]
+            if c == 0:
+                continue
+            bound = (_dot(mult, b) - _dot(coeffs, x)) / Fraction(c)
+            st = _is_strict(mult, strict)
+            if c > 0:
+                if lo is None or bound > lo or (bound == lo and st):
+                    lo, lo_strict = bound, st
+            elif hi is None or bound < hi or (bound == hi and st):
+                hi, hi_strict = bound, st
         if lo is None and hi is None:
             val = Fraction(0)
         elif lo is None:
             val = hi - 1
         elif hi is None:
             val = lo + 1
-        elif lo == hi:
-            if lo_strict or hi_strict:
-                raise AssertionError("projection exactness violated")
-            val = lo
-        else:
-            if lo > hi:
-                raise AssertionError("projection exactness violated")
+        elif lo < hi or (lo == hi and not (lo_strict or hi_strict)):
             val = (lo + hi) / 2
-        values[labels_t[pos_t]] = val
-    return True, tuple(values[k] for k in range(sys.nvars))
-
-
-# ---------------------------------------------------------------------------
-# lattice points
+        else:
+            raise AssertionError("projection exactness violated")
+        x.append(val)
+    return tuple(x)
 
 
 class PointsStatus(Enum):
@@ -502,35 +506,88 @@ class IntegerPoints:
     recession: Optional[IntVector] = None
 
 
+_INFEASIBLE = IntegerPoints(PointsStatus.INFEASIBLE)
+
+
 class _CapHit(Exception):
     pass
 
 
-def _homogeneous(sys: LinearSystem) -> LinearSystem:
-    rows = tuple(Row(r.coeffs, r.rel, Fraction(0)) for r in sys.rows)
-    return LinearSystem(sys.nvars, rows)
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self, cap: int):
+        self.left = cap
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _CapHit
 
 
-@lru_cache(maxsize=None)
-def _recession_ray(hom: LinearSystem) -> Optional[IntVector]:
-    """A primitive integer recession direction, or None when the cone is {0}.
+def _enumerate(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool) -> list[IntVector]:
+    # every level of a bounded tower has lower and upper rows; a prefix
+    # inside the projection always has a non-empty rational fiber
+    bounds = [
+        [(coeffs, coeffs[k], _dot(mult, b)) for coeffs, mult in tower.levels[k + 1] if coeffs[k]]
+        for k in range(tower.nvars)
+    ]
+    found: list[IntVector] = []
 
-    Tries x_i >= 1 then -x_i >= 1 for each variable in order, so the result
-    is deterministic.
+    def walk(prefix: IntVector) -> None:
+        k = len(prefix)
+        if k == tower.nvars:
+            found.append(prefix)
+            return
+        lo = hi = None
+        for coeffs, c, r in bounds[k]:
+            r -= sum(map(mul, coeffs, prefix))  # _dot, inlined: the hottest loop
+            if c > 0:
+                t = -(-r // c)
+                if lo is None or t > lo:
+                    lo = t
+            else:
+                t = r // c
+                if hi is None or t < hi:
+                    hi = t
+        for t in range(lo, hi + 1):
+            budget.spend()
+            walk(prefix + (t,))
+            if first_only and found:
+                return
+
+    walk(())
+    return found
+
+
+def _points(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool) -> IntegerPoints:
+    if not tower_feasible(tower, b):
+        return _INFEASIBLE
+    if tower.reduced is not None:
+        # the first new variable has no upper bound on any non-empty fiber,
+        # so integer solvability reduces to the rows free of it
+        sub, keep = tower.reduced
+        if _points(sub, [b[i] for i in keep], budget, True).status is PointsStatus.INFEASIBLE:
+            return _INFEASIBLE
+        return IntegerPoints(PointsStatus.UNBOUNDED_WITH_LATTICE_POINT, (), tower.recession)
+    found = _enumerate(tower, b, budget, first_only)
+    return IntegerPoints(PointsStatus.POINTS, tuple(found)) if found else _INFEASIBLE
+
+
+def tower_points(tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False) -> IntegerPoints:
+    """Integer solutions of R x >= b in lexicographic order.
+
+    The cap is spent once per candidate value of each coordinate, and a
+    full enumeration with a non-positive cap is refused outright. With
+    first_only the search stops at the first solution. Statuses are those
+    of integer_points.
     """
-    for i in range(hom.nvars):
-        for sign in (1, -1):
-            probe = [Fraction(0)] * hom.nvars
-            probe[i] = Fraction(sign)
-            extra = Row(tuple(probe), GE, Fraction(1))
-            ok, wit = feasible(LinearSystem(hom.nvars, hom.rows + (extra,)))
-            if ok:
-                assert wit is not None
-                scale = math.lcm(*(f.denominator for f in wit))
-                ints = [int(f * scale) for f in wit]
-                g = math.gcd(*(abs(x) for x in ints))
-                return tuple(x // g for x in ints)
-    return None
+    if cap <= 0 and not first_only:
+        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
+    try:
+        return _points(tower, b, _Budget(cap), first_only)
+    except _CapHit:
+        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
 
 
 def _unimodular_with_first_column(z: IntVector) -> IntMatrix:
@@ -548,87 +605,39 @@ def _unimodular_with_first_column(z: IntVector) -> IntMatrix:
     return w
 
 
-def _transform(sys: LinearSystem, w: IntMatrix) -> LinearSystem:
-    rows = []
-    for r in sys.rows:
-        coeffs = tuple(
-            sum(r.coeffs[i] * w[i][j] for i in range(sys.nvars)) for j in range(sys.nvars)
-        )
-        rows.append(_normalize_row(coeffs, r.rel, r.rhs))
-    return LinearSystem(sys.nvars, tuple(rows))
+# ---------------------------------------------------------------------------
+# linear systems through their towers
 
 
-def _substitute(sys: LinearSystem, var: int, value: int) -> LinearSystem:
-    rows = []
-    for r in sys.rows:
-        c = r.coeffs[var]
-        coeffs = r.coeffs[:var] + r.coeffs[var + 1 :]
-        rows.append(Row(coeffs, r.rel, r.rhs - c * value))
-    return LinearSystem(sys.nvars - 1, tuple(rows))
+def fm_eliminate(sys: LinearSystem, var: int) -> LinearSystem:
+    """Project out one variable by Fourier-Motzkin elimination.
 
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self, k: int = 1) -> None:
-        self.left -= k
-        if self.left < 0:
-            raise _CapHit
-
-
-def _outer_interval(sys: LinearSystem):
-    """Exact bounds of the first variable's projection, or None if empty."""
-    proj = sys
-    for j in range(sys.nvars - 1, 0, -1):
-        proj = fm_eliminate(proj, j)
-    if not _constant_rows_consistent(proj):
-        return None
-    lo, lo_strict, hi, hi_strict = _var_bounds(proj, 0, {})
-    return lo, hi
-
-
-def _enumerate_bounded(sys: LinearSystem, budget: _Budget, prefix: IntVector, out: list[IntVector], stop_after_first: bool) -> None:
-    if sys.nvars == 0:
-        if _constant_rows_consistent(sys):
-            out.append(prefix)
-        return
-    iv = _outer_interval(sys)
-    if iv is None:
-        return
-    lo, hi = iv
-    if lo is None or hi is None:
-        raise AssertionError("bounded enumeration reached an unbounded interval")
-    for t in range(math.ceil(lo), math.floor(hi) + 1):
-        budget.spend()
-        _enumerate_bounded(_substitute(sys, 0, t), budget, prefix + (t,), out, stop_after_first)
-        if stop_after_first and out:
-            return
-
-
-def _has_integer_point(sys: LinearSystem, budget: _Budget) -> bool:
-    ok, _ = feasible(sys)
-    if not ok:
-        return False
-    if sys.nvars == 0:
-        return True
-    z = _recession_ray(_homogeneous(sys))
-    if z is None:
-        found: list[IntVector] = []
-        _enumerate_bounded(sys, budget, (), found, stop_after_first=True)
-        return bool(found)
-    w = _unimodular_with_first_column(z)
-    moved = _transform(sys, w)
-    # the first variable now has no finite upper bound on any nonempty
-    # fiber, so integer solvability reduces to the zero-coefficient rows
-    reduced_rows = tuple(
-        _drop_var(r, 0) for r in moved.rows if r.coeffs[0] == 0
+    All (lower bound, upper bound) pairs are combined, an equality as two
+    opposite inequalities, and a combination is strict whenever either
+    parent is strict.
+    """
+    if not 0 <= var < sys.nvars:
+        raise ValueError("variable index out of range")
+    tower, b, strict = _system_tower(sys)
+    return system(
+        sys.nvars - 1,
+        [
+            (coeffs, GT if _is_strict(mult, strict) else GE, _dot(mult, b))
+            for coeffs, mult in _eliminate(tower.levels[-1], var, 2)
+        ],
     )
-    if any(r.coeffs[0] != 0 and r.rel == EQ for r in moved.rows):
-        raise AssertionError("recession direction must annihilate equalities")
-    return _has_integer_point(LinearSystem(sys.nvars - 1, reduced_rows), budget)
+
+
+def feasible(sys: LinearSystem) -> tuple[bool, Optional[RatVector]]:
+    """Exact rational feasibility with a witness.
+
+    Decides on the constant rows of the system's tower, then rebuilds a
+    witness coordinate by coordinate from x_0 up.
+    """
+    tower, b, strict = _system_tower(sys)
+    if not tower_feasible(tower, b, strict):
+        return False, None
+    return True, _lift(tower, b, strict, ())
 
 
 def integer_points(sys: LinearSystem, cap: int = DEFAULT_CAP) -> IntegerPoints:
@@ -643,37 +652,16 @@ def integer_points(sys: LinearSystem, cap: int = DEFAULT_CAP) -> IntegerPoints:
     """
     if any(r.rel == GT for r in sys.rows):
         raise ValueError("integer_points requires a non-strict system")
-    if cap <= 0:
-        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
-    budget = _Budget(cap)
-    ok, _ = feasible(sys)
-    if not ok:
-        return IntegerPoints(PointsStatus.INFEASIBLE)
-    if sys.nvars == 0:
-        return IntegerPoints(PointsStatus.POINTS, ((),))
-    try:
-        z = _recession_ray(_homogeneous(sys))
-        if z is not None:
-            w = _unimodular_with_first_column(z)
-            moved = _transform(sys, w)
-            reduced_rows = tuple(_drop_var(r, 0) for r in moved.rows if r.coeffs[0] == 0)
-            if _has_integer_point(LinearSystem(sys.nvars - 1, reduced_rows), budget):
-                return IntegerPoints(PointsStatus.UNBOUNDED_WITH_LATTICE_POINT, (), z)
-            return IntegerPoints(PointsStatus.INFEASIBLE)
-        found: list[IntVector] = []
-        _enumerate_bounded(sys, budget, (), found, stop_after_first=False)
-    except _CapHit:
-        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
-    if not found:
-        return IntegerPoints(PointsStatus.INFEASIBLE)
-    return IntegerPoints(PointsStatus.POINTS, tuple(found))
+    tower, b, _ = _system_tower(sys)
+    return tower_points(tower, b, cap)
 
 
 def has_integer_point(sys: LinearSystem, cap: int = DEFAULT_CAP) -> Optional[bool]:
     """Existence-only variant of integer_points; None when the cap is hit."""
     if any(r.rel == GT for r in sys.rows):
         raise ValueError("has_integer_point requires a non-strict system")
-    try:
-        return _has_integer_point(sys, _Budget(cap))
-    except _CapHit:
+    tower, b, _ = _system_tower(sys)
+    res = tower_points(tower, b, cap, first_only=True)
+    if res.status is PointsStatus.CAP_EXCEEDED:
         return None
+    return res.status is not PointsStatus.INFEASIBLE

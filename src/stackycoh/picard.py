@@ -10,17 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .exactlin import (
-    IntMatrix,
-    IntVector,
-    Rational,
-    invert,
-    mat_vec,
-    smith_normal_form,
-)
-from .fan import StackyFan
+from .exactlin import IntMatrix, IntVector, invert, smith_normal_form
+from .fan import FanValidationError, StackyFan
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,11 @@ def pic_structure(fan: StackyFan) -> PicStructure:
     a = [[relation_cols[i][j] for j in range(m)] for i in range(n)]
     s, u, v = smith_normal_form(a)
     diag = tuple(s[i][i] for i in range(min(n, m)))
-    assert all(d != 0 for d in diag), "ray matrix of a complete fan has full column rank"
+    if not all(diag):
+        raise FanValidationError("the rays do not span the space, so the fan is not complete")
     torsion = tuple(d for d in diag if d > 1)
     torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
+    # u is unimodular, so its inverse is an integer matrix
     u_inv = invert(u)
     return PicStructure(
         free_rank=n - m,
@@ -62,7 +58,7 @@ def pic_structure(fan: StackyFan) -> PicStructure:
         free_offset=m,
         diag=diag,
         u=tuple(tuple(row) for row in u),
-        u_inv=tuple(tuple(row) for row in u_inv),
+        u_inv=tuple(tuple(int(x) for x in row) for row in u_inv),
         basis_rows=tuple(tuple(fan.rays[i][j] for i in range(n)) for j in range(m)),
     )
 
@@ -81,11 +77,9 @@ def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
         raise ValueError("coefficient vector length must equal the ray count")
     raw = tuple(int(x) for x in a)
     st = pic_structure(fan)
-    y = mat_vec([list(r) for r in st.u], list(raw))
-    torsion = tuple(
-        int(y[p]) % st.torsion[k] for k, p in enumerate(st.torsion_positions)
-    )
-    free = tuple(int(y[i]) for i in range(st.free_offset, fan.nrays))
+    y = [sum(map(mul, row, raw)) for row in st.u]
+    torsion = tuple(y[p] % st.torsion[k] for k, p in enumerate(st.torsion_positions))
+    free = tuple(y[st.free_offset :])
     return LineBundleClass(raw=raw, free=free, torsion=torsion)
 
 
@@ -103,9 +97,7 @@ def class_from_canonical(
         y[p] = int(torsion[k]) % st.torsion[k]
     for i, val in enumerate(free):
         y[st.free_offset + i] = int(val)
-    raw = mat_vec([list(r) for r in st.u_inv], y)
-    assert all(x == int(x) for x in raw)
-    return class_of(fan, [int(x) for x in raw])
+    return class_of(fan, [sum(map(mul, row, y)) for row in st.u_inv])
 
 
 def classes_equal(fan: StackyFan, a: Sequence[int], b: Sequence[int]) -> bool:

@@ -25,6 +25,7 @@ from .exactlin import (
     solve_square,
 )
 from .fan import StackyFan, collinear_pairs, neighborhood, parallel_rays
+from .homology import DEFAULT_DELTA_CAP
 from .picard import LineBundleClass, class_of
 
 INFINITELY_MANY = "InfinitelyMany"
@@ -132,7 +133,8 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
             cand = PLFunction(vec)
             if not is_linear(fan, cand):
                 psi = PLFunction(_to_integer_values(vec))
-                assert lambda_polytope(fan, psi).dim < m
+                if lambda_polytope(fan, psi).dim >= m:
+                    raise AssertionError("the linear parts of psi must span less than the rank")
                 return s, psi
         raise AssertionError("kernel above the linear dimension must leave it")
     return None
@@ -232,6 +234,7 @@ def criterion_report(
     search_box: Sequence = (-3, 3),
     r_range: tuple[int, int] = (-5, 5),
     cap: int = DEFAULT_CAP,
+    delta_cap: int = DEFAULT_DELTA_CAP,
 ) -> CriterionReport:
     pairs = collinear_pairs(fan)
     found = find_degenerate_psi(fan)
@@ -240,7 +243,7 @@ def criterion_report(
     for cls in box_classes(fan, search_box):
         if not any(cls.free) and not any(cls.torsion):
             continue
-        if outside_all_interiors(fan, cls.raw):
+        if outside_all_interiors(fan, cls.raw, delta_cap):
             witness = cls
             break
 
@@ -249,7 +252,8 @@ def criterion_report(
         s, psi = found
         lo, hi = r_range
         for r in range(lo, hi + 1):
-            checks.append((r, is_h_trivial(fan, family_class(fan, s, psi, r).raw, cap)))
+            raw = family_class(fan, s, psi, r).raw
+            checks.append((r, is_h_trivial(fan, raw, cap, delta_cap)))
 
     if found is not None:
         verdict = INFINITELY_MANY

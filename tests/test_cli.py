@@ -276,6 +276,15 @@ class TestReportCommand:
         assert data["verdict"] == "FinitelyMany"
         assert data["degenerate_psi"] is None
 
+    def test_delta_cap_exceeded_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "p4.json"
+        path.write_text(P4_FILE)
+        code, _, err = run(
+            capsys, "report", str(path), "--box=-1:1", "--delta-cap", "2"
+        )
+        assert code == 2
+        assert err.startswith("computation stopped:")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -304,3 +313,23 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["free_rank"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("h-trivial", "@p1xp2", "--coeffs=0,0,-1,0,0"),
+            ("scan", "@p1xp1xp1", "--box=-1:1"),
+        ],
+    )
+    def test_optimized_interpreter_prints_the_same(self, argv):
+        # python -O strips assert statements; no check may depend on them
+        outs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "stackycoh.cli", *argv],
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for flags in ((), ("-O",))
+        ]
+        assert outs[0] == outs[1]

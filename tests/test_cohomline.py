@@ -1,6 +1,7 @@
 """Cohomology dimensions, H-triviality, interiors, and box scans."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
     PropernessError,
+    _weak_points,
     box_classes,
     cohomology,
     first_forbidden,
@@ -18,11 +20,26 @@ from stackycoh.cohomline import (
     scan_h_trivial,
     sign_polyhedron,
 )
-from stackycoh.exactlin import feasible, has_integer_point
+from stackycoh.exactlin import (
+    DEFAULT_CAP,
+    PointsStatus,
+    build_tower,
+    feasible,
+    has_integer_point,
+)
 from stackycoh.fan import StackyFan
 from stackycoh.homology import delta_family
 
-from oracles import brute_cohomology, h_p1, h_p2, h_product
+from oracles import (
+    brute_cohomology,
+    fm_bounded,
+    fm_feasible,
+    fm_points,
+    h_p1,
+    h_p2,
+    h_product,
+)
+from test_plsearch import antiprism_fan
 
 
 def _shifted(fan, a, w):
@@ -99,7 +116,9 @@ class TestHTriviality:
             fan = catalog_fan(name)
             for _ in range(25):
                 a = [rng.randint(-4, 4) for _ in range(fan.nrays)]
-                assert is_h_trivial(fan, a) == (not any(cohomology(fan, a)))
+                vanishes = not any(cohomology(fan, a))
+                assert is_h_trivial(fan, a) == vanishes
+                assert (forbidden_cone(fan, a) is None) == vanishes
 
     def test_first_forbidden_on_structure_sheaf(self):
         fan = catalog_fan("p2")
@@ -151,6 +170,49 @@ class TestSignPolyhedra:
     def test_unknown_strictness(self):
         with pytest.raises(ValueError):
             sign_polyhedron(catalog_fan("p2"), (0, 0, 0), (), "loose")
+
+
+class TestTowerAgainstOracle:
+    """The towers behind the sign systems against unpruned Fraction FM."""
+
+    @pytest.mark.parametrize("name", catalog_names() + ("antiprism",))
+    def test_boundedness_on_every_index_set(self, name):
+        fan = antiprism_fan() if name == "antiprism" else catalog_fan(name)
+        zero = (0,) * fan.nrays
+        for size in range(fan.nrays + 1):
+            for I in combinations(range(1, fan.nrays + 1), size):
+                rows = tuple(
+                    v if i in I else tuple(-x for x in v)
+                    for i, v in enumerate(fan.rays, 1)
+                )
+                tower = build_tower(rows, fan.rank)
+                expected = fm_bounded(sign_polyhedron(fan, zero, I, "weak"))
+                assert (tower.recession is None) == expected, I
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
+    )
+    def test_points_existence_and_interiors(self, name):
+        rng = random.Random(sum(name.encode()))
+        fan = catalog_fan(name)
+        for _ in range(3):
+            a = [rng.randint(-6, 6) for _ in range(fan.nrays)]
+            for I, _ in delta_family(fan).members:
+                weak = sign_polyhedron(fan, a, I, "weak")
+                points, visited = fm_points(weak)
+                res = _weak_points(fan, a, I, DEFAULT_CAP)
+                assert res.points == tuple(points), (a, I)
+                # the cap is spent once per candidate, as the oracle counts
+                if visited:
+                    assert _weak_points(fan, a, I, visited).points == res.points
+                    with pytest.raises(CapExceededError):
+                        _weak_points(fan, a, I, visited - 1)
+                first, _ = fm_points(weak, first_only=True)
+                ex = _weak_points(fan, a, I, DEFAULT_CAP, first_only=True)
+                assert ex.points == tuple(first)
+                assert (ex.status is PointsStatus.POINTS) == bool(points)
+                strict = sign_polyhedron(fan, a, I, "strict")
+                assert in_interior_ZI(fan, a, I) == fm_feasible(strict)
 
 
 class TestInteriors:

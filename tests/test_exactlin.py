@@ -13,6 +13,7 @@ from stackycoh.exactlin import (
     GE,
     GT,
     IntegerPoints,
+    LinearSystem,
     PointsStatus,
     affine_dim,
     feasible,
@@ -29,6 +30,8 @@ from stackycoh.exactlin import (
     solve_square,
     system,
 )
+
+from oracles import fm_feasible
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -194,6 +197,15 @@ class TestFourierMotzkin:
         ok, w = feasible(sys)
         if ok:
             assert _satisfies(sys, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_tower_matches_unpruned_projection(self, nvars, data):
+        # two systems stacked, so that Chernikov's rule has rows to prune
+        a = _random_system(data, nvars)
+        b = _random_system(data, nvars)
+        sys = LinearSystem(nvars, a.rows + b.rows)
+        assert feasible(sys)[0] == fm_feasible(sys)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(2, 3), st.data())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh.fan import FanValidationError, StackyFan
 from stackycoh.picard import (
     class_from_canonical,
     class_of,
@@ -54,6 +55,16 @@ class TestStructure:
         for name in catalog_names():
             fan = catalog_fan(name)
             assert pic_structure(fan).free_rank == fan.nrays - fan.rank
+
+    def test_rays_spanning_a_line_are_refused(self):
+        # built directly, bypassing validation: two opposite rays in rank 2
+        fan = StackyFan(
+            rank=2,
+            rays=((1, 0), (-1, 0)),
+            max_cones=(frozenset({1}), frozenset({2})),
+        )
+        with pytest.raises(FanValidationError, match="not complete"):
+            pic_structure(fan)
 
 
 class TestClassesEqual:
