@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fan import StackyFan, make_fan
+from .fan import FAN_CACHE_SIZE, StackyFan, make_fan
 
 _DEFS: dict[str, tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]] = {
     # rank 1
@@ -98,7 +98,7 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_DEFS))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def catalog_fan(name: str) -> StackyFan:
     """Build (and validate) a catalog fan by name."""
     if name not in _DEFS:

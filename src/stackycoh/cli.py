@@ -21,6 +21,7 @@ from .catalog import catalog_fan, catalog_names
 from .cohomline import (
     CapExceededError,
     PropernessError,
+    _normalize_box,
     cohomology,
     forbidden_cone,
     is_h_trivial,
@@ -28,7 +29,6 @@ from .cohomline import (
 )
 from .exactlin import DEFAULT_CAP
 from .fan import (
-    DEFAULT_SEED,
     FanError,
     FanFormatError,
     FanValidationError,
@@ -52,7 +52,6 @@ class RunConfig:
     fmt: str
     cap: int
     delta_cap: int
-    seed: int
     threads: int
     coeffs: Optional[tuple[int, ...]] = None
     box: Optional[tuple[tuple[int, int], ...]] = None
@@ -97,7 +96,7 @@ def _load(cfg: RunConfig) -> StackyFan:
     path = Path(src)
     if not path.is_file():
         raise UsageError(f"fan file {src!r} not found")
-    return load_fan(path.read_text(), seed=cfg.seed)
+    return load_fan(path.read_text())
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: Sequence[str]) -> None:
@@ -118,6 +117,13 @@ def _require_coeffs(cfg: RunConfig, fan: StackyFan) -> tuple[int, ...]:
             f"expected {fan.nrays} coefficients, got {len(cfg.coeffs)}"
         )
     return cfg.coeffs
+
+
+def _box(cfg: RunConfig, fan: StackyFan) -> tuple[tuple[int, int], ...]:
+    try:
+        return _normalize_box(fan, cfg.box)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _cmd_catalog(cfg: RunConfig) -> None:
@@ -218,16 +224,7 @@ def _cmd_h_trivial(cfg: RunConfig) -> None:
 
 def _cmd_scan(cfg: RunConfig) -> None:
     fan = _load(cfg)
-    if cfg.box is None:
-        raise UsageError("--box is required")
-    st = pic_structure(fan)
-    box = cfg.box
-    if len(box) == 1:
-        box = box * st.free_rank
-    if len(box) != st.free_rank:
-        raise UsageError(
-            f"expected 1 or {st.free_rank} ranges, got {len(box)}"
-        )
+    box = _box(cfg, fan)
     found = scan_h_trivial(fan, box, cfg.cap, cfg.delta_cap, cfg.threads)
     payload = {
         "fan": fan_fingerprint(fan),
@@ -300,10 +297,7 @@ def _cmd_family(cfg: RunConfig) -> None:
 
 def _cmd_report(cfg: RunConfig) -> None:
     fan = _load(cfg)
-    box = cfg.box if cfg.box is not None else ((-3, 3),)
-    st = pic_structure(fan)
-    if len(box) == 1:
-        box = box * st.free_rank
+    box = _box(cfg, fan)
     rep = criterion_report(fan, box, cfg.r_range, cfg.cap, cfg.delta_cap)
     payload = {
         "fan": fan_fingerprint(fan),
@@ -360,7 +354,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP)
     common.add_argument("--delta-cap", type=int, default=DEFAULT_DELTA_CAP)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--threads", type=int, default=1)
 
     sub.add_parser("catalog", parents=[common])
@@ -417,7 +410,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         fmt=args.format,
         cap=args.cap,
         delta_cap=args.delta_cap,
-        seed=args.seed,
         threads=args.threads,
         coeffs=coeffs,
         box=box,

@@ -11,6 +11,7 @@ enters through the right-hand side.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -203,13 +204,20 @@ def outside_all_interiors(
 def _normalize_box(
     fan: StackyFan, box: Sequence
 ) -> tuple[tuple[int, int], ...]:
+    """One (lo, hi) range per free coordinate.
+
+    The box is a flat pair or a single range, applied to every coordinate,
+    or one range per coordinate; ValueError names what is wrong.
+    """
     st = pic_structure(fan)
     if st.free_rank == 0:
         return ()
     if len(box) == 2 and all(isinstance(x, int) for x in box):
-        box = [tuple(box)] * st.free_rank
+        box = [tuple(box)]
+    if len(box) == 1:
+        box = list(box) * st.free_rank
     if len(box) != st.free_rank:
-        raise ValueError(f"expected {st.free_rank} coordinate ranges")
+        raise ValueError(f"expected 1 or {st.free_rank} ranges, got {len(box)}")
     out = []
     for lo, hi in box:
         lo, hi = int(lo), int(hi)
@@ -253,6 +261,8 @@ def scan_h_trivial(
     included. Order is lexicographic in (free, torsion).
     """
     classes = box_classes(fan, box)
+    # a pool starts every worker at once, so never more than cores or classes
+    workers = min(workers, os.cpu_count() or 1, len(classes))
     if workers <= 1 or len(classes) < 4:
         flags = _scan_chunk(fan, [c.raw for c in classes], cap, delta_cap)
     else:

@@ -9,23 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (
-    IntVector,
-    dot,
-    int_matrix,
-    rat_rank,
-    rational_kernel,
-    solve_square,
-)
+from .exactlin import IntVector, dot, rat_rank, rational_kernel
 
-COVERAGE_SAMPLES = 64
-DEFAULT_SEED = 1069
+# bound of every fan-keyed cache, so a process that sees many fans stays small
+FAN_CACHE_SIZE = 256
 
 
 class FanError(Exception):
@@ -55,14 +46,14 @@ class StackyFan:
         return self.rays[i - 1]
 
 
-def make_fan(rank: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]], seed: int = DEFAULT_SEED) -> StackyFan:
+def make_fan(rank: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]) -> StackyFan:
     """Build and validate a stacky fan from 1-based cone index sets."""
     fan = StackyFan(
         int(rank),
         tuple(tuple(int(x) for x in r) for r in rays),
         tuple(frozenset(int(i) for i in cone) for cone in max_cones),
     )
-    validate(fan, seed=seed)
+    validate(fan)
     return fan
 
 
@@ -74,7 +65,7 @@ def _reject_float(value: str):
     raise FanFormatError(f"non-integer number {value!r} in fan file")
 
 
-def load_fan(text: bytes | str, seed: int = DEFAULT_SEED) -> StackyFan:
+def load_fan(text: bytes | str) -> StackyFan:
     """Parse and validate fan JSON: {"rank", "rays", "max_cones"}.
 
     Ray indices in the file are 0-based; any float literal is rejected so
@@ -118,7 +109,7 @@ def load_fan(text: bytes | str, seed: int = DEFAULT_SEED) -> StackyFan:
         tuple(tuple(r) for r in rays),
         tuple(frozenset(i + 1 for i in c) for c in cones),
     )
-    validate(fan, seed=seed)
+    validate(fan)
     return fan
 
 
@@ -154,12 +145,17 @@ def _facet_normal(fan: StackyFan, facet: frozenset[int]):
     return basis[0]
 
 
-def validate(fan: StackyFan, seed: int = DEFAULT_SEED) -> None:
+def validate(fan: StackyFan) -> None:
     """Check the fan axioms, naming the violated invariant on failure.
 
-    Completeness is certified by facet pairing (every facet of a maximal
-    cone shared by exactly two, with the opposite rays strictly separated)
-    plus membership of pseudo-random rational directions in some cone.
+    Completeness is decided exactly. Facet pairing (every facet of a
+    maximal cone shared by exactly two, with the opposite rays strictly
+    separated) makes the number of maximal cones over a generic direction
+    the same everywhere: it can only change across a wall, and each wall
+    has one of its two cones on each side. The cones cover the space
+    exactly once when the point p = sum of the rays of the first maximal
+    cone, interior to it, lies in no other closed maximal cone; p is in a
+    simplicial cone when no facet normal puts it on the outer side.
     """
     m = fan.rank
     n = fan.nrays
@@ -202,53 +198,40 @@ def validate(fan: StackyFan, seed: int = DEFAULT_SEED) -> None:
         raise FanValidationError("duplicate maximal cone")
 
     facets: dict[frozenset[int], list[int]] = {}
-    for ci, cone in enumerate(fan.max_cones):
+    for cone in fan.max_cones:
         for i in cone:
             facet = cone - {i}
             facets.setdefault(facet, []).append(i)
+    # the facet normals of each maximal cone, with the sign of the opposite ray
+    walls: dict[frozenset[int], list] = {cone: [] for cone in fan.max_cones}
     for facet, opposite in facets.items():
         if len(opposite) == 1:
             raise FanValidationError(f"facet {sorted(facet)} unpaired")
         if len(opposite) > 2:
             raise FanValidationError(f"facet {sorted(facet)} shared by more than two cones")
         h = _facet_normal(fan, facet)
-        s0 = dot(h, fan.ray(opposite[0]))
-        s1 = dot(h, fan.ray(opposite[1]))
-        if s0 == 0 or s1 == 0 or (s0 > 0) == (s1 > 0):
+        sides = [dot(h, fan.ray(i)) for i in opposite]
+        if 0 in sides or (sides[0] > 0) == (sides[1] > 0):
             raise FanValidationError(
                 f"facet {sorted(facet)} does not separate its two opposite rays"
             )
+        for i, side in zip(opposite, sides):
+            walls[facet | {i}].append((h, side))
 
-    rng = random.Random(seed)
-    cone_cols = [
-        [fan.ray(i) for i in sorted(cone)] for cone in fan.max_cones
-    ]
-    samples = 0
-    while samples < COVERAGE_SAMPLES:
-        d = tuple(rng.randint(-999, 999) for _ in range(m))
-        if all(x == 0 for x in d):
-            continue
-        samples += 1
-        if not any(_in_cone(cols, d) for cols in cone_cols):
+    first = fan.max_cones[0]
+    p = [sum(xs) for xs in zip(*(fan.ray(i) for i in first))]
+    for cone in fan.max_cones[1:]:
+        if all(dot(h, p) * side >= 0 for h, side in walls[cone]):
             raise FanValidationError(
-                f"direction {d} not covered by any maximal cone"
+                f"maximal cones {sorted(first)} and {sorted(cone)} overlap"
             )
-
-
-def _in_cone(cols: list[IntVector], d: Sequence[int]) -> bool:
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(d))]
-    try:
-        lam = solve_square(a, d)
-    except Exception:
-        return False
-    return all(x >= 0 for x in lam)
 
 
 # ---------------------------------------------------------------------------
 # ray queries
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def collinear_pairs(fan: StackyFan) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i < j, whose rays span the same line through 0.
 
@@ -270,7 +253,7 @@ class RayNeighborhood:
     cycle: Optional[tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def two_cone_pairs(fan: StackyFan) -> frozenset[frozenset[int]]:
     """All 2-element subsets of maximal cones (the two-dimensional cones)."""
     out: set[frozenset[int]] = set()
@@ -282,7 +265,7 @@ def two_cone_pairs(fan: StackyFan) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def neighborhood(fan: StackyFan, s: int) -> RayNeighborhood:
     """Rays sharing a two-dimensional cone with ray s.
 

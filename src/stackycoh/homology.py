@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import Rational, rat_rank
-from .fan import StackyFan, two_cone_pairs
+from .fan import FAN_CACHE_SIZE, StackyFan, two_cone_pairs
 
 DEFAULT_DELTA_CAP = 16
 
@@ -146,7 +146,7 @@ def _sorted_members(pairs: Iterable[tuple[frozenset[int], BettiVector]]) -> Delt
     return DeltaFamily(tuple(ordered))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def delta_set(fan: StackyFan, cap: int = DEFAULT_DELTA_CAP) -> DeltaFamily:
     """Exhaustive Delta computation over all 2^n ray subsets."""
     n = fan.nrays
@@ -182,7 +182,7 @@ def _components(fan: StackyFan, I: frozenset[int]) -> int:
     return len({find(i) for i in I})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def delta_fast_lowdim(fan: StackyFan) -> DeltaFamily:
     """Delta for rank 2 and 3 via connectivity only.
 

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Sequence
 
 from .exactlin import IntMatrix, IntVector, invert, smith_normal_form
-from .fan import FanValidationError, StackyFan
+from .fan import FAN_CACHE_SIZE, FanValidationError, StackyFan
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class PicStructure:
     basis_rows: IntMatrix
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def pic_structure(fan: StackyFan) -> PicStructure:
     n, m = fan.nrays, fan.rank
     # columns are the rays; relations are the rows w -> (w . v_i)_i
@@ -121,7 +121,7 @@ def classes_equal(fan: StackyFan, a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _independent_rays(fan: StackyFan) -> tuple[int, ...]:
     # any maximal cone gives rank-many independent rays (0-based here)
     cone = min(fan.max_cones, key=lambda c: tuple(sorted(c)))

@@ -121,6 +121,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "scan", "@p2", "--box", "5:1")
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["p2", "p1xp1xp1"])
+    def test_report_box_of_wrong_length(self, capsys, name):
+        code, _, err = run(capsys, "report", f"@{name}", "--box=0:0,0:0")
+        assert code == 3
+        assert err.startswith("usage error:")
+
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "@p2", "--seed", "1"])
+        assert info.value.code == 3
+
     def test_nonpositive_cap(self, capsys):
         code, _, err = run(capsys, "validate", "@p2", "--cap", "0")
         assert code == 3

@@ -1,10 +1,12 @@
 """Cohomology dimensions, H-triviality, interiors, and box scans."""
 
+import os
 import random
 from itertools import combinations
 
 import pytest
 
+from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
@@ -274,6 +276,32 @@ class TestScans:
         serial = scan_h_trivial(fan, (-4, 4))
         parallel = scan_h_trivial(fan, (-4, 4), workers=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cores", [None, 1, 3, 64])
+    def test_workers_clamped_to_cores_and_classes(self, monkeypatch, cores):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(cohomline, "ProcessPoolExecutor", SerialPool)
+        if cores is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        fan = catalog_fan("p1xp1")
+        found = scan_h_trivial(fan, (-1, 1), workers=4096)  # 9 classes
+        assert found == scan_h_trivial(fan, (-1, 1))
+        expected = min(os.cpu_count() or 1, 9)
+        assert sizes == ([expected] if expected > 1 else [])
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """Fan loading, validation, completeness, and ray combinatorics."""
 
+import importlib
 import json
+import pkgutil
+from functools import lru_cache
 
 import pytest
 
+import stackycoh
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.fan import (
     FanFormatError,
@@ -158,3 +162,16 @@ class TestRayCombinatorics:
     def test_rank1_stacky_line(self):
         fan = make_fan(1, [(3,), (-2,)], [(1,), (2,)])
         assert collinear_pairs(fan) == ((1, 2),)
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        lru_type = type(lru_cache(maxsize=1)(len))
+        found = {}
+        for info in pkgutil.iter_modules(stackycoh.__path__):
+            module = importlib.import_module(f"stackycoh.{info.name}")
+            for name, obj in vars(module).items():
+                if isinstance(obj, lru_type) and obj.__module__ == module.__name__:
+                    found[f"{info.name}.{name}"] = obj.cache_info().maxsize
+        assert len(found) >= 9, found
+        assert all(size is not None for size in found.values()), found
