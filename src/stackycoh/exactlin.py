@@ -230,7 +230,27 @@ def rref(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None):
 
 
 def rat_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    return len(rref(rows)[1])
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Rows are scaled to integers; after k pivots every entry is a k x k
+    minor, so each division by the previous pivot is exact.
+    """
+    work = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    rank, prev = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top, p = work[rank], work[rank][c]
+        for i in range(rank + 1, len(work)):
+            a = work[i][c]
+            work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+        prev, rank = p, rank + 1
+    return rank
 
 
 def rational_kernel(a: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> tuple[RatVector, ...]:

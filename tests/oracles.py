@@ -1,20 +1,22 @@
 """Independent reference computations used to cross-check the library.
 
-Three routes that never touch the production cohomology path:
+Four routes that never touch the production cohomology path:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
   with the homology of its support complex;
+* the index family Delta over all 2^n ray subsets, each complex C_I's
+  Betti vector from its boundary ranks;
 * unpruned Fourier-Motzkin over Fractions: feasibility from the constant
   rows of a full projection, boundedness from recession probes, and
   lattice points by projecting again at every prefix.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import ceil, comb, floor
 
 from stackycoh.exactlin import EQ, GE, GT, LinearSystem, system
-from stackycoh.homology import reduced_betti, supp
+from stackycoh.homology import DeltaFamily, complex_CI, reduced_betti, supp
 
 
 def h_p1(d):
@@ -64,6 +66,20 @@ def brute_cohomology(fan, a, radius):
         for j in range(m + 1):
             h[j] += betti[m - j]
     return tuple(h)
+
+
+def exhaustive_delta(fan):
+    """Delta by boundary ranks of C_I for every ray subset I.
+
+    Members come in the production order: by size, then lexicographically.
+    """
+    pairs = []
+    for size in range(fan.nrays + 1):
+        for I in combinations(range(1, fan.nrays + 1), size):
+            b = reduced_betti(complex_CI(fan, I), fan.rank)
+            if any(b):
+                pairs.append((frozenset(I), b))
+    return DeltaFamily(tuple(pairs))
 
 
 def fm_project(sys, var):

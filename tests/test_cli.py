@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from oracles import exhaustive_delta
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import scan_h_trivial
+from stackycoh.fan import fan_fingerprint
 from stackycoh.picard import class_to_json
 
 P2_FILE = """
@@ -183,6 +185,42 @@ class TestDeltaCommand:
         code, _, err = run(capsys, "delta", str(path), "--delta-cap", "4")
         assert code == 2
         assert err.startswith("computation stopped:")
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_stdout_equals_exhaustive(self, capsys, name):
+        fan = catalog_fan(name)
+        members = [
+            {"index_set": sorted(I), "betti": list(b)}
+            for I, b in exhaustive_delta(fan).members
+        ]
+        expected = json.dumps(
+            {"fan": fan_fingerprint(fan), "members": members},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        code, out, _ = run(capsys, "delta", f"@{name}")
+        assert code == 0
+        assert out == expected + "\n"
+
+
+class TestDeltaCapInLowRank:
+    """--delta-cap bounds Delta on rank-2 and rank-3 fans too."""
+
+    @pytest.mark.parametrize("argv", [
+        ("delta", "@p1xp1xp1"),
+        ("cohomology", "@p1xp1xp1", "--coeffs=0,0,0,0,0,0"),
+        ("report", "@p1xp1xp1", "--box=0:0"),
+        ("h-trivial", "@p2", "--coeffs=0,0,0"),
+    ], ids=lambda a: a[0])
+    def test_cap_below_ray_count_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--delta-cap", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("computation stopped:") and "cap 2" in err
+
+    def test_cap_at_ray_count_runs(self, capsys):
+        code, _, _ = run(capsys, "delta", "@p1xp1xp1", "--delta-cap", "6")
+        assert code == 0
 
 
 class TestCohomologyCommand:

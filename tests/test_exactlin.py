@@ -114,6 +114,22 @@ class TestRationalLinearAlgebra:
         assert rat_rank([[1, 0], [0, 1]]) == 2
         assert rat_rank([]) == 0
 
+    def test_rank_of_fractions_and_zero_rows(self):
+        assert rat_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+        assert rat_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert rat_rank([[0, 0, 5], [0, 1, 0], [0, 2, 7]]) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 5), st.data())
+    def test_rank_equals_sympy(self, nrows, ncols, data):
+        entry = st.fractions(-6, 6, max_denominator=4) | st.integers(-3, 3)
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        ))
+        expected = sympy.Matrix(rows).rank() if rows else 0
+        assert rat_rank(rows) == expected == len(rref(rows, ncols)[1])
+
     def test_kernel_of_projection(self):
         basis = rational_kernel([[1, 0, 0]], 3)
         assert basis == (

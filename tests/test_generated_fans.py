@@ -3,8 +3,8 @@
 A fan that winds k times around the origin pairs and separates every
 facet, so only the covering-degree check can refuse it. A stellar
 subdivision at an interior lattice point stays complete by construction,
-so it must validate, and its fast Delta and its cohomology must match
-the exhaustive routes.
+so it must validate, and its Delta and its cohomology must match the
+exhaustive routes.
 """
 
 import json
@@ -12,13 +12,16 @@ import random
 from math import cos, gcd, pi, sin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
 from oracles import brute_cohomology
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import cohomology
 from stackycoh.fan import FanValidationError, fan_to_json, make_fan
-from stackycoh.homology import delta_fast_lowdim, delta_set
+from stackycoh.homology import delta_family
 
 
 def winding(k):
@@ -58,15 +61,6 @@ def covers():
     return out
 
 
-def stellar(fan, cone):
-    """Subdivide a maximal cone at the sum of its rays."""
-    w = tuple(sum(xs) for xs in zip(*(fan.ray(i) for i in cone)))
-    new = fan.nrays + 1
-    cones = [sorted(c) for c in fan.max_cones if c != cone]
-    cones += [sorted(cone - {i} | {new}) for i in sorted(cone)]
-    return make_fan(fan.rank, list(fan.rays) + [w], cones)
-
-
 def subdivisions(max_rank=None):
     out = []
     for name in catalog_names():
@@ -76,6 +70,25 @@ def subdivisions(max_rank=None):
         for idx, cone in enumerate(sorted(fan.max_cones, key=sorted)):
             out.append(pytest.param(name, cone, id=f"{name}-{idx}"))
     return out
+
+
+def product_subdivisions():
+    """Each product fan subdivided at its first maximal cone."""
+    out = []
+    for rank in sorted(PRODUCTS):
+        for names in PRODUCTS[rank]:
+            fan = named_product(names)
+            cone = min(fan.max_cones, key=sorted)
+            out.append(pytest.param(fan, cone, id="x".join(names)))
+    return out
+
+
+# start fans of the random subdivisions: catalog names and factor pairs
+START_FANS = [(n,) for n in catalog_names() if catalog_fan(n).rank >= 2] + PRODUCTS[4]
+
+
+def start_fan(names):
+    return catalog_fan(names[0]) if len(names) == 1 else named_product(names)
 
 
 def _file(tmp_path, spec):
@@ -128,8 +141,35 @@ class TestStellarSubdivisions:
 
     @pytest.mark.parametrize("name,cone", subdivisions())
     def test_fast_delta_matches_exhaustive(self, name, cone):
-        fan = stellar(catalog_fan(name), cone)
-        assert delta_fast_lowdim(fan).members == delta_set(fan).members
+        assert_matches_exhaustive(stellar(catalog_fan(name), cone))
+
+    @pytest.mark.parametrize("fan,cone", product_subdivisions())
+    def test_product_delta_matches_exhaustive(self, fan, cone):
+        assert_matches_exhaustive(stellar(fan, cone))
+
+    @pytest.mark.usefixtures("no_boundary_ranks")
+    @pytest.mark.parametrize("fan,cone", [
+        p for p in product_subdivisions() if p.values[0].rank == 4
+    ])
+    def test_rank_four_needs_no_ranks(self, fan, cone):
+        assert len(delta_family(stellar(fan, cone))) >= 2
+
+    @pytest.mark.usefixtures("no_boundary_ranks")
+    @pytest.mark.parametrize("name,cone", subdivisions())
+    def test_low_rank_needs_no_ranks(self, name, cone):
+        assert len(delta_family(stellar(catalog_fan(name), cone))) >= 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(START_FANS), st.integers(1, 3), st.data())
+    def test_random_subdivision_points(self, names, times, data):
+        fan = start_fan(names)
+        for _ in range(times):
+            cone = data.draw(st.sampled_from(sorted(fan.max_cones, key=sorted)))
+            weights = data.draw(st.lists(
+                st.integers(1, 4), min_size=fan.rank, max_size=fan.rank
+            ))
+            fan = stellar(fan, cone, weights)
+        assert_matches_exhaustive(fan)
 
     @pytest.mark.parametrize("name,cone", subdivisions(max_rank=2))
     def test_cohomology_matches_direct_count(self, name, cone):

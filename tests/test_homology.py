@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from fangen import PRODUCTS, assert_matches_exhaustive, named_product
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.fan import make_fan
 from stackycoh.homology import (
     DeltaCapError,
     complex_CI,
     delta_family,
-    delta_fast_lowdim,
     delta_set,
     reduced_betti,
     simplicial_complex,
@@ -18,6 +18,10 @@ from stackycoh.homology import (
 )
 
 LOWDIM = [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
+RANK4_PRODUCTS, RANK5_PRODUCTS = (
+    [pytest.param(names, id="x".join(names)) for names in PRODUCTS[rank]]
+    for rank in (4, 5)
+)
 
 
 class TestReducedBetti:
@@ -140,12 +144,22 @@ class TestDeltaFamily:
 
     def test_exhaustive_cap(self):
         with pytest.raises(DeltaCapError, match="cap 4"):
-            delta_set(catalog_fan("p1xp2"), cap=4)
+            delta_family(catalog_fan("p1xp2"), 4)
 
     @pytest.mark.parametrize("name", LOWDIM)
-    def test_fast_path_equals_exhaustive(self, name):
+    def test_cap_holds_in_low_rank(self, name):
         fan = catalog_fan(name)
-        assert delta_fast_lowdim(fan).members == delta_set(fan).members
+        with pytest.raises(DeltaCapError):
+            delta_family(fan, fan.nrays - 1)
+        assert delta_family(fan, fan.nrays) is delta_set(fan)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_fast_path_equals_exhaustive(self, name):
+        assert_matches_exhaustive(catalog_fan(name))
+
+    @pytest.mark.parametrize("names", RANK4_PRODUCTS + RANK5_PRODUCTS)
+    def test_products_equal_exhaustive(self, names):
+        assert_matches_exhaustive(named_product(names))
 
     @pytest.mark.parametrize("name", LOWDIM)
     def test_duality_under_complement(self, name):
@@ -175,3 +189,20 @@ class TestDeltaFamily:
             frozenset(perm[i - 1] for i in I): b for I, b in fam.members
         }
         assert dict(fam2.members) == mapped
+
+
+@pytest.mark.usefixtures("no_boundary_ranks")
+class TestNoLinearAlgebraBelowRankFive:
+    """Ranks 1-4 read Delta off components and the Euler characteristic."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        assert len(delta_family(catalog_fan(name))) >= 2
+
+    @pytest.mark.parametrize("names", RANK4_PRODUCTS)
+    def test_rank_four_products(self, names):
+        assert len(delta_family(named_product(names))) >= 2
+
+    def test_guard_is_live_in_rank_five(self):
+        with pytest.raises(AssertionError, match="boundary rank"):
+            delta_family(named_product(PRODUCTS[5][0]))
