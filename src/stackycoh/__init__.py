@@ -6,10 +6,11 @@ scans, and the search for degenerate piecewise-linear functions that
 certify infinite families of classes with vanishing cohomology.
 """
 
-from .catalog import all_catalog_fans, catalog_fan, catalog_names
+from .catalog import catalog_fan, catalog_names
 from .cohomline import (
     CapExceededError,
     ForbiddenCone,
+    Limits,
     PropernessError,
     box_classes,
     cohomology,

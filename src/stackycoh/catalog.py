@@ -106,6 +106,3 @@ def catalog_fan(name: str) -> StackyFan:
     rank, rays, cones = _DEFS[name]
     return make_fan(rank, rays, cones)
 
-
-def all_catalog_fans() -> tuple[tuple[str, StackyFan], ...]:
-    return tuple((name, catalog_fan(name)) for name in catalog_names())

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .catalog import catalog_fan, catalog_names
 from .cohomline import (
     CapExceededError,
+    Limits,
     PropernessError,
     _normalize_box,
     cohomology,
@@ -27,7 +28,6 @@ from .cohomline import (
     is_h_trivial,
     scan_h_trivial,
 )
-from .exactlin import DEFAULT_CAP
 from .fan import (
     FanError,
     FanFormatError,
@@ -36,7 +36,7 @@ from .fan import (
     fan_fingerprint,
     load_fan,
 )
-from .homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family
+from .homology import DeltaCapError, delta_family
 from .picard import class_of, class_to_json, pic_structure
 from .plsearch import criterion_report, family_class, find_degenerate_psi
 
@@ -50,12 +50,11 @@ class RunConfig:
     command: str
     fan_source: Optional[str]
     fmt: str
-    cap: int
-    delta_cap: int
+    limits: Limits
     threads: int
-    coeffs: Optional[tuple[int, ...]] = None
-    box: Optional[tuple[tuple[int, int], ...]] = None
-    r_range: tuple[int, int] = (-5, 5)
+    coeffs: Optional[tuple[int, ...]]
+    box: Optional[tuple[tuple[int, int], ...]]
+    r_range: tuple[int, int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,7 +173,7 @@ def _cmd_pic(cfg: RunConfig) -> None:
 
 def _cmd_delta(cfg: RunConfig) -> None:
     fan = _load(cfg)
-    fam = delta_family(fan, cfg.delta_cap)
+    fam = delta_family(fan, cfg.limits.delta_cap)
     members = [
         {"index_set": sorted(I), "betti": list(b)} for I, b in fam.members
     ]
@@ -189,7 +188,7 @@ def _cmd_delta(cfg: RunConfig) -> None:
 def _cmd_cohomology(cfg: RunConfig) -> None:
     fan = _load(cfg)
     a = _require_coeffs(cfg, fan)
-    h = cohomology(fan, a, cfg.cap, cfg.delta_cap)
+    h = cohomology(fan, a, cfg.limits)
     payload = {
         "fan": fan_fingerprint(fan),
         "coeffs": list(a),
@@ -202,7 +201,7 @@ def _cmd_cohomology(cfg: RunConfig) -> None:
 def _cmd_h_trivial(cfg: RunConfig) -> None:
     fan = _load(cfg)
     a = _require_coeffs(cfg, fan)
-    fc = forbidden_cone(fan, a, cfg.cap, cfg.delta_cap)
+    fc = forbidden_cone(fan, a, cfg.limits)
     trivial = fc is None
     payload = {
         "fan": fan_fingerprint(fan),
@@ -225,7 +224,7 @@ def _cmd_h_trivial(cfg: RunConfig) -> None:
 def _cmd_scan(cfg: RunConfig) -> None:
     fan = _load(cfg)
     box = _box(cfg, fan)
-    found = scan_h_trivial(fan, box, cfg.cap, cfg.delta_cap, cfg.threads)
+    found = scan_h_trivial(fan, box, cfg.limits, cfg.threads)
     payload = {
         "fan": fan_fingerprint(fan),
         "box": [list(b) for b in box],
@@ -277,7 +276,7 @@ def _cmd_family(cfg: RunConfig) -> None:
     lines = [f"ray {s}, psi ({', '.join(str(int(v)) for v in psi.values)})"]
     for r in range(lo, hi + 1):
         cls = family_class(fan, s, psi, r)
-        trivial = is_h_trivial(fan, cls.raw, cfg.cap, cfg.delta_cap)
+        trivial = is_h_trivial(fan, cls.raw, cfg.limits)
         rows.append(
             {"r": r, "class": class_to_json(cls), "h_trivial": trivial}
         )
@@ -298,7 +297,7 @@ def _cmd_family(cfg: RunConfig) -> None:
 def _cmd_report(cfg: RunConfig) -> None:
     fan = _load(cfg)
     box = _box(cfg, fan)
-    rep = criterion_report(fan, box, cfg.r_range, cfg.cap, cfg.delta_cap)
+    rep = criterion_report(fan, box, cfg.r_range, cfg.limits)
     payload = {
         "fan": fan_fingerprint(fan),
         "collinear_pair_count": rep.collinear_pair_count,
@@ -346,82 +345,90 @@ _COMMANDS = {
 }
 
 
+# the subcommands that read each limit flag; every subcommand takes --format.
+# family and report take no --cap: their only lattice point searches are the
+# checks of family classes, whose weak systems are rationally infeasible
+# (tests/test_plsearch.py), so those searches never spend the cap.
+_LIMIT_FLAGS = {
+    "--cap": ("cohomology", "h-trivial", "scan"),
+    "--delta-cap": ("delta", "cohomology", "h-trivial", "scan", "family", "report"),
+    "--threads": ("scan",),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stackycoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common.add_argument("--delta-cap", type=int, default=DEFAULT_DELTA_CAP)
-    common.add_argument("--threads", type=int, default=1)
-
-    sub.add_parser("catalog", parents=[common])
-    for name in ("validate", "pic", "delta", "find-psi"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("fan", help="fan JSON path or @catalog-name")
+    subs = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, p in subs.items():
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        if name != "catalog":
+            p.add_argument("fan", help="fan JSON path or @catalog-name")
+    for flag, names in _LIMIT_FLAGS.items():
+        for name in names:
+            # absent flags stay absent, so the defaults live in Limits
+            subs[name].add_argument(flag, type=int, default=argparse.SUPPRESS)
     for name in ("cohomology", "h-trivial"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("fan", help="fan JSON path or @catalog-name")
-        p.add_argument(
+        subs[name].add_argument(
             "--coeffs",
             required=True,
             help="a1,a2,... (write --coeffs=-1,0,0 for a leading minus)",
         )
-    p = sub.add_parser("scan", parents=[common])
-    p.add_argument("fan", help="fan JSON path or @catalog-name")
-    p.add_argument(
+    subs["scan"].add_argument(
         "--box",
         required=True,
         help="lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)",
     )
-    p = sub.add_parser("family", parents=[common])
-    p.add_argument("fan", help="fan JSON path or @catalog-name")
-    p.add_argument("--r", default="-5:5", help="lo:hi")
-    p = sub.add_parser("report", parents=[common])
-    p.add_argument("fan", help="fan JSON path or @catalog-name")
-    p.add_argument("--box", default="-3:3", help="lo:hi[,lo:hi...]")
-    p.add_argument("--r", default="-5:5", help="lo:hi")
+    subs["report"].add_argument("--box", default="-3:3", help="lo:hi[,lo:hi...]")
+    for name in ("family", "report"):
+        subs[name].add_argument("--r", default="-5:5", help="lo:hi")
     return parser
 
 
+def _parse(parser: _Parser, argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    args, extra = parser.parse_known_args(argv)
+    for arg in extra:
+        flag = arg.split("=")[0]
+        if flag in _LIMIT_FLAGS:
+            raise UsageError(
+                f"{args.command} does not take {flag}; "
+                f"it is read by {', '.join(_LIMIT_FLAGS[flag])}"
+            )
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def _config(args: argparse.Namespace) -> RunConfig:
-    if args.cap <= 0:
-        raise UsageError("--cap must be positive")
-    if args.delta_cap <= 0:
-        raise UsageError("--delta-cap must be positive")
-    if args.threads <= 0:
+    given = vars(args)
+    try:
+        limits = Limits(**{k: given[k] for k in ("cap", "delta_cap") if k in given})
+    except ValueError as exc:
+        raise UsageError(f"--{exc}".replace("_", "-"))
+    threads = given.get("threads", 1)
+    if threads <= 0:
         raise UsageError("--threads must be positive")
-    coeffs = None
-    if getattr(args, "coeffs", None) is not None:
-        coeffs = _parse_coeffs(args.coeffs)
-    box = None
-    if getattr(args, "box", None) is not None:
-        box = _parse_ranges(args.box)
-    r_range = (-5, 5)
-    if getattr(args, "r", None) is not None:
-        ranges = _parse_ranges(args.r)
-        if len(ranges) != 1:
-            raise UsageError("--r takes a single lo:hi range")
-        r_range = ranges[0]
+    coeffs = _parse_coeffs(given["coeffs"]) if "coeffs" in given else None
+    box = _parse_ranges(given["box"]) if "box" in given else None
+    r_range = _parse_ranges(given.get("r", "-5:5"))
+    if len(r_range) != 1:
+        raise UsageError("--r takes a single lo:hi range")
     return RunConfig(
         command=args.command,
-        fan_source=getattr(args, "fan", None),
+        fan_source=given.get("fan"),
         fmt=args.format,
-        cap=args.cap,
-        delta_cap=args.delta_cap,
-        threads=args.threads,
+        limits=limits,
+        threads=threads,
         coeffs=coeffs,
         box=box,
-        r_range=r_range,
+        r_range=r_range[0],
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
+        cfg = _config(_parse(parser, argv))
         _COMMANDS[cfg.command](cfg)
     except (FanFormatError, FanValidationError) as exc:
         sys.stderr.write(f"invalid fan: {exc}\n")

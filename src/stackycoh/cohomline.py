@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from operator import neg
 from typing import Iterable, Optional, Sequence
@@ -44,6 +45,24 @@ class PropernessError(Exception):
 
 class CapExceededError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The enumeration budgets of one computation.
+
+    cap bounds the candidate values spent on the lattice points of each
+    sign system; delta_cap bounds the ray count of a fan whose index
+    family Delta is enumerated. Both must be positive.
+    """
+
+    cap: int = DEFAULT_CAP
+    delta_cap: int = DEFAULT_DELTA_CAP
+
+    def __post_init__(self) -> None:
+        for name in ("cap", "delta_cap"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def sign_polyhedron(
@@ -102,10 +121,7 @@ def _weak_points(
 
 
 def cohomology(
-    fan: StackyFan,
-    a: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> tuple[int, ...]:
     """Dimensions (h^0, ..., h^m) of the class with coefficients a.
 
@@ -114,8 +130,8 @@ def cohomology(
     """
     m = fan.rank
     h = [0] * (m + 1)
-    for I, betti in delta_family(fan, delta_cap).members:
-        c = len(_weak_points(fan, a, I, cap).points)
+    for I, betti in delta_family(fan, limits.delta_cap).members:
+        c = len(_weak_points(fan, a, I, limits.cap).points)
         if c == 0:
             continue
         for j in range(m + 1):
@@ -124,34 +140,28 @@ def cohomology(
 
 
 def _first_member(
-    fan: StackyFan, a: Sequence[int], cap: int, delta_cap: int, first_only: bool
+    fan: StackyFan, a: Sequence[int], limits: Limits, first_only: bool
 ) -> Optional[tuple[frozenset[int], IntegerPoints]]:
-    for I, _ in delta_family(fan, delta_cap).members:
-        res = _weak_points(fan, a, I, cap, first_only)
+    for I, _ in delta_family(fan, limits.delta_cap).members:
+        res = _weak_points(fan, a, I, limits.cap, first_only)
         if res.status is not PointsStatus.INFEASIBLE:
             return I, res
     return None
 
 
 def first_forbidden(
-    fan: StackyFan,
-    a: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> Optional[frozenset[int]]:
     """First index set in Delta whose weak system has an integer point."""
-    found = _first_member(fan, a, cap, delta_cap, first_only=True)
+    found = _first_member(fan, a, limits, first_only=True)
     return None if found is None else found[0]
 
 
 def is_h_trivial(
-    fan: StackyFan,
-    a: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> bool:
     """Whether every cohomology dimension of the class vanishes."""
-    return first_forbidden(fan, a, cap, delta_cap) is None
+    return first_forbidden(fan, a, limits) is None
 
 
 @dataclass(frozen=True)
@@ -163,13 +173,10 @@ class ForbiddenCone:
 
 
 def forbidden_cone(
-    fan: StackyFan,
-    a: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> Optional[ForbiddenCone]:
     """First index set in Delta with lattice points, and the first point."""
-    found = _first_member(fan, a, cap, delta_cap, first_only=False)
+    found = _first_member(fan, a, limits, first_only=False)
     if found is None:
         return None
     I, res = found
@@ -184,20 +191,20 @@ def in_interior_ZI(
     fan: StackyFan,
     a: Sequence[int],
     index_set: Iterable[int],
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    limits: Limits = Limits(),
 ) -> bool:
     """Whether some functional realizes strictly the sign pattern of I."""
     I = frozenset(index_set)
-    if I not in delta_family(fan, delta_cap):
+    if I not in delta_family(fan, limits.delta_cap):
         raise ValueError(f"{sorted(I)} is not in the index family of the fan")
     return _in_interior(fan, a, I)
 
 
 def outside_all_interiors(
-    fan: StackyFan, a: Sequence[int], delta_cap: int = DEFAULT_DELTA_CAP
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> bool:
     return not any(
-        _in_interior(fan, a, I) for I, _ in delta_family(fan, delta_cap).members
+        _in_interior(fan, a, I) for I, _ in delta_family(fan, limits.delta_cap).members
     )
 
 
@@ -242,17 +249,13 @@ def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
 
 
 def _scan_chunk(
-    fan: StackyFan, raws: Sequence[IntVector], cap: int, delta_cap: int
+    fan: StackyFan, limits: Limits, raws: Sequence[IntVector]
 ) -> list[bool]:
-    return [is_h_trivial(fan, raw, cap, delta_cap) for raw in raws]
+    return [is_h_trivial(fan, raw, limits) for raw in raws]
 
 
 def scan_h_trivial(
-    fan: StackyFan,
-    box: Sequence,
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
-    workers: int = 1,
+    fan: StackyFan, box: Sequence, limits: Limits = Limits(), workers: int = 1
 ) -> tuple[LineBundleClass, ...]:
     """All H-trivial classes in a canonical-coordinate box, in scan order.
 
@@ -264,21 +267,13 @@ def scan_h_trivial(
     # a pool starts every worker at once, so never more than cores or classes
     workers = min(workers, os.cpu_count() or 1, len(classes))
     if workers <= 1 or len(classes) < 4:
-        flags = _scan_chunk(fan, [c.raw for c in classes], cap, delta_cap)
+        flags = _scan_chunk(fan, limits, [c.raw for c in classes])
     else:
         chunks: list[list[IntVector]] = [[] for _ in range(workers)]
         for idx, c in enumerate(classes):
             chunks[idx % workers].append(c.raw)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _scan_chunk,
-                    [fan] * workers,
-                    chunks,
-                    [cap] * workers,
-                    [delta_cap] * workers,
-                )
-            )
+            results = list(pool.map(partial(_scan_chunk, fan, limits), chunks))
         flags = [False] * len(classes)
         for w in range(workers):
             for k, flag in enumerate(results[w]):

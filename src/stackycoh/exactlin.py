@@ -59,13 +59,6 @@ def rat_vector(xs: Iterable[Rational]) -> RatVector:
     return tuple(Fraction(x) for x in xs)
 
 
-def rat_matrix(rows: Iterable[Sequence[Rational]]) -> RatMatrix:
-    out = tuple(rat_vector(row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out[1:]):
-        raise ValueError("matrix rows must have equal length")
-    return out
-
-
 def dot(x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
     if len(x) != len(y):
         raise ValueError("dot of vectors with different lengths")

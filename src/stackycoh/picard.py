@@ -8,7 +8,6 @@ gives canonical coordinates: torsion residues plus a free part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -101,31 +100,13 @@ def class_from_canonical(
 
 
 def classes_equal(fan: StackyFan, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether a - b is of the form (w . v_i)_i for an integer w."""
-    if len(a) != fan.nrays or len(b) != fan.nrays:
-        raise ValueError("coefficient vector length must equal the ray count")
-    diff = [int(x) - int(y) for x, y in zip(a, b)]
-    m = fan.rank
-    # solve for w from m independent rays, then check all rays and integrality
-    cols = _independent_rays(fan)
-    sub = [[Fraction(fan.rays[i][j]) for j in range(m)] for i in cols]
-    rhs = [Fraction(diff[i]) for i in cols]
-    from .exactlin import solve_square
+    """Whether a - b is of the form (w . v_i)_i for an integer w.
 
-    w = solve_square(sub, rhs)
-    if any(x.denominator != 1 for x in w):
-        return False
-    return all(
-        sum(int(w[j]) * fan.rays[i][j] for j in range(m)) == diff[i]
-        for i in range(fan.nrays)
-    )
-
-
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def _independent_rays(fan: StackyFan) -> tuple[int, ...]:
-    # any maximal cone gives rank-many independent rays (0-based here)
-    cone = min(fan.max_cones, key=lambda c: tuple(sorted(c)))
-    return tuple(i - 1 for i in sorted(cone))
+    That holds exactly when U(a - b) lies in the image of the Smith form,
+    that is when a and b have the same canonical coordinates.
+    """
+    ca, cb = class_of(fan, a), class_of(fan, b)
+    return (ca.free, ca.torsion) == (cb.free, cb.torsion)
 
 
 def class_to_json(cls: LineBundleClass) -> dict:

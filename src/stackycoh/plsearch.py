@@ -14,9 +14,8 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .cohomline import box_classes, is_h_trivial, outside_all_interiors
+from .cohomline import Limits, box_classes, is_h_trivial, outside_all_interiors
 from .exactlin import (
-    DEFAULT_CAP,
     RatVector,
     Rational,
     affine_dim,
@@ -25,7 +24,6 @@ from .exactlin import (
     solve_square,
 )
 from .fan import StackyFan, collinear_pairs, neighborhood, parallel_rays
-from .homology import DEFAULT_DELTA_CAP
 from .picard import LineBundleClass, class_of
 
 INFINITELY_MANY = "InfinitelyMany"
@@ -233,8 +231,7 @@ def criterion_report(
     fan: StackyFan,
     search_box: Sequence = (-3, 3),
     r_range: tuple[int, int] = (-5, 5),
-    cap: int = DEFAULT_CAP,
-    delta_cap: int = DEFAULT_DELTA_CAP,
+    limits: Limits = Limits(),
 ) -> CriterionReport:
     pairs = collinear_pairs(fan)
     found = find_degenerate_psi(fan)
@@ -243,7 +240,7 @@ def criterion_report(
     for cls in box_classes(fan, search_box):
         if not any(cls.free) and not any(cls.torsion):
             continue
-        if outside_all_interiors(fan, cls.raw, delta_cap):
+        if outside_all_interiors(fan, cls.raw, limits):
             witness = cls
             break
 
@@ -253,7 +250,7 @@ def criterion_report(
         lo, hi = r_range
         for r in range(lo, hi + 1):
             raw = family_class(fan, s, psi, r).raw
-            checks.append((r, is_h_trivial(fan, raw, cap, delta_cap)))
+            checks.append((r, is_h_trivial(fan, raw, limits)))
 
     if found is not None:
         verdict = INFINITELY_MANY

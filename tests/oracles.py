@@ -1,6 +1,6 @@
 """Independent reference computations used to cross-check the library.
 
-Four routes that never touch the production cohomology path:
+Five routes that never touch the production paths they check:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
@@ -9,13 +9,16 @@ Four routes that never touch the production cohomology path:
   Betti vector from its boundary ranks;
 * unpruned Fourier-Motzkin over Fractions: feasibility from the constant
   rows of a full projection, boundedness from recession probes, and
-  lattice points by projecting again at every prefix.
+  lattice points by projecting again at every prefix;
+* linear equivalence of two classes by solving for the functional w on
+  the rays of one maximal cone and checking it on every ray.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, floor
 
-from stackycoh.exactlin import EQ, GE, GT, LinearSystem, system
+from stackycoh.exactlin import EQ, GE, GT, LinearSystem, solve_square, system
 from stackycoh.homology import DeltaFamily, complex_CI, reduced_betti, supp
 
 
@@ -176,3 +179,23 @@ def fm_points(sys, first_only=False):
 
     walk(sys, ())
     return found, visited
+
+
+def lattice_equivalent(fan, a, b):
+    """Whether a - b = (w . v_i)_i for an integer vector w.
+
+    The rays of a maximal cone are independent, so they fix w; it must
+    then be integral and match a - b on every ray.
+    """
+    diff = [x - y for x, y in zip(a, b)]
+    cone = sorted(min(fan.max_cones, key=sorted))
+    w = solve_square(
+        [[Fraction(x) for x in fan.ray(i)] for i in cone],
+        [Fraction(diff[i - 1]) for i in cone],
+    )
+    if any(x.denominator != 1 for x in w):
+        return False
+    return all(
+        sum(int(wj) * vj for wj, vj in zip(w, v)) == d
+        for v, d in zip(fan.rays, diff)
+    )

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from oracles import exhaustive_delta
 from stackycoh.catalog import catalog_fan, catalog_names
-from stackycoh.cli import main
+from stackycoh.cli import _build_parser, main
 from stackycoh.cohomline import scan_h_trivial
 from stackycoh.fan import fan_fingerprint
 from stackycoh.picard import class_to_json
@@ -221,6 +222,87 @@ class TestDeltaCapInLowRank:
     def test_cap_at_ray_count_runs(self, capsys):
         code, _, _ = run(capsys, "delta", "@p1xp1xp1", "--delta-cap", "6")
         assert code == 0
+
+
+def _subcommand_options():
+    action = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {opt for a in p._actions for opt in a.option_strings}
+        for name, p in action.choices.items()
+    }
+
+
+OPTIONS = _subcommand_options()
+LIMIT_FLAGS = ("--cap", "--delta-cap", "--threads")
+# per subcommand, arguments on which every enumeration limit it takes
+# bites at 1: O of P2 has lattice points, and p1xp1 has a family
+ARGS = {
+    "catalog": (),
+    "validate": ("@p2",),
+    "pic": ("@p2",),
+    "delta": ("@p2",),
+    "cohomology": ("@p2", "--coeffs=0,0,0"),
+    "h-trivial": ("@p2", "--coeffs=0,0,0"),
+    "scan": ("@p2", "--box=0:0"),
+    "find-psi": ("@p1xp1",),
+    "family": ("@p1xp1", "--r=0:0"),
+    "report": ("@p1xp1", "--box=0:0", "--r=0:0"),
+}
+ACCEPTED = [
+    (name, flag) for name in OPTIONS for flag in LIMIT_FLAGS if flag in OPTIONS[name]
+]
+REFUSED = [
+    (name, flag) for name in OPTIONS for flag in LIMIT_FLAGS
+    if flag not in OPTIONS[name]
+]
+
+
+def _pairs(pairs):
+    return pytest.mark.parametrize(
+        "name,flag", pairs, ids=[f"{name}{flag}" for name, flag in pairs]
+    )
+
+
+class TestLimitFlags:
+    """Each subcommand takes exactly the limit flags it honours."""
+
+    def test_every_subcommand_has_arguments(self):
+        assert set(OPTIONS) == set(ARGS)
+        assert all("--format" in opts for opts in OPTIONS.values())
+
+    def test_flag_table(self):
+        assert sorted(ACCEPTED) == sorted(
+            [(n, "--cap") for n in ("cohomology", "h-trivial", "scan")]
+            + [
+                (n, "--delta-cap")
+                for n in ("delta", "cohomology", "h-trivial", "scan", "family", "report")
+            ]
+            + [("scan", "--threads")]
+        )
+
+    @_pairs([p for p in ACCEPTED if p[1] != "--threads"])
+    def test_accepted_limit_bites(self, capsys, name, flag):
+        code, out, err = run(capsys, name, *ARGS[name], flag, "1")
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("computation stopped:") and "cap 1" in err
+
+    @_pairs(ACCEPTED)
+    def test_nonpositive_value_exits_3(self, capsys, name, flag):
+        code, out, err = run(capsys, name, *ARGS[name], f"{flag}=0")
+        assert code == 3
+        assert out == ""
+        assert err == f"usage error: {flag} must be positive\n"
+
+    @_pairs(REFUSED)
+    def test_refused_flag_exits_3(self, capsys, name, flag):
+        code, out, err = run(capsys, name, *ARGS[name], flag, "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"usage error: {name} does not take {flag};")
 
 
 class TestCohomologyCommand:

@@ -10,6 +10,7 @@ from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
+    Limits,
     PropernessError,
     _weak_points,
     box_classes,
@@ -30,7 +31,7 @@ from stackycoh.exactlin import (
     has_integer_point,
 )
 from stackycoh.fan import StackyFan
-from stackycoh.homology import delta_family
+from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family
 
 from oracles import (
     brute_cohomology,
@@ -147,7 +148,42 @@ class TestHTriviality:
     def test_cap_error_names_the_cap(self):
         fan = catalog_fan("p2")
         with pytest.raises(CapExceededError, match="cap 3"):
-            cohomology(fan, (9, 0, 0), cap=3)
+            cohomology(fan, (9, 0, 0), Limits(cap=3))
+
+
+class TestLimits:
+    def test_defaults(self):
+        assert Limits() == Limits(cap=DEFAULT_CAP, delta_cap=DEFAULT_DELTA_CAP)
+
+    @pytest.mark.parametrize("field", ["cap", "delta_cap"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_value_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            Limits(**{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            Limits().cap = 5
+
+    @pytest.mark.parametrize("call", [
+        lambda fan, lim: cohomology(fan, (0,) * fan.nrays, lim),
+        lambda fan, lim: first_forbidden(fan, (0,) * fan.nrays, lim),
+        lambda fan, lim: is_h_trivial(fan, (0,) * fan.nrays, lim),
+        lambda fan, lim: forbidden_cone(fan, (0,) * fan.nrays, lim),
+        lambda fan, lim: in_interior_ZI(fan, (0,) * fan.nrays, (), lim),
+        lambda fan, lim: outside_all_interiors(fan, (0,) * fan.nrays, lim),
+        lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim),
+        lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim, workers=2),
+    ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
+            "in_interior_ZI", "outside_all_interiors", "scan", "scan_pool"])
+    def test_delta_cap_reaches_delta(self, call):
+        with pytest.raises(DeltaCapError, match="cap 2"):
+            call(catalog_fan("p1xp1"), Limits(delta_cap=2))
+
+    def test_cap_reaches_scan_pool(self):
+        fan = catalog_fan("p1xp1")
+        with pytest.raises(CapExceededError, match="cap 1"):
+            scan_h_trivial(fan, (-1, 1), Limits(cap=1), workers=2)
 
 
 class TestSignPolyhedra:

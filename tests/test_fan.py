@@ -173,5 +173,14 @@ class TestCaches:
             for name, obj in vars(module).items():
                 if isinstance(obj, lru_type) and obj.__module__ == module.__name__:
                     found[f"{info.name}.{name}"] = obj.cache_info().maxsize
-        assert len(found) >= 9, found
+        assert set(found) == {
+            "catalog.catalog_fan",
+            "exactlin.build_tower",
+            "fan.collinear_pairs",
+            "fan.neighborhood",
+            "fan.two_cone_pairs",
+            "homology.delta_fast_lowdim",
+            "homology.delta_set",
+            "picard.pic_structure",
+        }, found
         assert all(size is not None for size in found.values()), found

@@ -1,11 +1,14 @@
 """Class group structure and canonical coordinates."""
 
 import random
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lattice_equivalent
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.fan import FanValidationError, StackyFan
 from stackycoh.picard import (
@@ -90,6 +93,46 @@ class TestClassesEqual:
                 ca, cb = class_of(fan, a), class_of(fan, b)
                 same = (ca.free, ca.torsion) == (cb.free, cb.torsion)
                 assert classes_equal(fan, a, b) == same, (name, a, b)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_lattice_oracle(self, name):
+        # b is a shifted by a random w, and half the time also perturbed
+        # at one ray, which may or may not leave the class
+        fan = catalog_fan(name)
+        rng = random.Random(name)
+        outcomes = set()
+        for k in range(200):
+            a = [rng.randint(-6, 6) for _ in range(fan.nrays)]
+            b = _shift(fan, a, [rng.randint(-4, 4) for _ in range(fan.rank)])
+            if k % 2:
+                b[rng.randrange(fan.nrays)] += rng.choice((-2, -1, 1, 2))
+            same = lattice_equivalent(fan, a, b)
+            ca, cb = class_of(fan, a), class_of(fan, b)
+            assert ((ca.free, ca.torsion) == (cb.free, cb.torsion)) == same, (a, b)
+            assert classes_equal(fan, a, b) == same, (a, b)
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name", ["p1_22", "p2_221", "p1xp1_2131"])
+    def test_rational_relations_on_stacky_fans(self, name):
+        # (w . v_i)_i with w in (1/6)Z^m: where the vector is integral,
+        # it is a relation exactly when w is integral; on the torsion fans
+        # some non-integral w give the torsion classes
+        fan = catalog_fan(name)
+        rng = random.Random(name)
+        fractional = 0
+        for _ in range(300):
+            w = [Fraction(rng.randint(-12, 12), 6) for _ in range(fan.rank)]
+            diff = [sum(map(mul, w, v)) for v in fan.rays]
+            if any(d.denominator != 1 for d in diff):
+                continue
+            a = [rng.randint(-6, 6) for _ in range(fan.nrays)]
+            b = [x + int(d) for x, d in zip(a, diff)]
+            integral = all(x.denominator == 1 for x in w)
+            fractional += not integral
+            assert classes_equal(fan, a, b) == integral, (w, a)
+            assert lattice_equivalent(fan, a, b) == integral, (w, a)
+        assert (fractional > 0) == bool(pic_structure(fan).torsion)
 
 
 class TestCanonicalCoordinates:

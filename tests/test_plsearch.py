@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
-from stackycoh.cohomline import is_h_trivial, outside_all_interiors
+from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
+from stackycoh.exactlin import tower_feasible
 from stackycoh.fan import collinear_pairs, make_fan, parallel_rays
+from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.picard import classes_equal
 from stackycoh.plsearch import (
     FINITELY_MANY,
@@ -199,6 +202,26 @@ class TestFamilyClass:
             key = (cls.free, cls.torsion)
             assert key not in seen, (name, r)
             seen.add(key)
+
+    @pytest.mark.parametrize("name", WITH_PSI)
+    def test_weak_systems_have_no_rational_point(self, name):
+        # so H-triviality checks of family classes never spend the lattice
+        # point cap; rays scaled by random multipliers make stacky variants
+        rng = random.Random(name)
+        base = catalog_fan(name)
+        for trial in range(4):
+            mult = [1 if trial == 0 else rng.randint(1, 4) for _ in base.rays]
+            fan = make_fan(
+                base.rank,
+                [tuple(k * x for x in v) for k, v in zip(mult, base.rays)],
+                [sorted(c) for c in base.max_cones],
+            )
+            s, psi = find_degenerate_psi(fan)
+            for r in range(-5, 6):
+                raw = family_class(fan, s, psi, r).raw
+                for I, _ in delta_family(fan).members:
+                    b = cohomline._rhs(fan, raw, I, False)
+                    assert not tower_feasible(cohomline._tower(fan, I), b), (mult, r, I)
 
     def test_scaling_reindexes_parameter(self):
         fan = catalog_fan("p1xp2")
@@ -407,6 +430,12 @@ class TestCriterionReport:
         assert rep.statement3_witness is not None
         assert any(t != 0 for t in rep.statement3_witness.torsion)
         assert rep.verdict == UNDETERMINED
+
+    def test_limits_reach_family_checks(self):
+        # the box holds only the trivial class, so only the family checks
+        # enumerate Delta
+        with pytest.raises(DeltaCapError, match="cap 2"):
+            criterion_report(catalog_fan("p1xp1"), (0, 0), limits=Limits(delta_cap=2))
 
     def test_pair_counts(self):
         assert criterion_report(catalog_fan("p2")).collinear_pair_count == 0
