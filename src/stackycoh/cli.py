@@ -356,32 +356,43 @@ _LIMIT_FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
+_LIMIT_HELP = {
+    "--cap": f"lattice point enumeration budget per sign system (default {Limits().cap})",
+    "--delta-cap": "most rays for which the index family is enumerated "
+    f"(default {Limits().delta_cap})",
+    "--threads": "parallel scan workers, at most one per core and per class (default 1)",
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    # a command line that starts with a subcommand needs only its parser;
+    # help and usage errors get all ten, so their output stays the same
     parser = _Parser(prog="stackycoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {name: sub.add_parser(name) for name in _COMMANDS}
-    for name, p in subs.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name != "catalog":
             p.add_argument("fan", help="fan JSON path or @catalog-name")
-    for flag, names in _LIMIT_FLAGS.items():
-        for name in names:
+        for flag in (f for f, names in _LIMIT_FLAGS.items() if name in names):
             # absent flags stay absent, so the defaults live in Limits
-            subs[name].add_argument(flag, type=int, default=argparse.SUPPRESS)
-    for name in ("cohomology", "h-trivial"):
-        subs[name].add_argument(
-            "--coeffs",
-            required=True,
-            help="a1,a2,... (write --coeffs=-1,0,0 for a leading minus)",
-        )
-    subs["scan"].add_argument(
-        "--box",
-        required=True,
-        help="lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)",
-    )
-    subs["report"].add_argument("--box", default="-3:3", help="lo:hi[,lo:hi...]")
-    for name in ("family", "report"):
-        subs[name].add_argument("--r", default="-5:5", help="lo:hi")
+            p.add_argument(flag, type=int, default=argparse.SUPPRESS, help=_LIMIT_HELP[flag])
+        if name in ("cohomology", "h-trivial"):
+            p.add_argument(
+                "--coeffs",
+                required=True,
+                help="a1,a2,... (write --coeffs=-1,0,0 for a leading minus)",
+            )
+        if name == "scan":
+            p.add_argument(
+                "--box",
+                required=True,
+                help="lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)",
+            )
+        if name == "report":
+            p.add_argument("--box", default="-3:3", help="lo:hi[,lo:hi...]")
+        if name in ("family", "report"):
+            p.add_argument("--r", default="-5:5", help="lo:hi")
     return parser
 
 
@@ -426,7 +437,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         cfg = _config(_parse(parser, argv))
         _COMMANDS[cfg.command](cfg)

@@ -3,11 +3,11 @@
 Everything here runs on Python ints and fractions.Fraction; no floating
 point enters anywhere. The module provides the normal forms, kernels and
 the Fourier-Motzkin machinery that the rest of the package is built on:
-Smith normal form with unimodular transforms, reduced-echelon kernels,
-affine dimension, and integer Fourier-Motzkin towers. A tower depends
-only on the coefficient rows of a system; feasibility with witnesses,
-recession detection and lattice-point enumeration read it for any
-right-hand side.
+Smith normal form with unimodular transforms, fraction-free adjugates,
+reduced-echelon kernels, affine dimension, and integer Fourier-Motzkin
+towers. A tower depends only on the coefficient rows of a system;
+feasibility with witnesses, recession detection and lattice-point
+enumeration read it for any right-hand side.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence, Union
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 RatVector = tuple[Fraction, ...]
-RatMatrix = tuple[RatVector, ...]
 
 Rational = Union[int, Fraction]
 
@@ -57,12 +56,6 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 def rat_vector(xs: Iterable[Rational]) -> RatVector:
     return tuple(Fraction(x) for x in xs)
-
-
-def dot(x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("dot of vectors with different lengths")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -190,7 +183,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# rational echelon forms
+# echelon forms
 
 
 def rref(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None):
@@ -268,26 +261,33 @@ def rational_kernel(a: Sequence[Sequence[Rational]], ncols: Optional[int] = None
     return tuple(basis)
 
 
-def solve_square(a: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> RatVector:
-    """Solve a.x = b exactly for square nonsingular a."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("solve_square needs a square system")
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a, b)]
-    work, pivots = rref(aug, n)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(work[i][n] for i in range(n))
+def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """(det a, adj a) of a square integer matrix; SingularMatrixError if det a = 0.
 
-
-def invert(a: Sequence[Sequence[Rational]]) -> RatMatrix:
-    """Exact inverse of a square nonsingular matrix over Q."""
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [a | I]: every
+    entry is a minor, so each division by the previous pivot is exact, and
+    the last pivot d leaves [d I | d a^-1], with d = det a up to the sign
+    of the row swaps. Column j of adj a is orthogonal to every row but j.
+    """
     n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    work, pivots = rref(aug, n)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(work[i][n:]) for i in range(n))
+    if any(len(row) != n for row in a):
+        raise ValueError("int_adjugate needs a square matrix")
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if work[i][k]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        top, p = work[k], work[k][k]
+        for i in range(n):
+            if i != k:
+                c = work[i][k]
+                work[i] = [(p * x - c * y) // prev for x, y in zip(work[i], top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in work)
 
 
 def affine_dim(points: Sequence[Sequence[Rational]]) -> int:
@@ -609,10 +609,10 @@ def _unimodular_with_first_column(z: IntVector) -> IntMatrix:
     s, u, v = smith_normal_form(col)
     if s[0][0] != 1:
         raise ValueError("direction vector must be primitive")
-    # u * z * v = e1 with v = (+-1), so z = v * u^{-1} e1
-    u_inv = invert(u)
-    w_cols = [[int(u_inv[i][j]) * (1 if j > 0 else v[0][0]) for j in range(len(z))] for i in range(len(z))]
-    w = tuple(tuple(row) for row in w_cols)
+    # u * z * v = e1 with v = (+-1), so z = v * u^{-1} e1; u is unimodular,
+    # so det u = +-1 and u^{-1} = det u * adj u
+    det, adj = int_adjugate(u)
+    w = tuple(tuple(det * x * (v[0][0] if j == 0 else 1) for j, x in enumerate(row)) for row in adj)
     if tuple(row[0] for row in w) != z:
         raise AssertionError("unimodular completion does not start with z")
     return w

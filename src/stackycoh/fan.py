@@ -11,9 +11,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import IntVector, dot, rat_rank, rational_kernel
+from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
@@ -137,12 +139,26 @@ def parallel_rays(v: Sequence[int], u: Sequence[int]) -> bool:
     return all(v[i] * u[j] == v[j] * u[i] for i in range(n) for j in range(i + 1, n))
 
 
-def _facet_normal(fan: StackyFan, facet: frozenset[int]):
-    rows = [fan.ray(i) for i in sorted(facet)]
-    basis = rational_kernel(rows, ncols=fan.rank)
-    if len(basis) != 1:
-        raise FanValidationError("maximal cone not simplicial: facet span degenerate")
-    return basis[0]
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def cone_adjugates(fan: StackyFan) -> Mapping[frozenset[int], tuple[int, IntMatrix]]:
+    """det V and adj V for each maximal cone, V its rays as rows in index order.
+
+    Column j of adj V is the normal of the facet opposite the j-th ray, with
+    product det V with that ray. A cone of the wrong size, with an index out
+    of range or with dependent rays raises FanValidationError.
+    """
+    out = {}
+    for cone in fan.max_cones:
+        if len(cone) != fan.rank:
+            raise FanValidationError("maximal cone size differs from rank")
+        for i in cone:
+            if not 1 <= i <= fan.nrays:
+                raise FanValidationError(f"cone ray index {i} out of range")
+        try:
+            out[cone] = int_adjugate([fan.ray(i) for i in sorted(cone)])
+        except SingularMatrixError:
+            raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial") from None
+    return MappingProxyType(out)
 
 
 def validate(fan: StackyFan) -> None:
@@ -172,27 +188,13 @@ def validate(fan: StackyFan) -> None:
         for j in range(i + 1, n):
             if fan.rays[i] == fan.rays[j]:
                 raise FanValidationError(f"duplicate ray vector at positions {i + 1}, {j + 1}")
-            if parallel_rays(fan.rays[i], fan.rays[j]):
-                di = dot(fan.rays[i], fan.rays[j])
-                if di > 0:
-                    raise FanValidationError(
-                        f"rays {i + 1} and {j + 1} span the same 1-cone"
-                    )
+            if parallel_rays(fan.rays[i], fan.rays[j]) and sum(map(mul, fan.rays[i], fan.rays[j])) > 0:
+                raise FanValidationError(f"rays {i + 1} and {j + 1} span the same 1-cone")
     if not fan.max_cones:
         raise FanValidationError("fan has no maximal cones")
-    used: set[int] = set()
-    for cone in fan.max_cones:
-        if len(cone) != m:
-            raise FanValidationError("maximal cone size differs from rank")
-        for i in cone:
-            if not 1 <= i <= n:
-                raise FanValidationError(f"cone ray index {i} out of range")
-        used |= cone
-        rows = [fan.ray(i) for i in sorted(cone)]
-        if rat_rank(rows) != m:
-            raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial")
-    if used != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - used)
+    adjugates = cone_adjugates(fan)
+    missing = sorted(set(range(1, n + 1)).difference(*fan.max_cones))
+    if missing:
         raise FanValidationError(f"rays {missing} unused by maximal cones")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         raise FanValidationError("duplicate maximal cone")
@@ -202,26 +204,25 @@ def validate(fan: StackyFan) -> None:
         for i in cone:
             facet = cone - {i}
             facets.setdefault(facet, []).append(i)
-    # the facet normals of each maximal cone, with the sign of the opposite ray
-    walls: dict[frozenset[int], list] = {cone: [] for cone in fan.max_cones}
     for facet, opposite in facets.items():
         if len(opposite) == 1:
             raise FanValidationError(f"facet {sorted(facet)} unpaired")
         if len(opposite) > 2:
             raise FanValidationError(f"facet {sorted(facet)} shared by more than two cones")
-        h = _facet_normal(fan, facet)
-        sides = [dot(h, fan.ray(i)) for i in opposite]
-        if 0 in sides or (sides[0] > 0) == (sides[1] > 0):
+        i, j = opposite
+        det, adj = adjugates[facet | {i}]
+        k = sorted(facet | {i}).index(i)
+        # the normal has product det with v_i, so v_j must get the other sign
+        if sum(row[k] * x for row, x in zip(adj, fan.ray(j))) * det >= 0:
             raise FanValidationError(
                 f"facet {sorted(facet)} does not separate its two opposite rays"
             )
-        for i, side in zip(opposite, sides):
-            walls[facet | {i}].append((h, side))
 
     first = fan.max_cones[0]
     p = [sum(xs) for xs in zip(*(fan.ray(i) for i in first))]
     for cone in fan.max_cones[1:]:
-        if all(dot(h, p) * side >= 0 for h, side in walls[cone]):
+        det, adj = adjugates[cone]
+        if all(sum(map(mul, col, p)) * det >= 0 for col in zip(*adj)):
             raise FanValidationError(
                 f"maximal cones {sorted(first)} and {sorted(cone)} overlap"
             )

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .exactlin import IntMatrix, IntVector, invert, smith_normal_form
+from .exactlin import IntMatrix, IntVector, int_adjugate, smith_normal_form
 from .fan import FAN_CACHE_SIZE, FanValidationError, StackyFan
 
 
@@ -30,35 +30,29 @@ class PicStructure:
     torsion: tuple[int, ...]
     torsion_positions: tuple[int, ...]
     free_offset: int
-    diag: tuple[int, ...]
     u: IntMatrix
     u_inv: IntMatrix
-    basis_rows: IntMatrix
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def pic_structure(fan: StackyFan) -> PicStructure:
     n, m = fan.nrays, fan.rank
-    # columns are the rays; relations are the rows w -> (w . v_i)_i
-    relation_cols = [list(fan.rays[i]) for i in range(n)]
-    a = [[relation_cols[i][j] for j in range(m)] for i in range(n)]
-    s, u, v = smith_normal_form(a)
+    # row i is the ray v_i; relations are the vectors w -> (w . v_i)_i
+    s, u, v = smith_normal_form(fan.rays)
     diag = tuple(s[i][i] for i in range(min(n, m)))
     if not all(diag):
         raise FanValidationError("the rays do not span the space, so the fan is not complete")
     torsion = tuple(d for d in diag if d > 1)
     torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    # u is unimodular, so its inverse is an integer matrix
-    u_inv = invert(u)
+    # u is unimodular: det u = +-1 and u^-1 = det u * adj u
+    det, adj = int_adjugate(u)
     return PicStructure(
         free_rank=n - m,
         torsion=torsion,
         torsion_positions=torsion_positions,
         free_offset=m,
-        diag=diag,
-        u=tuple(tuple(row) for row in u),
-        u_inv=tuple(tuple(int(x) for x in row) for row in u_inv),
-        basis_rows=tuple(tuple(fan.rays[i][j] for i in range(n)) for j in range(m)),
+        u=u,
+        u_inv=tuple(tuple(det * x for x in row) for row in adj),
     )
 
 

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .cohomline import Limits, box_classes, is_h_trivial, outside_all_interiors
-from .exactlin import (
-    RatVector,
-    Rational,
-    affine_dim,
-    rat_vector,
-    rational_kernel,
-    solve_square,
-)
-from .fan import StackyFan, collinear_pairs, neighborhood, parallel_rays
+from .exactlin import RatVector, Rational, affine_dim, rat_vector, rational_kernel
+from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood, parallel_rays
 from .picard import LineBundleClass, class_of
 
 INFINITELY_MANY = "InfinitelyMany"
@@ -65,10 +59,9 @@ def cone_linear_part(
     fan: StackyFan, psi: PLFunction, sigma: frozenset[int]
 ) -> RatVector:
     """The unique form agreeing with psi on the rays of one maximal cone."""
-    idx = sorted(sigma)
-    a = [[Fraction(fan.rays[i - 1][j]) for j in range(fan.rank)] for i in idx]
-    b = [psi.values[i - 1] for i in idx]
-    return solve_square(a, b)
+    det, adj = cone_adjugates(fan)[sigma]
+    b = [psi.values[i - 1] for i in sorted(sigma)]
+    return tuple(Fraction(sum(map(mul, row, b)), det) for row in adj)
 
 
 def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
@@ -80,6 +73,22 @@ def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
     return lambda_polytope(fan, psi).dim == 0
 
 
+def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
+    """Per maximal cone in cone order, det V times its form at v_s, as a row.
+
+    The form of a value vector c on sigma is adj V c|_sigma / det V, so
+    entry i is v_s times the column of adj V at ray i.
+    """
+    rows = []
+    for sigma in _cone_order(fan):
+        _, adj = cone_adjugates(fan)[sigma]
+        row = [0] * fan.nrays
+        for i, col in zip(sorted(sigma), zip(*adj)):
+            row[i - 1] = sum(map(mul, col, fan.rays[s - 1]))
+        rows.append(row)
+    return rows
+
+
 def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[RatVector, ...], int]:
     """Basis and dimension of the value vectors whose linear parts kill v_s.
 
@@ -88,22 +97,7 @@ def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[RatVector, ...], int
     """
     if not 1 <= s <= fan.nrays:
         raise ValueError(f"ray index {s} out of range")
-    m, n = fan.rank, fan.nrays
-    vs = [Fraction(x) for x in fan.rays[s - 1]]
-    rows = []
-    for sigma in _cone_order(fan):
-        idx = sorted(sigma)
-        # coefficients u with u . c|_sigma = (form of c on sigma)(v_s):
-        # solve the transposed cone system at v_s, then scatter
-        at = [
-            [Fraction(fan.rays[i - 1][j]) for i in idx] for j in range(m)
-        ]
-        u = solve_square(at, vs)
-        row = [Fraction(0)] * n
-        for k, i in enumerate(idx):
-            row[i - 1] = u[k]
-        rows.append(row)
-    basis = rational_kernel(rows, n)
+    basis = rational_kernel(_forms_at_ray(fan, s), fan.nrays)
     return basis, len(basis)
 
 
@@ -144,11 +138,10 @@ def family_class(
     """The class with coefficients r*psi(v_i) off the ray s and -1 at s."""
     if not psi.is_integral:
         raise ValueError("family construction needs integer psi values")
-    forms = [cone_linear_part(fan, psi, c) for c in _cone_order(fan)]
-    vs = fan.rays[s - 1]
-    if any(sum(f[j] * vs[j] for j in range(fan.rank)) != 0 for f in forms):
+    values = [int(v) for v in psi.values]
+    if any(sum(map(mul, row, values)) for row in _forms_at_ray(fan, s)):
         raise ValueError("psi must vanish at the chosen ray on every cone")
-    a = [int(r) * int(psi.values[i - 1]) for i in range(1, fan.nrays + 1)]
+    a = [int(r) * v for v in values]
     a[s - 1] = -1
     return class_of(fan, a)
 

@@ -11,14 +11,25 @@ Five routes that never touch the production paths they check:
   rows of a full projection, boundedness from recession probes, and
   lattice points by projecting again at every prefix;
 * linear equivalence of two classes by solving for the functional w on
-  the rays of one maximal cone and checking it on every ray.
+  the rays of one maximal cone and checking it on every ray;
+* inverses, solutions and facet normals over Fractions by reduced
+  echelon form, against the integer adjugates of the package.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, floor
 
-from stackycoh.exactlin import EQ, GE, GT, LinearSystem, solve_square, system
+from stackycoh.exactlin import (
+    EQ,
+    GE,
+    GT,
+    LinearSystem,
+    SingularMatrixError,
+    rational_kernel,
+    rref,
+    system,
+)
 from stackycoh.homology import DeltaFamily, complex_CI, reduced_betti, supp
 
 
@@ -199,3 +210,42 @@ def lattice_equivalent(fan, a, b):
         sum(int(wj) * vj for wj, vj in zip(w, v)) == d
         for v, d in zip(fan.rays, diff)
     )
+
+
+def dot(x, y):
+    if len(x) != len(y):
+        raise ValueError("dot of vectors with different lengths")
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
+
+
+def solve_square(a, b):
+    """Solve a.x = b exactly for square nonsingular a."""
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("solve_square needs a square system")
+    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a, b)]
+    work, pivots = rref(aug, n)
+    if len(pivots) != n:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(work[i][n] for i in range(n))
+
+
+def invert(a):
+    """Exact inverse of a square nonsingular matrix over Q."""
+    n = len(a)
+    aug = [
+        list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    work, pivots = rref(aug, n)
+    if len(pivots) != n:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(work[i][n:]) for i in range(n))
+
+
+def facet_normal(fan, facet):
+    """The one kernel vector of the rays of a facet, from the echelon form."""
+    basis = rational_kernel([fan.ray(i) for i in sorted(facet)], ncols=fan.rank)
+    if len(basis) != 1:
+        raise AssertionError(f"facet {sorted(facet)} spans no hyperplane")
+    return basis[0]

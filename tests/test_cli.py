@@ -10,7 +10,7 @@ import pytest
 from oracles import exhaustive_delta
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import _build_parser, main
-from stackycoh.cohomline import scan_h_trivial
+from stackycoh.cohomline import Limits, scan_h_trivial
 from stackycoh.fan import fan_fingerprint
 from stackycoh.picard import class_to_json
 
@@ -224,14 +224,17 @@ class TestDeltaCapInLowRank:
         assert code == 0
 
 
-def _subcommand_options():
+def _subparsers(parser):
     action = next(
-        a for a in _build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
+    return action.choices
+
+
+def _subcommand_options():
     return {
         name: {opt for a in p._actions for opt in a.option_strings}
-        for name, p in action.choices.items()
+        for name, p in _subparsers(_build_parser()).items()
     }
 
 
@@ -303,6 +306,89 @@ class TestLimitFlags:
         assert code == 3
         assert out == ""
         assert err.startswith(f"usage error: {name} does not take {flag};")
+
+
+    @_pairs(ACCEPTED)
+    def test_help_names_the_bound_and_its_default(self, name, flag):
+        action = next(
+            a for a in _subparsers(_build_parser())[name]._actions
+            if flag in a.option_strings
+        )
+        defaults = {"--cap": Limits().cap, "--delta-cap": Limits().delta_cap}
+        assert action.help
+        assert f"(default {defaults.get(flag, 1)})" in action.help
+
+
+def _actions(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.required, a.type, a.choices, a.help)
+        for a in parser._actions
+    ]
+
+
+# stderr of usage errors, as printed before main built one subparser alone
+CHOICES = (
+    "'catalog', 'validate', 'pic', 'delta', 'cohomology', 'h-trivial', "
+    "'scan', 'find-psi', 'family', 'report'"
+)
+USAGE_ERRORS = {
+    (): "stackycoh: error: the following arguments are required: command\n",
+    ("bogus",): "stackycoh: error: argument command: invalid choice: "
+    f"'bogus' (choose from {CHOICES})\n",
+    ("--format", "json", "catalog"): "stackycoh: error: argument command: "
+    f"invalid choice: 'json' (choose from {CHOICES})\n",
+    ("cohomology", "@p2"): "stackycoh cohomology: error: the following "
+    "arguments are required: --coeffs\n",
+    ("h-trivial", "--coeffs=0,0,0"): "stackycoh h-trivial: error: the "
+    "following arguments are required: fan\n",
+    ("catalog", "--frobnicate"): "stackycoh: error: unrecognized arguments: "
+    "--frobnicate\n",
+    ("scan", "@p2", "--box=0:0", "--cap"): "stackycoh scan: error: argument "
+    "--cap: expected one argument\n",
+}
+
+
+class TestOneSubcommandParser:
+    """main builds only the subparser it runs, with the same outputs."""
+
+    @pytest.mark.parametrize("name", sorted(ARGS))
+    def test_same_actions_as_full_parser(self, name):
+        one = _subparsers(_build_parser(name))
+        full = _subparsers(_build_parser())
+        assert list(one) == [name]
+        assert _actions(one[name]) == _actions(full[name])
+        assert one[name].format_help() == full[name].format_help()
+
+    @pytest.mark.parametrize("command", [None, "-h", "bogus", "--format"])
+    def test_other_first_arguments_get_every_subparser(self, command):
+        assert list(_subparsers(_build_parser(command))) == list(ARGS)
+
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=" ".join)
+    def test_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 3
+        assert (captured.out, captured.err) == ("", USAGE_ERRORS[argv])
+
+    def test_refused_limit_flag(self, capsys):
+        code, out, err = run(capsys, "validate", "@p2", "--cap", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "usage error: validate does not take --cap; "
+            "it is read by cohomology, h-trivial, scan\n"
+        )
+
+    @pytest.mark.parametrize("argv", [("-h",), ("scan", "-h")], ids=" ".join)
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        parser = _build_parser()
+        if len(argv) > 1:
+            parser = _subparsers(parser)[argv[0]]
+        assert info.value.code == 0
+        assert (captured.out, captured.err) == (parser.format_help(), "")
 
 
 class TestCohomologyCommand:

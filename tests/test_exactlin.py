@@ -15,23 +15,23 @@ from stackycoh.exactlin import (
     IntegerPoints,
     LinearSystem,
     PointsStatus,
+    SingularMatrixError,
     affine_dim,
     feasible,
     fm_eliminate,
     has_integer_point,
+    int_adjugate,
     int_matrix,
     integer_points,
-    invert,
     mat_mul_int,
     rat_rank,
     rational_kernel,
     rref,
     smith_normal_form,
-    solve_square,
     system,
 )
 
-from oracles import fm_feasible
+from oracles import fm_feasible, invert, solve_square
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -146,6 +146,35 @@ class TestRationalLinearAlgebra:
         assert x == (Fraction(1), Fraction(1))
         inv = invert(a)
         assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
+
+    def test_adjugate(self):
+        assert int_adjugate([[2, 1], [1, 1]]) == (1, ((1, -1), (-1, 2)))
+        assert int_adjugate([[0, 3], [2, 0]]) == (-6, ((0, -3), (-2, 0)))
+        assert int_adjugate([[-5]]) == (-5, ((1,),))
+        with pytest.raises(SingularMatrixError):
+            int_adjugate([[1, 2], [2, 4]])
+        with pytest.raises(ValueError):
+            int_adjugate([[1, 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_adjugate_equals_sympy(self, n, data):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))
+        ref = sympy.Matrix(rows)
+        if ref.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                int_adjugate(rows)
+            return
+        det, adj = int_adjugate(rows)
+        assert det == ref.det()
+        assert adj == tuple(tuple(row) for row in ref.adjugate().tolist())
+        assert mat_mul_int(adj, rows) == tuple(
+            tuple(det * (i == j) for j in range(n)) for i in range(n)
+        )
+        assert all(type(x) is int for row in adj for x in row)
 
     def test_affine_dim(self):
         assert affine_dim([]) == -1

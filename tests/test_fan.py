@@ -64,50 +64,122 @@ class TestLoading:
 
 
 class TestValidation:
+    """Each refusal of validate, with its exact message."""
+
+    @staticmethod
+    def refused(rank, rays, cones, message):
+        with pytest.raises(FanValidationError) as info:
+            make_fan(rank, rays, cones)
+        assert str(info.value) == message
+
+    def test_rank_below_one(self):
+        self.refused(0, [(1,)], [(1,)], "rank must be at least 1")
+
+    def test_no_rays(self):
+        self.refused(2, [], [], "fan has no rays")
+
+    def test_ray_length(self):
+        self.refused(
+            2,
+            [(1, 0, 0), (0, 1), (-1, -1)],
+            [(1, 2), (2, 3), (3, 1)],
+            "ray length does not match rank",
+        )
+
     def test_zero_ray(self):
-        with pytest.raises(FanValidationError):
-            make_fan(2, [(0, 0), (0, 1), (-1, -1)], [(1, 2), (2, 3), (3, 1)])
+        self.refused(
+            2, [(0, 0), (0, 1), (-1, -1)], [(1, 2), (2, 3), (3, 1)], "zero ray"
+        )
 
     def test_duplicate_ray(self):
-        with pytest.raises(FanValidationError):
-            make_fan(2, [(1, 0), (1, 0), (0, 1)], [(1, 3), (3, 2), (2, 1)])
+        self.refused(
+            2,
+            [(1, 0), (1, 0), (0, 1)],
+            [(1, 3), (3, 2), (2, 1)],
+            "duplicate ray vector at positions 1, 2",
+        )
 
     def test_same_direction_rays(self):
-        with pytest.raises(FanValidationError, match="same 1-cone"):
-            make_fan(2, [(1, 0), (2, 0), (0, 1)], [(1, 3), (3, 2), (2, 1)])
+        self.refused(
+            2,
+            [(1, 0), (2, 0), (0, 1)],
+            [(1, 3), (3, 2), (2, 1)],
+            "rays 1 and 2 span the same 1-cone",
+        )
 
-    def test_non_simplicial_cone(self):
-        with pytest.raises(FanValidationError):
-            make_fan(
-                2,
-                [(1, 0), (2, 0), (0, 1)],
-                [(1, 2), (2, 3), (3, 1)],
-            )
+    def test_no_maximal_cones(self):
+        self.refused(2, [(1, 0), (0, 1), (-1, -1)], [], "fan has no maximal cones")
 
     def test_wrong_cone_size(self):
-        with pytest.raises(FanValidationError):
-            make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(1, 2, 3)])
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (-1, -1)],
+            [(1, 2, 3)],
+            "maximal cone size differs from rank",
+        )
+
+    def test_cone_index_out_of_range(self):
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (-1, -1)],
+            [(1, 4), (2, 3), (3, 1)],
+            "cone ray index 4 out of range",
+        )
+
+    def test_non_simplicial_cone(self):
+        # two opposite rays span a line, not a two-dimensional cone
+        self.refused(
+            2,
+            [(1, 0), (-1, 0), (0, 1), (0, -1)],
+            [(1, 2), (2, 3), (3, 1)],
+            "maximal cone [1, 2] not simplicial",
+        )
 
     def test_unused_ray(self):
-        with pytest.raises(FanValidationError, match="ray"):
-            make_fan(
-                2,
-                [(1, 0), (0, 1), (-1, -1), (1, 1)],
-                [(1, 2), (2, 3), (3, 1)],
-            )
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (-1, -1), (1, 1)],
+            [(1, 2), (2, 3), (3, 1)],
+            "rays [4] unused by maximal cones",
+        )
+
+    def test_duplicate_maximal_cone(self):
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (-1, -1)],
+            [(1, 2), (2, 3), (3, 1), (2, 1)],
+            "duplicate maximal cone",
+        )
 
     def test_incomplete_fan_unpaired_facet(self):
-        with pytest.raises(FanValidationError, match="unpaired"):
-            make_fan(2, [(1, 0), (0, 1)], [(1, 2)])
+        self.refused(2, [(1, 0), (0, 1)], [(1, 2)], "facet [2] unpaired")
+
+    def test_facet_of_three_cones(self):
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1)],
+            [(1, 2), (2, 4), (4, 5), (5, 3), (3, 2)],
+            "facet [2] shared by more than two cones",
+        )
+
+    def test_facet_not_separating(self):
+        # rays 1 and 3 lie on the same side of the line through ray 2
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (1, 1)],
+            [(1, 2), (2, 3), (3, 1)],
+            "facet [2] does not separate its two opposite rays",
+        )
 
     def test_overlapping_cones_rejected(self):
-        # both cones contain the positive x-axis direction
-        with pytest.raises(FanValidationError):
-            make_fan(
-                2,
-                [(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1)],
-                [(1, 2), (2, 4), (4, 5), (5, 3), (3, 2)],
-            )
+        # a pentagram: five cones of about 144 degrees wind twice around
+        # the origin, and every facet pairs and separates
+        self.refused(
+            2,
+            [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+            [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)],
+            "maximal cones [1, 2] and [4, 5] overlap",
+        )
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_dropping_any_cone_breaks_completeness(self, name):
@@ -177,6 +249,7 @@ class TestCaches:
             "catalog.catalog_fan",
             "exactlin.build_tower",
             "fan.collinear_pairs",
+            "fan.cone_adjugates",
             "fan.neighborhood",
             "fan.two_cone_pairs",
             "homology.delta_fast_lowdim",

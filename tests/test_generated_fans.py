@@ -16,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
-from oracles import brute_cohomology
+from oracles import brute_cohomology, dot, facet_normal, invert, solve_square
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import cohomology
-from stackycoh.fan import FanValidationError, fan_to_json, make_fan
+from stackycoh.exactlin import rational_kernel
+from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, make_fan
 from stackycoh.homology import delta_family
+from stackycoh.picard import pic_structure
+from stackycoh.plsearch import cone_linear_part, degenerate_space, pl_function
 
 
 def winding(k):
@@ -178,3 +181,60 @@ class TestStellarSubdivisions:
         for _ in range(3):
             a = [rng.randint(-2, 2) for _ in range(fan.nrays)]
             assert cohomology(fan, a) == brute_cohomology(fan, a, 8), a
+
+
+def oracle_fans():
+    """Catalog fans, products of them, and a stellar subdivision of each."""
+    out = [pytest.param(catalog_fan(n), id=n) for n in catalog_names()]
+    for rank in sorted(PRODUCTS):
+        out += [pytest.param(named_product(n), id="x".join(n)) for n in PRODUCTS[rank]]
+    for p in subdivisions() + product_subdivisions():
+        fan = p.values[0]
+        fan = catalog_fan(fan) if isinstance(fan, str) else fan
+        out.append(pytest.param(stellar(fan, p.values[1]), id=f"stellar-{p.id}"))
+    return out
+
+
+class TestIntegerCones:
+    """The integer adjugates against the Fraction routes of tests/oracles.py."""
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_columns_are_facet_normals(self, fan):
+        adjugates = cone_adjugates(fan)
+        assert set(adjugates) == set(fan.max_cones)
+        for cone, (det, adj) in adjugates.items():
+            assert det != 0
+            for i, h in zip(sorted(cone), zip(*adj)):
+                normal = facet_normal(fan, cone - {i})
+                # h is a nonzero multiple of the oracle's normal
+                assert any(h) and all(
+                    h[a] * normal[b] == h[b] * normal[a]
+                    for a in range(fan.rank)
+                    for b in range(fan.rank)
+                )
+                assert dot(h, fan.ray(i)) == det
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_pic_inverse(self, fan):
+        st = pic_structure(fan)
+        assert st.u_inv == invert(st.u)
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_cone_systems(self, fan):
+        rng = random.Random(fan_to_json(fan))
+        psi = pl_function([rng.randint(-5, 5) for _ in range(fan.nrays)])
+        for cone in fan.max_cones:
+            rows = [fan.ray(i) for i in sorted(cone)]
+            b = [psi.values[i - 1] for i in sorted(cone)]
+            assert cone_linear_part(fan, psi, cone) == solve_square(rows, b)
+        s = rng.randint(1, fan.nrays)
+        rows = []
+        for cone in sorted(fan.max_cones, key=sorted):
+            at = [list(col) for col in zip(*(fan.ray(i) for i in sorted(cone)))]
+            u = solve_square(at, fan.ray(s))
+            row = [0] * fan.nrays
+            for i, x in zip(sorted(cone), u):
+                row[i - 1] = x
+            rows.append(row)
+        basis = rational_kernel(rows, fan.nrays)
+        assert degenerate_space(fan, s) == (basis, len(basis))
