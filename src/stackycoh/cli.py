@@ -95,7 +95,7 @@ def _load(cfg: RunConfig) -> StackyFan:
     path = Path(src)
     if not path.is_file():
         raise UsageError(f"fan file {src!r} not found")
-    return load_fan(path.read_text())
+    return load_fan(path.read_bytes())
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: Sequence[str]) -> None:
@@ -331,69 +331,100 @@ def _cmd_report(cfg: RunConfig) -> None:
     _emit(cfg, payload, lines)
 
 
-_COMMANDS = {
-    "catalog": _cmd_catalog,
-    "validate": _cmd_validate,
-    "pic": _cmd_pic,
-    "delta": _cmd_delta,
-    "cohomology": _cmd_cohomology,
-    "h-trivial": _cmd_h_trivial,
-    "scan": _cmd_scan,
-    "find-psi": _cmd_find_psi,
-    "family": _cmd_family,
-    "report": _cmd_report,
-}
+# limit flags left off the command line stay absent, so their defaults live in Limits
+_LIMIT = {"type": int, "default": argparse.SUPPRESS}
+_FORMAT = {"choices": ("json", "text"), "default": "json"}
+_CAP = {**_LIMIT, "help": f"lattice point enumeration budget per sign system (default {Limits().cap})"}
+_DELTA_CAP = {**_LIMIT, "help": "most rays for which the index family is enumerated "
+              f"(default {Limits().delta_cap})"}
+_THREADS = {**_LIMIT, "help": "parallel scan workers, at most one per core and per class (default 1)"}
+_COEFFS = {"required": True, "help": "a1,a2,... (write --coeffs=-1,0,0 for a leading minus)"}
+_BOX = {"required": True, "help": "lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)"}
+_R = {"default": "-5:5", "help": "lo:hi"}
 
-
-# the subcommands that read each limit flag; every subcommand takes --format.
-# family and report take no --cap: their only lattice point searches are the
-# checks of family classes, whose weak systems are rationally infeasible
+# per subcommand: what runs it, whether it takes the fan positional, and its
+# flags as argparse keyword arguments, in help order. family and report take
+# no --cap: their only lattice point searches are the checks of family
+# classes, whose weak systems are rationally infeasible
 # (tests/test_plsearch.py), so those searches never spend the cap.
+_GRAMMAR = {
+    "catalog": (_cmd_catalog, False, {"--format": _FORMAT}),
+    "validate": (_cmd_validate, True, {"--format": _FORMAT}),
+    "pic": (_cmd_pic, True, {"--format": _FORMAT}),
+    "delta": (_cmd_delta, True, {"--format": _FORMAT, "--delta-cap": _DELTA_CAP}),
+    "cohomology": (_cmd_cohomology, True,
+                   {"--format": _FORMAT, "--cap": _CAP, "--delta-cap": _DELTA_CAP, "--coeffs": _COEFFS}),
+    "h-trivial": (_cmd_h_trivial, True,
+                  {"--format": _FORMAT, "--cap": _CAP, "--delta-cap": _DELTA_CAP, "--coeffs": _COEFFS}),
+    "scan": (_cmd_scan, True, {"--format": _FORMAT, "--cap": _CAP, "--delta-cap": _DELTA_CAP,
+                               "--threads": _THREADS, "--box": _BOX}),
+    "find-psi": (_cmd_find_psi, True, {"--format": _FORMAT}),
+    "family": (_cmd_family, True, {"--format": _FORMAT, "--delta-cap": _DELTA_CAP, "--r": _R}),
+    "report": (_cmd_report, True, {"--format": _FORMAT, "--delta-cap": _DELTA_CAP,
+                                   "--box": {"default": "-3:3", "help": "lo:hi[,lo:hi...]"}, "--r": _R}),
+}
+
+# the subcommands that read each limit flag, named when another one gets it
 _LIMIT_FLAGS = {
-    "--cap": ("cohomology", "h-trivial", "scan"),
-    "--delta-cap": ("delta", "cohomology", "h-trivial", "scan", "family", "report"),
-    "--threads": ("scan",),
+    flag: tuple(name for name, (_, _, flags) in _GRAMMAR.items() if flag in flags)
+    for flag in ("--cap", "--delta-cap", "--threads")
 }
 
 
-_LIMIT_HELP = {
-    "--cap": f"lattice point enumeration budget per sign system (default {Limits().cap})",
-    "--delta-cap": "most rays for which the index family is enumerated "
-    f"(default {Limits().delta_cap})",
-    "--threads": "parallel scan workers, at most one per core and per class (default 1)",
-}
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    # a command line that starts with a subcommand needs only its parser;
-    # help and usage errors get all ten, so their output stays the same
+def _build_parser() -> _Parser:
     parser = _Parser(prog="stackycoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
+    for name, (_, takes_fan, flags) in _GRAMMAR.items():
         p = sub.add_parser(name)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if name != "catalog":
+        if takes_fan:
             p.add_argument("fan", help="fan JSON path or @catalog-name")
-        for flag in (f for f, names in _LIMIT_FLAGS.items() if name in names):
-            # absent flags stay absent, so the defaults live in Limits
-            p.add_argument(flag, type=int, default=argparse.SUPPRESS, help=_LIMIT_HELP[flag])
-        if name in ("cohomology", "h-trivial"):
-            p.add_argument(
-                "--coeffs",
-                required=True,
-                help="a1,a2,... (write --coeffs=-1,0,0 for a leading minus)",
-            )
-        if name == "scan":
-            p.add_argument(
-                "--box",
-                required=True,
-                help="lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)",
-            )
-        if name == "report":
-            p.add_argument("--box", default="-3:3", help="lo:hi[,lo:hi...]")
-        if name in ("family", "report"):
-            p.add_argument("--r", default="-5:5", help="lo:hi")
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _parse_canonical(argv: Sequence[str]) -> Optional[dict]:
+    """vars() of what argparse parses argv to, for plain spellings; else None.
+
+    Plain: an exact subcommand, then exact flags as --flag=value or --flag
+    value (value not starting with -), and the fan not starting with -.
+    Help, abbreviations, -- and every usage error are left to argparse.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, takes_fan, flags = _GRAMMAR[argv[0]]
+    given, fans, rest = {"command": argv[0]}, [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            fans.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        value = value if eq else next(rest, "-")  # a missing value is declined
+        spec = flags.get(flag)
+        if spec is None or (not eq and value.startswith("-")):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[_dest(flag)] = value  # every repeat is checked; the last one wins
+    if len(fans) != takes_fan:
+        return None
+    if fans:
+        given["fan"] = fans[0]
+    for flag, spec in flags.items():
+        if _dest(flag) not in given:
+            if spec.get("required"):
+                return None
+            if spec["default"] is not argparse.SUPPRESS:
+                given[_dest(flag)] = spec["default"]
+    return given
 
 
 def _parse(parser: _Parser, argv: Optional[Sequence[str]]) -> argparse.Namespace:
@@ -410,8 +441,7 @@ def _parse(parser: _Parser, argv: Optional[Sequence[str]]) -> argparse.Namespace
     return args
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
+def _config(given: dict) -> RunConfig:
     try:
         limits = Limits(**{k: given[k] for k in ("cap", "delta_cap") if k in given})
     except ValueError as exc:
@@ -425,9 +455,9 @@ def _config(args: argparse.Namespace) -> RunConfig:
     if len(r_range) != 1:
         raise UsageError("--r takes a single lo:hi range")
     return RunConfig(
-        command=args.command,
+        command=given["command"],
         fan_source=given.get("fan"),
-        fmt=args.format,
+        fmt=given["format"],
         limits=limits,
         threads=threads,
         coeffs=coeffs,
@@ -438,10 +468,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        cfg = _config(_parse(parser, argv))
-        _COMMANDS[cfg.command](cfg)
+        # argparse is built only for help, usage errors and unusual spellings
+        given = _parse_canonical(argv)
+        if given is None:
+            given = vars(_parse(_build_parser(), argv))
+        cfg = _config(given)
+        _GRAMMAR[cfg.command][0](cfg)
     except (FanFormatError, FanValidationError) as exc:
         sys.stderr.write(f"invalid fan: {exc}\n")
         return 1

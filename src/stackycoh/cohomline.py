@@ -12,7 +12,6 @@ enters through the right-hand side.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -224,7 +223,8 @@ def _normalize_box(
     if len(box) == 1:
         box = list(box) * st.free_rank
     if len(box) != st.free_rank:
-        raise ValueError(f"expected 1 or {st.free_rank} ranges, got {len(box)}")
+        ranges = "1 range" if st.free_rank == 1 else f"1 or {st.free_rank} ranges"
+        raise ValueError(f"expected {ranges}, got {len(box)}")
     out = []
     for lo, hi in box:
         lo, hi = int(lo), int(hi)
@@ -272,6 +272,8 @@ def scan_h_trivial(
         chunks: list[list[IntVector]] = [[] for _ in range(workers)]
         for idx, c in enumerate(classes):
             chunks[idx % workers].append(c.raw)
+        from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(_scan_chunk, fan, limits), chunks))
         flags = [False] * len(classes)

@@ -73,9 +73,9 @@ def load_fan(text: bytes | str) -> StackyFan:
     Ray indices in the file are 0-based; any float literal is rejected so
     coordinates stay exact.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except FanFormatError:
         raise

@@ -6,10 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exhaustive_delta
+from stackycoh import cli
 from stackycoh.catalog import catalog_fan, catalog_names
-from stackycoh.cli import _build_parser, main
+from stackycoh.cli import _build_parser, _config, _parse, _parse_canonical, main
 from stackycoh.cohomline import Limits, scan_h_trivial
 from stackycoh.fan import fan_fingerprint
 from stackycoh.picard import class_to_json
@@ -89,6 +92,18 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stackycoh.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("invalid fan: invalid fan JSON: 'utf-8' codec")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_incomplete_fan_rejected(self, capsys, tmp_path):
         path = tmp_path / "half.json"
         path.write_text(
@@ -126,9 +141,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("name", ["p2", "p1xp1xp1"])
     def test_report_box_of_wrong_length(self, capsys, name):
+        # p2 has free rank 1 and p1xp1xp1 free rank 3
+        expected = {"p2": "1 range", "p1xp1xp1": "1 or 3 ranges"}[name]
         code, _, err = run(capsys, "report", f"@{name}", "--box=0:0,0:0")
         assert code == 3
-        assert err.startswith("usage error:")
+        assert err == f"usage error: expected {expected}, got 2\n"
 
     def test_seed_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -319,14 +336,7 @@ class TestLimitFlags:
         assert f"(default {defaults.get(flag, 1)})" in action.help
 
 
-def _actions(parser):
-    return [
-        (a.option_strings, a.dest, a.default, a.required, a.type, a.choices, a.help)
-        for a in parser._actions
-    ]
-
-
-# stderr of usage errors, as printed before main built one subparser alone
+# stderr of usage errors, as the full argparse parser prints them
 CHOICES = (
     "'catalog', 'validate', 'pic', 'delta', 'cohomology', 'h-trivial', "
     "'scan', 'find-psi', 'family', 'report'"
@@ -349,19 +359,7 @@ USAGE_ERRORS = {
 
 
 class TestOneSubcommandParser:
-    """main builds only the subparser it runs, with the same outputs."""
-
-    @pytest.mark.parametrize("name", sorted(ARGS))
-    def test_same_actions_as_full_parser(self, name):
-        one = _subparsers(_build_parser(name))
-        full = _subparsers(_build_parser())
-        assert list(one) == [name]
-        assert _actions(one[name]) == _actions(full[name])
-        assert one[name].format_help() == full[name].format_help()
-
-    @pytest.mark.parametrize("command", [None, "-h", "bogus", "--format"])
-    def test_other_first_arguments_get_every_subparser(self, command):
-        assert list(_subparsers(_build_parser(command))) == list(ARGS)
+    """Help and usage errors, which argparse still prints, read as before."""
 
     @pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=" ".join)
     def test_usage_errors(self, capsys, argv):
@@ -389,6 +387,123 @@ class TestOneSubcommandParser:
             parser = _subparsers(parser)[argv[0]]
         assert info.value.code == 0
         assert (captured.out, captured.err) == (parser.format_help(), "")
+
+
+LIMIT_VALUES = {"--cap": Limits().cap, "--delta-cap": Limits().delta_cap, "--threads": 1}
+# each subcommand's arguments in both flag spellings, as the table parser reads them
+CANONICAL = [
+    (name, *ARGS[name], *extra)
+    for name in ARGS
+    for extra in [(), ("--format", "text"), ("--format=text",)]
+    + [(flag, str(LIMIT_VALUES[flag])) for n, flag in ACCEPTED if n == name]
+    + [(f"{flag}={LIMIT_VALUES[flag]}",) for n, flag in ACCEPTED if n == name]
+]
+# spellings the table parser leaves to argparse: (exit code, stderr) as before
+DECLINED = {
+    ("cohomology", "@p2", "--coef=1,0,0"): (0, ""),
+    ("delta", "@p2", "-h"): (0, ""),
+    ("delta", "@p2", "--"): (0, ""),
+    ("delta", "-"): (3, "usage error: fan file '-' not found\n"),
+    ("cohomology", "@p2", "--coeffs", "-1,0,0"): (
+        3, "stackycoh cohomology: error: argument --coeffs: expected one argument\n"
+    ),
+    ("delta", "@p2", "--format=-1", "--format", "json"): (
+        3, "stackycoh delta: error: argument --format: invalid choice: '-1' "
+        "(choose from 'json', 'text')\n"
+    ),
+    ("scan", "@p2", "--box=0:0", "--threads", "2", "--threads=x"): (
+        3, "stackycoh scan: error: argument --threads: invalid int value: 'x'\n"
+    ),
+}
+
+
+def _outcome(given):
+    """The RunConfig of parsed arguments, or the usage error they raise."""
+    try:
+        return _config(given)
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+FLAG_VALUES = {
+    "--format": ("json", "text"),
+    "--coeffs": ("0,0,0", "-1,0,0", "1,x"),
+    "--box": ("0:0", "-3:3", "0:0,0:0"),
+    "--r": ("0:0", "-5:5"),
+    **{flag: ("3", " 7", "+3", "1_0", "0") for flag in LIMIT_FLAGS},
+}
+ODD_VALUES = ("xml", "", "-", "-1", "--cap", "x y")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, maybe its usual arguments, and up to five odd or plain words."""
+    command = draw(st.sampled_from([*ARGS, "bogus"]))
+    own = sorted(OPTIONS.get(command, {"--format"}) - {"-h", "--help"})
+    words = [[w] for w in ARGS.get(command, ())] if draw(st.integers(0, 3)) else []
+    for _ in range(draw(st.integers(0, 5))):
+        # 0: a positional; 1-3: a flag of this subcommand, with odd values
+        # only at 3; 4-5: any flag, abbreviations and refused ones included
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            words.append([draw(st.sampled_from(["@p2", "@p1xp1", "x y", "-h", "--help", "--", "-"]))])
+            continue
+        flag = draw(st.sampled_from(
+            own if kind < 4 else [*FLAG_VALUES, "--form", "--coef", "--delta", "--b", "--c"]
+        ))
+        value = draw(st.sampled_from(FLAG_VALUES.get(flag, ("0:0",)) + ODD_VALUES * (kind == 3)))
+        words.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    return [command, *(w for ws in draw(st.permutations(words)) for w in ws)]
+
+
+class TestTableParser:
+    """The table parser takes what argparse parses the same way, and nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_agrees_with_argparse(self, argv):
+        parsed = _parse_canonical(argv)
+        if parsed is not None:
+            args = vars(_parse(_build_parser(), argv))
+            assert args == parsed
+            assert _outcome(args) == _outcome(parsed)
+
+    @pytest.mark.parametrize("argv", CANONICAL, ids=" ".join)
+    def test_builds_no_argparse_parser(self, capsys, monkeypatch, argv):
+        assert _parse_canonical(argv) == vars(_parse(_build_parser(), argv))
+
+        def refuse():
+            raise AssertionError("argparse parser built for a plain command line")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", sorted(DECLINED), ids=" ".join)
+    def test_declined_spellings_keep_their_output(self, capsys, argv):
+        assert _parse_canonical(argv) is None
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().err) == DECLINED[argv]
+
+    def test_every_repeat_is_checked_and_the_last_wins(self):
+        assert _parse_canonical(["delta", "@p2", "--format=text", "--format", "json"]) == {
+            "command": "delta", "fan": "@p2", "format": "json",
+        }
+        assert _parse_canonical(["scan", "@p2", "--box=0:0", "--cap=x", "--cap", "3"]) is None
+
+    def test_import_leaves_the_process_pool_out(self):
+        probe = (
+            "import sys, stackycoh.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"
 
 
 class TestCohomologyCommand:

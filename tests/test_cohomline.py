@@ -1,12 +1,12 @@
 """Cohomology dimensions, H-triviality, interiors, and box scans."""
 
+import concurrent.futures
 import os
 import random
 from itertools import combinations
 
 import pytest
 
-from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
@@ -330,7 +330,8 @@ class TestScans:
             def map(self, fn, *args):
                 return map(fn, *args)
 
-        monkeypatch.setattr(cohomline, "ProcessPoolExecutor", SerialPool)
+        # scan_h_trivial imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         if cores is not None:
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
         fan = catalog_fan("p1xp1")

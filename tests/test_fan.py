@@ -52,6 +52,10 @@ class TestLoading:
         with pytest.raises(FanFormatError):
             load_fan(text)
 
+    def test_rejects_bytes_that_are_not_utf8(self):
+        with pytest.raises(FanFormatError, match="^invalid fan JSON: 'utf-8' codec"):
+            load_fan(b"\xff")
+
     def test_rejects_missing_field(self):
         with pytest.raises(FanFormatError):
             load_fan('{"rank": 2, "rays": [[1, 0]]}')
