@@ -20,17 +20,12 @@ from .cohomline import (
     is_h_trivial,
     outside_all_interiors,
     scan_h_trivial,
-    sign_polyhedron,
 )
 from .exactlin import (
     DEFAULT_CAP,
     IntegerPoints,
-    LinearSystem,
     PointsStatus,
-    feasible,
-    integer_points,
     smith_normal_form,
-    system,
 )
 from .fan import (
     FanError,

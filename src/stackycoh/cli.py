@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invalid fan input, 2 computation gave up
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
@@ -55,11 +54,6 @@ class RunConfig:
     coeffs: Optional[tuple[int, ...]]
     box: Optional[tuple[tuple[int, int], ...]]
     r_range: tuple[int, int]
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
@@ -331,8 +325,10 @@ def _cmd_report(cfg: RunConfig) -> None:
     _emit(cfg, payload, lines)
 
 
-# limit flags left off the command line stay absent, so their defaults live in Limits
-_LIMIT = {"type": int, "default": argparse.SUPPRESS}
+# limit flags left off the command line stay absent, so their defaults live in
+# Limits; argparse, imported only to build the full parser, spells this SUPPRESS
+_ABSENT = object()
+_LIMIT = {"type": int, "default": _ABSENT}
 _FORMAT = {"choices": ("json", "text"), "default": "json"}
 _CAP = {**_LIMIT, "help": f"lattice point enumeration budget per sign system (default {Limits().cap})"}
 _DELTA_CAP = {**_LIMIT, "help": "most rays for which the index family is enumerated "
@@ -375,7 +371,13 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse  # only help, usage errors and unusual spellings get here
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(3, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="stackycoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, takes_fan, flags) in _GRAMMAR.items():
@@ -383,6 +385,8 @@ def _build_parser() -> _Parser:
         if takes_fan:
             p.add_argument("fan", help="fan JSON path or @catalog-name")
         for flag, spec in flags.items():
+            if spec.get("default") is _ABSENT:
+                spec = {**spec, "default": argparse.SUPPRESS}
             p.add_argument(flag, **spec)
     return parser
 
@@ -422,12 +426,12 @@ def _parse_canonical(argv: Sequence[str]) -> Optional[dict]:
         if _dest(flag) not in given:
             if spec.get("required"):
                 return None
-            if spec["default"] is not argparse.SUPPRESS:
+            if spec["default"] is not _ABSENT:
                 given[_dest(flag)] = spec["default"]
     return given
 
 
-def _parse(parser: _Parser, argv: Optional[Sequence[str]]) -> argparse.Namespace:
+def _parse(parser, argv: Optional[Sequence[str]]):
     args, extra = parser.parse_known_args(argv)
     for arg in extra:
         flag = arg.split("=")[0]

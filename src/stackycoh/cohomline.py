@@ -20,16 +20,12 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     DEFAULT_CAP,
-    GE,
-    GT,
     IntegerPoints,
     IntMatrix,
     IntVector,
-    LinearSystem,
     PointsStatus,
     Tower,
     build_tower,
-    system,
     tower_feasible,
     tower_points,
 )
@@ -64,23 +60,6 @@ class Limits:
                 raise ValueError(f"{name} must be positive")
 
 
-def sign_polyhedron(
-    fan: StackyFan, a: Sequence[int], index_set: Iterable[int], strictness: str = "weak"
-) -> LinearSystem:
-    """The polyhedron of functionals f whose sign pattern matches I.
-
-    Weak: a_i + f(v_i) >= 0 on I and <= -1 off I (integer points matter).
-    Strict: a_i + f(v_i) > 0 on I and < 0 off I (rational interior).
-    """
-    if strictness not in ("weak", "strict"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    I = frozenset(index_set)
-    strict = strictness == "strict"
-    rel = GT if strict else GE
-    rows = zip(_signed_rays(fan, I), _rhs(fan, a, I, strict))
-    return system(fan.rank, [(v, rel, bi) for v, bi in rows])
-
-
 def _signed_rays(fan: StackyFan, I: frozenset[int]) -> IntMatrix:
     # the rows of both sign systems of I: v_i on I, -v_i off I
     return tuple(v if i in I else tuple(map(neg, v)) for i, v in enumerate(fan.rays, 1))
@@ -91,7 +70,9 @@ def _tower(fan: StackyFan, I: frozenset[int]) -> Tower:
 
 
 def _rhs(fan: StackyFan, a: Sequence[int], I: frozenset[int], strict: bool) -> list[int]:
-    # b(a): -a_i on I, and a_i + 1 (weak) or a_i (strict) off I
+    # b(a): -a_i on I, and a_i + 1 (weak) or a_i (strict) off I. The weak
+    # system says a_i + f(v_i) >= 0 on I and <= -1 off I (its lattice points
+    # count), the strict one > 0 on I and < 0 off I (the open cone of I)
     if len(a) != fan.nrays:
         raise ValueError("coefficient vector length must equal the ray count")
     off = 0 if strict else 1

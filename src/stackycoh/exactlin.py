@@ -1,13 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python ints and fractions.Fraction; no floating
-point enters anywhere. The module provides the normal forms, kernels and
-the Fourier-Motzkin machinery that the rest of the package is built on:
-Smith normal form with unimodular transforms, fraction-free adjugates,
-reduced-echelon kernels, affine dimension, and integer Fourier-Motzkin
-towers. A tower depends only on the coefficient rows of a system;
-feasibility with witnesses, recession detection and lattice-point
-enumeration read it for any right-hand side.
+Everything here runs on Python ints (rat_rank scales rational rows to
+integers first); no floating point enters anywhere. The module provides
+the normal forms, kernels and the Fourier-Motzkin machinery that the rest
+of the package is built on: Smith normal form with unimodular transforms,
+fraction-free (Bareiss) ranks, kernels and adjugates, and integer
+Fourier-Motzkin towers. A tower depends only on the coefficient rows of
+a system R x >= b; feasibility, recession detection and lattice-point
+enumeration read it for any right-hand side b.
 """
 
 from __future__ import annotations
@@ -15,22 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
-RatVector = tuple[Fraction, ...]
-
-Rational = Union[int, Fraction]
-
-GE = ">="
-GT = ">"
-EQ = "=="
-RELATIONS = (GE, GT, EQ)
-
 DEFAULT_CAP = 10**6
 
 
@@ -52,10 +42,6 @@ def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     if out and any(len(r) != len(out[0]) for r in out[1:]):
         raise ValueError("matrix rows must have equal length")
     return out
-
-
-def rat_vector(xs: Iterable[Rational]) -> RatVector:
-    return tuple(Fraction(x) for x in xs)
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -183,43 +169,15 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# echelon forms
+# fraction-free elimination
 
 
-def rref(rows: Sequence[Sequence[Rational]], ncols: Optional[int] = None):
-    """Reduced row echelon form over Q. Returns (rows, pivot columns)."""
-    work = [list(map(Fraction, r)) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, tuple(pivots)
-
-
-def rat_rank(rows: Sequence[Sequence[Rational]]) -> int:
+def rat_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination.
 
-    Rows are scaled to integers; after k pivots every entry is a k x k
-    minor, so each division by the previous pivot is exact.
+    Rows of rationals (anything with a numerator and a denominator) are
+    first scaled to integers; after k pivots every entry is a k x k minor,
+    so each division by the previous pivot is exact.
     """
     work = []
     for row in rows:
@@ -239,25 +197,40 @@ def rat_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return rank
 
 
-def rational_kernel(a: Sequence[Sequence[Rational]], ncols: Optional[int] = None) -> tuple[RatVector, ...]:
-    """Basis of {x : a.x = 0} over Q, from the reduced echelon form.
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ...]:
+    """Basis of {x : rows . x = 0} over Q, as primitive integer vectors.
 
-    Basis vectors are listed in ascending free-column order, each with a 1
-    in its free coordinate, so the result is deterministic.
+    Fraction-free Gauss-Jordan elimination, as in int_adjugate, leaves d
+    times the reduced echelon form, d the last pivot (1 without pivots).
+    One vector per free column, in ascending order: the primitive positive
+    multiple of the echelon kernel vector with a 1 at that column.
     """
-    if ncols is None:
-        if not a:
-            raise ValueError("cannot infer column count of an empty matrix")
-        ncols = len(a[0])
-    work, pivots = rref(a, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        top, p = work[r], work[r][c]
+        for i in range(len(work)):
+            if i != r:
+                a = work[i][c]
+                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+        pivots.append(c)
+        prev = p
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -Fraction(work[r][f])
-        basis.append(tuple(vec))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = prev
+        for row, c in zip(work, pivots):
+            vec[c] = -row[f]
+        g = math.gcd(*vec) if prev > 0 else -math.gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return tuple(basis)
 
 
@@ -288,78 +261,6 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
                 work[i] = [(p * x - c * y) // prev for x, y in zip(work[i], top)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in work)
-
-
-def affine_dim(points: Sequence[Sequence[Rational]]) -> int:
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    pts = [rat_vector(p) for p in points]
-    if not pts:
-        return -1
-    base = pts[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rat_rank(diffs)
-
-
-# ---------------------------------------------------------------------------
-# linear systems
-
-
-@dataclass(frozen=True)
-class Row:
-    """One constraint: coeffs . x REL rhs, with REL one of >=, >, ==."""
-
-    coeffs: RatVector
-    rel: str
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    nvars: int
-    rows: tuple[Row, ...]
-
-
-def _normalize_row(coeffs: Sequence[Fraction], rel: str, rhs: Fraction) -> Row:
-    # scale by a positive rational so entries are coprime integers
-    dens = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = Fraction(math.lcm(*dens)) if dens else Fraction(1)
-    ints = [int(c * scale) for c in coeffs] + [int(rhs * scale)]
-    g = math.gcd(*(abs(x) for x in ints)) if any(ints) else 0
-    if g > 1:
-        ints = [x // g for x in ints]
-    return Row(tuple(Fraction(x) for x in ints[:-1]), rel, Fraction(ints[-1]))
-
-
-def system(nvars: int, rows: Iterable[tuple[Sequence[Rational], str, Rational]]) -> LinearSystem:
-    """Assemble a LinearSystem from (coeffs, relation, rhs) triples."""
-    built = []
-    for coeffs, rel, rhs in rows:
-        if rel not in RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
-        cv = rat_vector(coeffs)
-        if len(cv) != nvars:
-            raise ValueError("row length does not match variable count")
-        built.append(_normalize_row(cv, rel, Fraction(rhs)))
-    return LinearSystem(nvars, tuple(built))
-
-
-def _system_tower(sys: LinearSystem) -> tuple["Tower", list[int], tuple[bool, ...]]:
-    """The tower of the system as R x >= b, with b and the strict flags.
-
-    Each row is scaled to integers; an equality enters as two opposite rows.
-    """
-    rows, b, strict = [], [], []
-    for r in sys.rows:
-        scale = math.lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs))
-        coeffs = tuple(int(c * scale) for c in r.coeffs)
-        rhs = int(r.rhs * scale)
-        for sign in (1, -1) if r.rel == EQ else (1,):
-            rows.append(tuple(sign * c for c in coeffs))
-            b.append(sign * rhs)
-            strict.append(r.rel == GT)
-    return build_tower(tuple(rows), sys.nvars), b, tuple(strict)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +349,7 @@ def build_tower(rows: IntMatrix, nvars: int) -> Tower:
         signs = {coeffs[k] > 0 for coeffs, _ in levels[k + 1] if coeffs[k]}
         if len(signs) < 2:
             prefix = (0,) * k + (1 if signs != {False} else -1,)
-            ray = _lift(tower, (0,) * n, (), prefix)
-            scale = math.lcm(*(f.denominator for f in ray))
-            ints = [int(f * scale) for f in ray]
-            g = math.gcd(*ints)
-            z = tuple(x // g for x in ints)
+            z = _lift(tower, prefix)
             w = _unimodular_with_first_column(z)
             moved = [tuple(_dot(r, col) for col in zip(*w)) for r in rows]
             keep = tuple(i for i, r in enumerate(moved) if r[0] == 0)
@@ -470,39 +367,44 @@ def tower_feasible(tower: Tower, b: Sequence[int], strict: Sequence[bool] = ()) 
     return True
 
 
-def _lift(tower: Tower, b: Sequence[int], strict: Sequence[bool], prefix: Sequence[Rational]) -> RatVector:
-    """Extend a point of the projection onto the first len(prefix) variables.
+def _lift(tower: Tower, prefix: IntVector) -> IntVector:
+    """A primitive integer point of R x >= 0 that extends the prefix.
 
     Each further coordinate takes the midpoint of its fiber, or steps one
-    past its only bound, or 0 when the fiber is the whole line.
+    past its only bound, or 0 when the fiber is the whole line. The point
+    is kept as x / d with d > 0, and a new coordinate p / q scales x and d
+    by q, so everything stays integer; bounds are (numerator, denominator)
+    pairs with a positive denominator.
     """
-    x = [Fraction(v) for v in prefix]
+    x, d = list(prefix), 1
     for k in range(len(x), tower.nvars):
         lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, mult in tower.levels[k + 1]:
+        for coeffs, _ in tower.levels[k + 1]:
             c = coeffs[k]
             if c == 0:
                 continue
-            bound = (_dot(mult, b) - _dot(coeffs, x)) / Fraction(c)
-            st = _is_strict(mult, strict)
+            # the row reads c x_k >= -(coeffs . x), all scaled by d
+            t = _dot(coeffs, x)
+            bound = (-t, c) if c > 0 else (t, -c)
             if c > 0:
-                if lo is None or bound > lo or (bound == lo and st):
-                    lo, lo_strict = bound, st
-            elif hi is None or bound < hi or (bound == hi and st):
-                hi, hi_strict = bound, st
+                if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
+                    lo = bound
+            elif hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
+                hi = bound
         if lo is None and hi is None:
-            val = Fraction(0)
+            p, q = 0, 1
         elif lo is None:
-            val = hi - 1
+            p, q = hi[0] - d * hi[1], hi[1]
         elif hi is None:
-            val = lo + 1
-        elif lo < hi or (lo == hi and not (lo_strict or hi_strict)):
-            val = (lo + hi) / 2
+            p, q = lo[0] + d * lo[1], lo[1]
+        elif lo[0] * hi[1] <= hi[0] * lo[1]:
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
         else:
             raise AssertionError("projection exactness violated")
-        x.append(val)
-    return tuple(x)
+        x = [q * v for v in x] + [p]
+        d *= q
+    g = math.gcd(*x)
+    return tuple(v // g for v in x)
 
 
 class PointsStatus(Enum):
@@ -592,8 +494,12 @@ def tower_points(tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_o
 
     The cap is spent once per candidate value of each coordinate, and a
     full enumeration with a non-positive cap is refused outright. With
-    first_only the search stops at the first solution. Statuses are those
-    of integer_points.
+    first_only the search stops at the first solution. Result statuses:
+      POINTS                        non-empty finite solution list
+      INFEASIBLE                    no integer solution exists
+      CAP_EXCEEDED                  more than `cap` candidates were visited
+      UNBOUNDED_WITH_LATTICE_POINT  a lattice point plus a nonzero integer
+                                    recession direction (infinitely many)
     """
     if cap <= 0 and not first_only:
         return IntegerPoints(PointsStatus.CAP_EXCEEDED)
@@ -616,65 +522,3 @@ def _unimodular_with_first_column(z: IntVector) -> IntMatrix:
     if tuple(row[0] for row in w) != z:
         raise AssertionError("unimodular completion does not start with z")
     return w
-
-
-# ---------------------------------------------------------------------------
-# linear systems through their towers
-
-
-def fm_eliminate(sys: LinearSystem, var: int) -> LinearSystem:
-    """Project out one variable by Fourier-Motzkin elimination.
-
-    All (lower bound, upper bound) pairs are combined, an equality as two
-    opposite inequalities, and a combination is strict whenever either
-    parent is strict.
-    """
-    if not 0 <= var < sys.nvars:
-        raise ValueError("variable index out of range")
-    tower, b, strict = _system_tower(sys)
-    return system(
-        sys.nvars - 1,
-        [
-            (coeffs, GT if _is_strict(mult, strict) else GE, _dot(mult, b))
-            for coeffs, mult in _eliminate(tower.levels[-1], var, 2)
-        ],
-    )
-
-
-def feasible(sys: LinearSystem) -> tuple[bool, Optional[RatVector]]:
-    """Exact rational feasibility with a witness.
-
-    Decides on the constant rows of the system's tower, then rebuilds a
-    witness coordinate by coordinate from x_0 up.
-    """
-    tower, b, strict = _system_tower(sys)
-    if not tower_feasible(tower, b, strict):
-        return False, None
-    return True, _lift(tower, b, strict, ())
-
-
-def integer_points(sys: LinearSystem, cap: int = DEFAULT_CAP) -> IntegerPoints:
-    """All integer solutions of a non-strict system, in lexicographic order.
-
-    Result statuses:
-      POINTS                        non-empty finite solution list
-      INFEASIBLE                    no integer solution exists
-      CAP_EXCEEDED                  more than `cap` candidates were visited
-      UNBOUNDED_WITH_LATTICE_POINT  a lattice point plus a nonzero integer
-                                    recession direction (infinitely many)
-    """
-    if any(r.rel == GT for r in sys.rows):
-        raise ValueError("integer_points requires a non-strict system")
-    tower, b, _ = _system_tower(sys)
-    return tower_points(tower, b, cap)
-
-
-def has_integer_point(sys: LinearSystem, cap: int = DEFAULT_CAP) -> Optional[bool]:
-    """Existence-only variant of integer_points; None when the cap is hit."""
-    if any(r.rel == GT for r in sys.rows):
-        raise ValueError("has_integer_point requires a non-strict system")
-    tower, b, _ = _system_tower(sys)
-    res = tower_points(tower, b, cap, first_only=True)
-    if res.status is PointsStatus.CAP_EXCEEDED:
-        return None
-    return res.status is not PointsStatus.INFEASIBLE

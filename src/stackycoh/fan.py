@@ -106,6 +106,8 @@ def load_fan(text: bytes | str) -> StackyFan:
                 raise FanFormatError("cone entries must be integers")
             if not 0 <= i < n:
                 raise FanFormatError(f"cone ray index {i} out of range (0-based)")
+        if len(set(c)) != len(c):
+            raise FanFormatError(f"cone {c} lists a ray index twice")
     fan = StackyFan(
         rank,
         tuple(tuple(r) for r in rays),

@@ -11,12 +11,11 @@ off the topology of the fan's cone complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactlin import Rational, rat_rank
+from .exactlin import rat_rank
 from .fan import FAN_CACHE_SIZE, StackyFan
 
 DEFAULT_DELTA_CAP = 16
@@ -61,7 +60,7 @@ def simplicial_complex(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     return SimplicialComplex(_close_downward(frozenset(f) for f in faces))
 
 
-def supp(fan: StackyFan, r: Sequence[Rational]) -> SimplicialComplex:
+def supp(fan: StackyFan, r: Sequence[int]) -> SimplicialComplex:
     """Support complex of a coefficient vector on the rays.
 
     Faces are the subsets J of a maximal cone with r_i >= 0 for all i in J
@@ -69,7 +68,7 @@ def supp(fan: StackyFan, r: Sequence[Rational]) -> SimplicialComplex:
     """
     if len(r) != fan.nrays:
         raise ValueError("coefficient vector length must equal the ray count")
-    nonneg = {i for i in range(1, fan.nrays + 1) if Fraction(r[i - 1]) >= 0}
+    nonneg = {i for i in range(1, fan.nrays + 1) if r[i - 1] >= 0}
     tops = {frozenset(cone & nonneg) for cone in fan.max_cones}
     return SimplicialComplex(_close_downward(tops))
 

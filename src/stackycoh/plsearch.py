@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .cohomline import Limits, box_classes, is_h_trivial, outside_all_interiors
-from .exactlin import RatVector, Rational, affine_dim, rat_vector, rational_kernel
+from .exactlin import IntVector, int_kernel, rat_rank
 from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood, parallel_rays
 from .picard import LineBundleClass, class_of
+
+RatVector = tuple[Fraction, ...]
+Rational = Union[int, Fraction]
 
 INFINITELY_MANY = "InfinitelyMany"
 FINITELY_MANY = "FinitelyMany"
@@ -40,7 +41,7 @@ class PLFunction:
 
 
 def pl_function(values: Sequence[Rational]) -> PLFunction:
-    return PLFunction(rat_vector(values))
+    return PLFunction(tuple(map(Fraction, values)))
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,29 @@ def cone_linear_part(
     return tuple(Fraction(sum(map(mul, row, b)), det) for row in adj)
 
 
+def _form_differences(fan: StackyFan, values: Sequence[Rational]) -> list[list[Rational]]:
+    """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
+
+    With (d_sigma, A_sigma) = (det V, adj V values|sigma) the linear part
+    on sigma is A_sigma / d_sigma, in cone order. The rows vanish exactly
+    when all linear parts agree, and span the affine hull of the parts.
+    """
+    pairs, adjugates = [], cone_adjugates(fan)
+    for sigma in _cone_order(fan):
+        det, adj = adjugates[sigma]
+        b = [values[i - 1] for i in sorted(sigma)]
+        pairs.append((det, [sum(map(mul, row, b)) for row in adj]))
+    (d0, a0), *rest = pairs
+    return [[d0 * x - d * y for x, y in zip(a, a0)] for d, a in rest]
+
+
 def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
     forms = tuple(cone_linear_part(fan, psi, c) for c in _cone_order(fan))
-    return LambdaPolytope(forms=forms, dim=affine_dim(forms))
+    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(fan, psi.values)))
 
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
-    return lambda_polytope(fan, psi).dim == 0
+    return not any(map(any, _form_differences(fan, psi.values)))
 
 
 def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
@@ -89,32 +106,24 @@ def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
     return rows
 
 
-def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[RatVector, ...], int]:
+def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[IntVector, ...], int]:
     """Basis and dimension of the value vectors whose linear parts kill v_s.
 
     Each maximal cone contributes one linear constraint on the value
-    vector c: the cone's form, evaluated at v_s, must vanish.
+    vector c: the cone's form, evaluated at v_s, must vanish. The basis
+    vectors are primitive integer vectors (exactlin.int_kernel).
     """
     if not 1 <= s <= fan.nrays:
         raise ValueError(f"ray index {s} out of range")
-    basis = rational_kernel(_forms_at_ray(fan, s), fan.nrays)
+    basis = int_kernel(_forms_at_ray(fan, s), fan.nrays)
     return basis, len(basis)
-
-
-def _to_integer_values(vec: RatVector) -> RatVector:
-    denom = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * denom) for x in vec]
-    g = reduce(gcd, ints, 0)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return rat_vector(ints)
 
 
 def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
     """The first ray carrying a non-linear vanishing function, if any.
 
-    Rays are tried in ascending order; the first kernel basis vector
-    outside the linear subspace is scaled to coprime integer values.
+    Rays are tried in ascending order; psi takes the coprime integer
+    values of the first kernel basis vector outside the linear subspace.
     """
     m = fan.rank
     for s in range(1, fan.nrays + 1):
@@ -122,12 +131,11 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
         if dim <= m - 1:
             continue
         for vec in basis:
-            cand = PLFunction(vec)
-            if not is_linear(fan, cand):
-                psi = PLFunction(_to_integer_values(vec))
-                if lambda_polytope(fan, psi).dim >= m:
+            diffs = _form_differences(fan, vec)
+            if any(map(any, diffs)):
+                if rat_rank(diffs) >= m:
                     raise AssertionError("the linear parts of psi must span less than the rank")
-                return s, psi
+                return s, pl_function(vec)
         raise AssertionError("kernel above the linear dimension must leave it")
     return None
 
@@ -168,7 +176,9 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     j0 = next(j for j in range(m) if vs[j] != 0)
     m0 = [Fraction(0)] * m
     m0[j0] = Fraction(fs, vs[j0])
-    kernel = rational_kernel([[Fraction(x) for x in vs]], m)
+    # the echelon kernel of v_s: a 1 at each free column, in ascending order
+    free = [j for j in range(m) if j != j0]
+    kernel = [tuple(Fraction(x, k[f]) for x in k) for f, k in zip(free, int_kernel([vs], m))]
     off_line = [
         i for i in range(1, n + 1) if not parallel_rays(fan.rays[i - 1], vs)
     ]

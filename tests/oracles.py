@@ -7,30 +7,29 @@ Five routes that never touch the production paths they check:
   with the homology of its support complex;
 * the index family Delta over all 2^n ray subsets, each complex C_I's
   Betti vector from its boundary ranks;
-* unpruned Fourier-Motzkin over Fractions: feasibility from the constant
-  rows of a full projection, boundedness from recession probes, and
-  lattice points by projecting again at every prefix;
+* unpruned Fourier-Motzkin over Fractions on LinearSystem values:
+  feasibility from the constant rows of a full projection, boundedness
+  from recession probes, and lattice points by projecting again at every
+  prefix; system_tower hands the same systems to the integer towers;
 * linear equivalence of two classes by solving for the functional w on
   the rays of one maximal cone and checking it on every ray;
-* inverses, solutions and facet normals over Fractions by reduced
-  echelon form, against the integer adjugates of the package.
+* inverses, solutions, kernels, facet normals and affine dimensions over
+  Fractions by reduced echelon form, against the integer adjugates and
+  fraction-free kernels of the package.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import (
-    EQ,
-    GE,
-    GT,
-    LinearSystem,
-    SingularMatrixError,
-    rational_kernel,
-    rref,
-    system,
-)
+from stackycoh.exactlin import SingularMatrixError, build_tower
 from stackycoh.homology import DeltaFamily, complex_CI, reduced_betti, supp
+
+GE = ">="
+GT = ">"
+EQ = "=="
+RELATIONS = (GE, GT, EQ)
 
 
 def h_p1(d):
@@ -94,6 +93,74 @@ def exhaustive_delta(fan):
             if any(b):
                 pairs.append((frozenset(I), b))
     return DeltaFamily(tuple(pairs))
+
+
+@dataclass(frozen=True)
+class Row:
+    """One constraint: coeffs . x REL rhs, with REL one of >=, >, ==."""
+
+    coeffs: tuple
+    rel: str
+    rhs: Fraction
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    nvars: int
+    rows: tuple
+
+
+def _normalize_row(coeffs, rel, rhs):
+    # scale by a positive rational so entries are coprime integers
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs] + [int(rhs * scale)]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return Row(tuple(map(Fraction, ints[:-1])), rel, Fraction(ints[-1]))
+
+
+def system(nvars, rows):
+    """Assemble a LinearSystem from (coeffs, relation, rhs) triples."""
+    built = []
+    for coeffs, rel, rhs in rows:
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        if len(coeffs) != nvars:
+            raise ValueError("row length does not match variable count")
+        built.append(_normalize_row(tuple(map(Fraction, coeffs)), rel, Fraction(rhs)))
+    return LinearSystem(nvars, tuple(built))
+
+
+def system_tower(sys):
+    """The system as an integer tower of R x >= b, with b and the strict flags.
+
+    Rows are integers after normalization; an equality enters as two
+    opposite rows.
+    """
+    rows, b, strict = [], [], []
+    for r in sys.rows:
+        for sign in (1, -1) if r.rel == EQ else (1,):
+            rows.append(tuple(sign * int(c) for c in r.coeffs))
+            b.append(sign * int(r.rhs))
+            strict.append(r.rel == GT)
+    return build_tower(tuple(rows), sys.nvars), b, tuple(strict)
+
+
+def sign_system(fan, a, index_set, strict=False):
+    """The sign system of (a, I) written from the rays.
+
+    Weak: a_i + f(v_i) >= 0 on I and <= -1 off I. Strict: a_i + f(v_i) > 0
+    on I and < 0 off I.
+    """
+    rel = GT if strict else GE
+    rows = []
+    for i, (ai, v) in enumerate(zip(a, fan.rays), 1):
+        if i in index_set:
+            rows.append((v, rel, -ai))
+        else:
+            rows.append((tuple(-x for x in v), rel, ai + (0 if strict else 1)))
+    return system(fan.rank, rows)
 
 
 def fm_project(sys, var):
@@ -210,6 +277,55 @@ def lattice_equivalent(fan, a, b):
         sum(int(wj) * vj for wj, vj in zip(w, v)) == d
         for v, d in zip(fan.rays, diff)
     )
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form over Q. Returns (rows, pivot columns)."""
+    work = [list(map(Fraction, r)) for r in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, tuple(pivots)
+
+
+def rational_kernel(a, ncols):
+    """Basis of {x : a.x = 0} over Q from the reduced echelon form.
+
+    One vector per free column, in ascending order, with a 1 there.
+    """
+    work, pivots = rref(a, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -work[r][f]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def affine_dim(points):
+    """Dimension of the affine hull of a point set (-1 for the empty set)."""
+    pts = [tuple(map(Fraction, p)) for p in points]
+    if not pts:
+        return -1
+    return len(rref([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])[1])
 
 
 def dot(x, y):

@@ -104,6 +104,24 @@ class TestValidateCommand:
         assert proc.stderr.startswith("invalid fan: invalid fan JSON: 'utf-8' codec")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"], ["pic"], ["delta"], ["find-psi"], ["family"], ["report"],
+            ["cohomology", "--coeffs=0,0,0"], ["h-trivial", "--coeffs=0,0,0"],
+            ["scan", "--box=-1:1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cone_repeating_a_ray_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"rank":2,"rays":[[1,0],[0,1],[-1,-1]],"max_cones":[[0,1,1],[1,2],[2,0]]}'
+        )
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "invalid fan: cone [0, 1, 1] lists a ray index twice\n"
+
     def test_incomplete_fan_rejected(self, capsys, tmp_path):
         path = tmp_path / "half.json"
         path.write_text(
@@ -504,6 +522,15 @@ class TestTableParser:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "[]\n"
+
+    def test_import_leaves_argparse_out(self):
+        # plain command lines are read from the grammar table, so a cold
+        # start pays for argparse only when help or an error needs it
+        probe = "import sys, stackycoh.cli; print('argparse' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
 
 
 class TestCohomologyCommand:

@@ -12,6 +12,7 @@ from stackycoh.cohomline import (
     CapExceededError,
     Limits,
     PropernessError,
+    _in_interior,
     _weak_points,
     box_classes,
     cohomology,
@@ -21,15 +22,8 @@ from stackycoh.cohomline import (
     is_h_trivial,
     outside_all_interiors,
     scan_h_trivial,
-    sign_polyhedron,
 )
-from stackycoh.exactlin import (
-    DEFAULT_CAP,
-    PointsStatus,
-    build_tower,
-    feasible,
-    has_integer_point,
-)
+from stackycoh.exactlin import DEFAULT_CAP, PointsStatus, build_tower
 from stackycoh.fan import StackyFan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family
 
@@ -41,6 +35,7 @@ from oracles import (
     h_p1,
     h_p2,
     h_product,
+    sign_system,
 )
 from test_plsearch import antiprism_fan
 
@@ -196,18 +191,18 @@ class TestSignPolyhedra:
             for I, _ in delta_family(fan).members:
                 for _ in range(10):
                     a = [rng.randint(-4, 4) for _ in range(fan.nrays)]
-                    sys = sign_polyhedron(fan, a, I, "weak")
-                    if has_integer_point(sys):
-                        assert feasible(sys)[0]
+                    res = _weak_points(fan, a, I, DEFAULT_CAP, first_only=True)
+                    if res.status is not PointsStatus.INFEASIBLE:
+                        assert fm_feasible(sign_system(fan, a, I))
 
     def test_strict_system_uses_strict_rows(self):
+        # f(v_i) >= 0 on the three rays of P2 holds at f = 0 only, so the
+        # weak system of I = {1, 2, 3} has a point and the strict one none
         fan = catalog_fan("p2")
-        sys = sign_polyhedron(fan, (0, 0, 0), {1, 2, 3}, "strict")
-        assert all(r.rel == ">" for r in sys.rows)
-
-    def test_unknown_strictness(self):
-        with pytest.raises(ValueError):
-            sign_polyhedron(catalog_fan("p2"), (0, 0, 0), (), "loose")
+        I = frozenset({1, 2, 3})
+        assert _weak_points(fan, (0, 0, 0), I, DEFAULT_CAP).points == ((0, 0),)
+        assert not _in_interior(fan, (0, 0, 0), I)
+        assert _in_interior(fan, (1, 1, 1), I)
 
 
 class TestTowerAgainstOracle:
@@ -224,7 +219,7 @@ class TestTowerAgainstOracle:
                     for i, v in enumerate(fan.rays, 1)
                 )
                 tower = build_tower(rows, fan.rank)
-                expected = fm_bounded(sign_polyhedron(fan, zero, I, "weak"))
+                expected = fm_bounded(sign_system(fan, zero, I))
                 assert (tower.recession is None) == expected, I
 
     @pytest.mark.parametrize(
@@ -236,7 +231,7 @@ class TestTowerAgainstOracle:
         for _ in range(3):
             a = [rng.randint(-6, 6) for _ in range(fan.nrays)]
             for I, _ in delta_family(fan).members:
-                weak = sign_polyhedron(fan, a, I, "weak")
+                weak = sign_system(fan, a, I)
                 points, visited = fm_points(weak)
                 res = _weak_points(fan, a, I, DEFAULT_CAP)
                 assert res.points == tuple(points), (a, I)
@@ -249,7 +244,7 @@ class TestTowerAgainstOracle:
                 ex = _weak_points(fan, a, I, DEFAULT_CAP, first_only=True)
                 assert ex.points == tuple(first)
                 assert (ex.status is PointsStatus.POINTS) == bool(points)
-                strict = sign_polyhedron(fan, a, I, "strict")
+                strict = sign_system(fan, a, I, strict=True)
                 assert in_interior_ZI(fan, a, I) == fm_feasible(strict)
 
 

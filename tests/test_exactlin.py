@@ -9,32 +9,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackycoh.exactlin import (
+    DEFAULT_CAP,
+    PointsStatus,
+    SingularMatrixError,
+    int_adjugate,
+    int_kernel,
+    int_matrix,
+    mat_mul_int,
+    rat_rank,
+    smith_normal_form,
+    tower_feasible,
+    tower_points,
+)
+
+from oracles import (
     EQ,
     GE,
     GT,
-    IntegerPoints,
     LinearSystem,
-    PointsStatus,
-    SingularMatrixError,
     affine_dim,
-    feasible,
-    fm_eliminate,
-    has_integer_point,
-    int_adjugate,
-    int_matrix,
-    integer_points,
-    mat_mul_int,
-    rat_rank,
+    fm_bounded,
+    fm_feasible,
+    invert,
     rational_kernel,
     rref,
-    smith_normal_form,
+    solve_square,
     system,
+    system_tower,
 )
-
-from oracles import fm_feasible, invert, solve_square
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
+
+
+def feasible(sys):
+    """Rational feasibility of a system, read off its tower."""
+    tower, b, strict = system_tower(sys)
+    return tower_feasible(tower, b, strict)
+
+
+def integer_points(sys, cap=DEFAULT_CAP, first_only=False):
+    """Lattice points of a non-strict system, through its tower."""
+    tower, b, _ = system_tower(sys)
+    return tower_points(tower, b, cap, first_only)
+
+
+def _level_holds(sys, k, prefix):
+    """Whether the prefix satisfies every row of level k of the tower."""
+    tower, b, strict = system_tower(sys)
+    for coeffs, mult in tower.levels[k]:
+        lhs = sum(c * x for c, x in zip(coeffs, prefix))
+        rhs = sum(m * y for m, y in zip(mult, b))
+        if lhs < rhs or (lhs == rhs and any(s for m, s in zip(mult, strict) if m)):
+            return False
+    return True
 
 
 def _row_holds(row, x):
@@ -105,6 +133,7 @@ class TestSmithNormalForm:
 
 class TestRationalLinearAlgebra:
     def test_rref_pivots(self):
+        # the reduced echelon form of tests/oracles.py
         work, pivots = rref([[2, 4], [1, 2]], 2)
         assert pivots == (0,)
         assert work[0] == [Fraction(1), Fraction(2)]
@@ -131,14 +160,28 @@ class TestRationalLinearAlgebra:
         assert rat_rank(rows) == expected == len(rref(rows, ncols)[1])
 
     def test_kernel_of_projection(self):
-        basis = rational_kernel([[1, 0, 0]], 3)
-        assert basis == (
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
+        assert int_kernel([[1, 0, 0]], 3) == ((0, 1, 0), (0, 0, 1))
+        assert int_kernel([[2, 4], [1, 2]], 2) == ((-2, 1),)
+        assert int_kernel([[0, 3, -6]], 3) == ((1, 0, 0), (0, 2, 1))
 
     def test_kernel_empty_matrix_is_full_space(self):
-        assert len(rational_kernel([], 2)) == 2
+        assert int_kernel([], 2) == ((1, 0), (0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 6), st.data())
+    def test_kernel_is_primitive_positive_multiple_of_echelon_kernel(self, nrows, ncols, data):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        ))
+        ours = int_kernel(rows, ncols)
+        ref = rational_kernel(rows, ncols)
+        assert len(ours) == len(ref)
+        for vec, r in zip(ours, ref):
+            assert all(type(x) is int for x in vec) and math.gcd(*vec) == 1
+            j = next(j for j, x in enumerate(r) if x)
+            t = Fraction(vec[j]) / r[j]
+            assert t > 0 and all(x == t * y for x, y in zip(vec, r))
 
     def test_solve_and_invert(self):
         a = [[2, 1], [1, 1]]
@@ -177,6 +220,7 @@ class TestRationalLinearAlgebra:
         assert all(type(x) is int for row in adj for x in row)
 
     def test_affine_dim(self):
+        # the affine dimension of tests/oracles.py, which checks lambda_polytope
         assert affine_dim([]) == -1
         assert affine_dim([(1, 2)]) == 0
         assert affine_dim([(0, 0), (1, 1), (2, 2)]) == 1
@@ -212,36 +256,31 @@ def _random_system(data, nvars, with_eq=True):
 
 
 class TestFourierMotzkin:
+    """Towers of LinearSystem values from tests/oracles.py."""
+
     def test_eliminate_simple_band(self):
+        # 0 <= x + y <= 3, y >= 1 projects onto x <= 2
         sys = system(2, [((1, 1), GE, 0), ((-1, -1), GE, -3), ((0, 1), GE, 1)])
-        proj = fm_eliminate(sys, 1)
-        ok, w = feasible(proj)
-        assert ok
+        assert feasible(sys)
+        assert [x for x in range(-5, 6) if _level_holds(sys, 1, (x,))] == list(range(-5, 3))
 
     def test_equality_substitution(self):
-        sys = system(2, [((1, -1), EQ, 0), ((1, 0), GE, 2)])
-        proj = fm_eliminate(sys, 0)
-        ok, w = feasible(proj)
-        assert ok and w[0] >= 2
+        # x_1 = x_0 and x_1 >= 2 project onto x_0 >= 2
+        sys = system(2, [((-1, 1), EQ, 0), ((0, 1), GE, 2)])
+        assert feasible(sys)
+        assert [x for x in range(-5, 6) if _level_holds(sys, 1, (x,))] == list(range(2, 6))
 
     def test_infeasible_strict_pair(self):
         sys = system(1, [((1,), GT, 0), ((-1,), GE, 0)])
-        ok, w = feasible(sys)
-        assert not ok and w is None
+        assert not feasible(sys)
 
     def test_feasible_open_interval_needs_strictness(self):
-        # 0 < x < 1 has rational but no integer solutions
-        sys = system(1, [((1,), GT, 0), ((-1,), GT, -1)])
-        ok, w = feasible(sys)
-        assert ok and 0 < w[0] < 1
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 3), st.data())
-    def test_witness_satisfies_system(self, nvars, data):
-        sys = _random_system(data, nvars)
-        ok, w = feasible(sys)
-        if ok:
-            assert _satisfies(sys, w)
+        # 0 < x < 1 has rational but no integer solutions; 0 < x < 0 has none,
+        # although 0 <= x <= 0 has one
+        assert feasible(system(1, [((1,), GT, 0), ((-1,), GT, -1)]))
+        assert integer_points(system(1, [((1,), GE, 1), ((-1,), GE, 0)])).status is PointsStatus.INFEASIBLE
+        assert not feasible(system(1, [((1,), GT, 0), ((-1,), GT, 0)]))
+        assert feasible(system(1, [((1,), GE, 0), ((-1,), GE, 0)]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.data())
@@ -250,27 +289,37 @@ class TestFourierMotzkin:
         a = _random_system(data, nvars)
         b = _random_system(data, nvars)
         sys = LinearSystem(nvars, a.rows + b.rows)
-        assert feasible(sys)[0] == fm_feasible(sys)
+        assert feasible(sys) == fm_feasible(sys)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(2, 3), st.data())
     def test_projection_contains_projected_points(self, nvars, data):
         sys = _random_system(data, nvars)
-        var = data.draw(st.integers(0, nvars - 1))
-        proj = fm_eliminate(sys, var)
+        k = data.draw(st.integers(0, nvars - 1))
         point = data.draw(
             st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars)
         )
         if _satisfies(sys, point):
-            shadow = point[:var] + point[var + 1 :]
-            assert _satisfies(proj, shadow)
+            assert _level_holds(sys, k, point[:k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_recession_ray_is_primitive_and_recedes(self, nvars, data):
+        # the recession ray reads the rows R alone, {z : R z >= 0}, so the
+        # oracle sees the system with every strict row made non-strict
+        rows = _random_system(data, nvars).rows + _random_system(data, nvars).rows
+        sys = system(nvars, [(r.coeffs, EQ if r.rel == EQ else GE, r.rhs) for r in rows])
+        tower, _, _ = system_tower(sys)
+        assert (tower.recession is None) == fm_bounded(sys)
+        z = tower.recession
+        if z is not None:
+            assert len(z) == nvars and any(z) and math.gcd(*z) == 1
+            assert all(type(x) is int for x in z)
+            assert all(sum(c * x for c, x in zip(coeffs, z)) >= 0 for coeffs, _ in tower.levels[-1])
 
 
 class TestIntegerPoints:
-    def test_rejects_strict_rows(self):
-        sys = system(1, [((1,), GT, 0)])
-        with pytest.raises(ValueError):
-            integer_points(sys)
+    """Lattice points of LinearSystem values from tests/oracles.py, through their towers."""
 
     def test_segment(self):
         sys = system(1, [((1,), GE, 0), ((-1,), GE, -2)])
@@ -342,4 +391,5 @@ class TestIntegerPoints:
             assert list(res.points) == naive
         else:
             assert res.status is PointsStatus.INFEASIBLE
-        assert has_integer_point(boxed) is bool(naive)
+        first = integer_points(boxed, first_only=True)
+        assert (first.status is PointsStatus.POINTS) is bool(naive)

@@ -66,6 +66,13 @@ class TestLoading:
         with pytest.raises(FanFormatError):
             load_fan(json.dumps(bad))
 
+    def test_rejects_cone_that_repeats_a_ray(self):
+        # read as a set, [0, 1, 1] would silently become the cone [0, 1]
+        bad = json.loads(P2_JSON)
+        bad["max_cones"][0] = [0, 1, 1]
+        with pytest.raises(FanFormatError, match=r"^cone \[0, 1, 1\] lists a ray index twice$"):
+            load_fan(json.dumps(bad))
+
 
 class TestValidation:
     """Each refusal of validate, with its exact message."""

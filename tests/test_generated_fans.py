@@ -9,6 +9,7 @@ exhaustive routes.
 
 import json
 import random
+from fractions import Fraction
 from math import cos, gcd, pi, sin
 
 import pytest
@@ -16,11 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
-from oracles import brute_cohomology, dot, facet_normal, invert, solve_square
+from oracles import (
+    brute_cohomology,
+    dot,
+    facet_normal,
+    invert,
+    rational_kernel,
+    solve_square,
+)
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import cohomology
-from stackycoh.exactlin import rational_kernel
 from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, make_fan
 from stackycoh.homology import delta_family
 from stackycoh.picard import pic_structure
@@ -236,5 +243,11 @@ class TestIntegerCones:
             for i, x in zip(sorted(cone), u):
                 row[i - 1] = x
             rows.append(row)
+        # each basis vector is the primitive positive multiple of the oracle's
         basis = rational_kernel(rows, fan.nrays)
-        assert degenerate_space(fan, s) == (basis, len(basis))
+        ints, dim = degenerate_space(fan, s)
+        assert dim == len(ints) == len(basis)
+        for vec, ref in zip(ints, basis):
+            assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+            t = next(Fraction(x) / y for x, y in zip(vec, ref) if y)
+            assert t > 0 and all(x == t * y for x, y in zip(vec, ref))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
 from stackycoh.exactlin import tower_feasible
-from stackycoh.fan import collinear_pairs, make_fan, parallel_rays
+from stackycoh.fan import collinear_pairs, load_fan, make_fan, parallel_rays
 from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.picard import classes_equal
 from stackycoh.plsearch import (
@@ -24,8 +25,41 @@ from stackycoh.plsearch import (
     lambda_polytope,
     normalize_at_ray,
     pl_function,
+    is_linear,
     sign_changes,
 )
+
+from oracles import affine_dim
+
+BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
+
+# find_degenerate_psi on the catalog and bench/fans: (ray, psi values) or None
+PINNED_PSI = {
+    "blp3_123": None,
+    "blp3_center": (4, (1, 0, 0, 0, 0)),
+    "cyclic5": (1, (0, 1, 1, 0, 0)),
+    "hirzebruch1": (2, (1, 0, 0, 0)),
+    "p1": None,
+    "p1_21": None,
+    "p1_22": None,
+    "p1xp1": (1, (0, 0, 1, 0)),
+    "p1xp1_2131": (1, (0, 0, 1, 0)),
+    "p1xp1xp1": (1, (0, 0, 1, 0, 0, 0)),
+    "p1xp2": (1, (0, 0, 1, 0, 0)),
+    "p2": None,
+    "p2_211": None,
+    "p2_221": None,
+    "p3": None,
+    "p3_2111": None,
+    "quad4": None,
+    "tilted_bipyramid": (4, (1, 0, 0, 0, 0)),
+    "antiprism": None,
+    "p1xp1xp1xp1": (1, (0, 0, 1, 0, 0, 0, 0, 0)),
+    "p1xp1xp2": (1, (0, 0, 1, 0, 0, 0, 0)),
+    "p1xp2xp2": (1, (0, 0, 1, 0, 0, 0, 0, 0)),
+    "p1xp3": (1, (0, 0, 1, 0, 0, 0)),
+    "p2xp2": (1, (0, 0, 0, 1, 0, 0)),
+}
 
 WITH_PSI = [
     "p1xp1",
@@ -108,6 +142,19 @@ class TestConeLinearPart:
         fan = catalog_fan("p1xp2")
         assert lambda_polytope(fan, pl_function((1, 1, 0, 0, 0))).dim == 1
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_dim_is_affine_dim_of_forms(self, name):
+        # the integer (det, adj) route against Fraction forms and echelon rank
+        fan = catalog_fan(name)
+        rng = random.Random(name)
+        for trial in range(6):
+            psi = pl_function([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays])
+            if trial == 0:
+                psi = pl_function([sum(w * x for w, x in zip((2, -1, 3), v)) for v in fan.rays])
+            lp = lambda_polytope(fan, psi)
+            assert lp.dim == affine_dim(lp.forms)
+            assert is_linear(fan, psi) == (lp.dim == 0)
+
 
 class TestDegenerateSpace:
     def test_p2_only_linear(self):
@@ -146,6 +193,18 @@ class TestFindDegeneratePsi:
         s, psi = find_degenerate_psi(catalog_fan("p1xp1"))
         assert s == 1
         assert psi.values == (0, 0, 1, 0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PSI))
+    def test_pinned(self, name):
+        path = BENCH_FANS / f"{name}.json"
+        fan = load_fan(path.read_text()) if path.exists() else catalog_fan(name)
+        found = find_degenerate_psi(fan)
+        if PINNED_PSI[name] is None:
+            assert found is None
+        else:
+            s, psi = found
+            assert (s, psi.values) == PINNED_PSI[name]
+            assert all(type(v) is Fraction for v in psi.values)
 
     @pytest.mark.parametrize("name", WITHOUT_PSI)
     def test_absent(self, name):
