@@ -119,7 +119,11 @@ def _box(cfg: RunConfig, fan: StackyFan) -> tuple[tuple[int, int], ...]:
         raise UsageError(str(exc))
 
 
-def _cmd_catalog(cfg: RunConfig) -> None:
+# Each command maps (cfg, fan) to its JSON payload and its text lines; main
+# loads the fan and adds its fingerprint to the payload as "fan".
+
+
+def _cmd_catalog(cfg: RunConfig, _: None) -> tuple[dict, list[str]]:
     rows = []
     lines = []
     for name in catalog_names():
@@ -134,71 +138,57 @@ def _cmd_catalog(cfg: RunConfig) -> None:
             }
         )
         lines.append(f"{name}: rank {fan.rank}, {fan.nrays} rays, {fp}")
-    _emit(cfg, {"fans": rows}, lines)
+    return {"fans": rows}, lines
 
 
-def _cmd_validate(cfg: RunConfig) -> None:
-    fan = _load(cfg)
-    fp = fan_fingerprint(fan)
+def _cmd_validate(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     payload = {
-        "fan": fp,
         "valid": True,
         "rank": fan.rank,
         "rays": fan.nrays,
         "max_cones": len(fan.max_cones),
     }
-    _emit(cfg, payload, [
+    return payload, [
         f"valid: rank {fan.rank}, {fan.nrays} rays, "
-        f"{len(fan.max_cones)} maximal cones, {fp}"
-    ])
+        f"{len(fan.max_cones)} maximal cones, {fan_fingerprint(fan)}"
+    ]
 
 
-def _cmd_pic(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_pic(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     st = pic_structure(fan)
-    payload = {
-        "fan": fan_fingerprint(fan),
-        "free_rank": st.free_rank,
-        "torsion": list(st.torsion),
-    }
+    payload = {"free_rank": st.free_rank, "torsion": list(st.torsion)}
     tors = " x ".join(f"Z/{d}" for d in st.torsion) or "none"
-    _emit(cfg, payload, [f"free rank {st.free_rank}; torsion {tors}"])
+    return payload, [f"free rank {st.free_rank}; torsion {tors}"]
 
 
-def _cmd_delta(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_delta(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     fam = delta_family(fan, cfg.limits.delta_cap)
     members = [
         {"index_set": sorted(I), "betti": list(b)} for I, b in fam.members
     ]
-    payload = {"fan": fan_fingerprint(fan), "members": members}
     lines = [
         f"{{{','.join(str(i) for i in sorted(I))}}}: betti {b}"
         for I, b in fam.members
     ]
-    _emit(cfg, payload, lines)
+    return {"members": members}, lines
 
 
-def _cmd_cohomology(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_cohomology(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     a = _require_coeffs(cfg, fan)
     h = cohomology(fan, a, cfg.limits)
     payload = {
-        "fan": fan_fingerprint(fan),
         "coeffs": list(a),
         "h": list(h),
         "class": class_to_json(class_of(fan, a)),
     }
-    _emit(cfg, payload, ["h = (" + ", ".join(str(x) for x in h) + ")"])
+    return payload, ["h = (" + ", ".join(str(x) for x in h) + ")"]
 
 
-def _cmd_h_trivial(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_h_trivial(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     a = _require_coeffs(cfg, fan)
     fc = forbidden_cone(fan, a, cfg.limits)
     trivial = fc is None
     payload = {
-        "fan": fan_fingerprint(fan),
         "coeffs": list(a),
         "h_trivial": trivial,
         "forbidden": None
@@ -212,15 +202,13 @@ def _cmd_h_trivial(cfg: RunConfig) -> None:
             f"false (index set {{{','.join(str(i) for i in sorted(fc.index_set))}}}, "
             f"witness {fc.witness})"
         ]
-    _emit(cfg, payload, lines)
+    return payload, lines
 
 
-def _cmd_scan(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_scan(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     box = _box(cfg, fan)
     found = scan_h_trivial(fan, box, cfg.limits, cfg.threads)
     payload = {
-        "fan": fan_fingerprint(fan),
         "box": [list(b) for b in box],
         "count": len(found),
         "classes": [class_to_json(c) for c in found],
@@ -228,7 +216,7 @@ def _cmd_scan(cfg: RunConfig) -> None:
     lines = [f"{len(found)} H-trivial classes"] + [
         f"free {c.free} torsion {c.torsion} raw {c.raw}" for c in found
     ]
-    _emit(cfg, payload, lines)
+    return payload, lines
 
 
 def _psi_json(found) -> Optional[dict]:
@@ -238,36 +226,27 @@ def _psi_json(found) -> Optional[dict]:
     return {"ray": s, "psi": [int(v) for v in psi.values]}
 
 
-def _cmd_find_psi(cfg: RunConfig) -> None:
-    fan = _load(cfg)
-    found = find_degenerate_psi(fan)
-    payload = {
-        "fan": fan_fingerprint(fan),
-        "found": found is not None,
-        "degenerate_psi": _psi_json(found),
-    }
-    if found is None:
-        lines = ["none"]
-    else:
-        s, psi = found
-        lines = [f"ray {s}, psi ({', '.join(str(int(v)) for v in psi.values)})"]
-    _emit(cfg, payload, lines)
+def _psi_text(psi) -> str:
+    return ", ".join(str(int(v)) for v in psi.values)
 
 
-def _cmd_family(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_find_psi(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
+    found = find_degenerate_psi(fan)
+    payload = {"found": found is not None, "degenerate_psi": _psi_json(found)}
+    if found is None:
+        return payload, ["none"]
+    s, psi = found
+    return payload, [f"ray {s}, psi ({_psi_text(psi)})"]
+
+
+def _cmd_family(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     found = find_degenerate_psi(fan)
     if found is None:
-        _emit(
-            cfg,
-            {"fan": fan_fingerprint(fan), "found": False, "classes": []},
-            ["none"],
-        )
-        return
+        return {"found": False, "classes": []}, ["none"]
     s, psi = found
     lo, hi = cfg.r_range
     rows = []
-    lines = [f"ray {s}, psi ({', '.join(str(int(v)) for v in psi.values)})"]
+    lines = [f"ray {s}, psi ({_psi_text(psi)})"]
     for r in range(lo, hi + 1):
         cls = family_class(fan, s, psi, r)
         trivial = is_h_trivial(fan, cls.raw, cfg.limits)
@@ -278,22 +257,14 @@ def _cmd_family(cfg: RunConfig) -> None:
             f"r={r}: free {cls.free} torsion {cls.torsion} "
             f"{'H-trivial' if trivial else 'NOT H-trivial'}"
         )
-    payload = {
-        "fan": fan_fingerprint(fan),
-        "found": True,
-        "ray": s,
-        "psi": [int(v) for v in psi.values],
-        "classes": rows,
-    }
-    _emit(cfg, payload, lines)
+    payload = {"found": True, **_psi_json(found), "classes": rows}
+    return payload, lines
 
 
-def _cmd_report(cfg: RunConfig) -> None:
-    fan = _load(cfg)
+def _cmd_report(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     box = _box(cfg, fan)
     rep = criterion_report(fan, box, cfg.r_range, cfg.limits)
     payload = {
-        "fan": fan_fingerprint(fan),
         "collinear_pair_count": rep.collinear_pair_count,
         "degenerate_psi": _psi_json(rep.degenerate_psi),
         "statement3_witness": None
@@ -309,7 +280,7 @@ def _cmd_report(cfg: RunConfig) -> None:
             "none"
             if rep.degenerate_psi is None
             else f"ray {rep.degenerate_psi[0]}, values "
-            f"({', '.join(str(int(v)) for v in rep.degenerate_psi[1].values)})"
+            f"({_psi_text(rep.degenerate_psi[1])})"
         ),
         "witness outside all interiors: "
         + (
@@ -322,7 +293,7 @@ def _cmd_report(cfg: RunConfig) -> None:
         f"/{len(rep.sampled_family_checks)} H-trivial",
         f"verdict: {rep.verdict}",
     ]
-    _emit(cfg, payload, lines)
+    return payload, lines
 
 
 # limit flags left off the command line stay absent, so their defaults live in
@@ -478,7 +449,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if given is None:
             given = vars(_parse(_build_parser(), argv))
         cfg = _config(given)
-        _GRAMMAR[cfg.command][0](cfg)
+        run, takes_fan, _ = _GRAMMAR[cfg.command]
+        fan = _load(cfg) if takes_fan else None
+        payload, lines = run(cfg, fan)
+        if takes_fan:
+            payload["fan"] = fan_fingerprint(fan)
+        _emit(cfg, payload, lines)
     except (FanFormatError, FanValidationError) as exc:
         sys.stderr.write(f"invalid fan: {exc}\n")
         return 1

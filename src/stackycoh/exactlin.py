@@ -1,13 +1,13 @@
 """Exact integer linear algebra.
 
-Everything here runs on Python ints (rat_rank scales rational rows to
-integers first); no floating point enters anywhere. The module provides
-the normal forms, kernels and the Fourier-Motzkin machinery that the rest
-of the package is built on: Smith normal form with unimodular transforms,
-fraction-free (Bareiss) ranks, kernels and adjugates, and integer
-Fourier-Motzkin towers. A tower depends only on the coefficient rows of
-a system R x >= b; feasibility, recession detection and lattice-point
-enumeration read it for any right-hand side b.
+Everything here takes and returns Python ints; no rational or floating
+point number enters anywhere. The module provides the normal forms,
+kernels and the Fourier-Motzkin machinery that the rest of the package is
+built on: Smith normal form with unimodular transforms, one fraction-free
+(Bareiss) Gauss-Jordan elimination behind every rank, kernel and
+adjugate, and integer Fourier-Motzkin towers. A tower depends only on the
+coefficient rows of a system R x >= b; feasibility, recession detection
+and lattice-point enumeration read it for any right-hand side b.
 """
 
 from __future__ import annotations
@@ -172,48 +172,26 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # fraction-free elimination
 
 
-def rat_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of work, in place.
 
-    Rows of rationals (anything with a numerator and a denominator) are
-    first scaled to integers; after k pivots every entry is a k x k minor,
-    so each division by the previous pivot is exact.
+    Pivots are sought among the first ncols columns, but every operation
+    acts on whole rows, so a block such as the I of [a | I] rides along.
+    After k pivots every entry is a k x k minor, so each division by the
+    previous pivot is exact, and the pivot rows end as d times the reduced
+    echelon form, d the last pivot (1 without pivots). Returns the pivot
+    columns, d and the sign of the row swaps.
     """
-    work = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
-    rank, prev = 0, 1
-    for c in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        top, p = work[rank], work[rank][c]
-        for i in range(rank + 1, len(work)):
-            a = work[i][c]
-            work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
-        prev, rank = p, rank + 1
-    return rank
-
-
-def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ...]:
-    """Basis of {x : rows . x = 0} over Q, as primitive integer vectors.
-
-    Fraction-free Gauss-Jordan elimination, as in int_adjugate, leaves d
-    times the reduced echelon form, d the last pivot (1 without pivots).
-    One vector per free column, in ascending order: the primitive positive
-    multiple of the echelon kernel vector with a 1 at that column.
-    """
-    work = [list(row) for row in rows]
     pivots: list[int] = []
-    prev = 1
+    sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
         top, p = work[r], work[r][c]
         for i in range(len(work)):
             if i != r:
@@ -221,15 +199,32 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ..
                 work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
         pivots.append(c)
         prev = p
+    return pivots, prev, sign
+
+
+def rat_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix: its number of pivots."""
+    work = [list(row) for row in rows]
+    return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
+
+
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ...]:
+    """Basis of {x : rows . x = 0} over Q, as primitive integer vectors.
+
+    One vector per free column, in ascending order: the primitive positive
+    multiple of the echelon kernel vector with a 1 at that column.
+    """
+    work = [list(row) for row in rows]
+    pivots, d, _ = _gauss_jordan(work, ncols)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         vec = [0] * ncols
-        vec[f] = prev
+        vec[f] = d
         for row, c in zip(work, pivots):
             vec[c] = -row[f]
-        g = math.gcd(*vec) if prev > 0 else -math.gcd(*vec)
+        g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
         basis.append(tuple(x // g for x in vec))
     return tuple(basis)
 
@@ -237,30 +232,17 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ..
 def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     """(det a, adj a) of a square integer matrix; SingularMatrixError if det a = 0.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [a | I]: every
-    entry is a minor, so each division by the previous pivot is exact, and
-    the last pivot d leaves [d I | d a^-1], with d = det a up to the sign
-    of the row swaps. Column j of adj a is orthogonal to every row but j.
+    Elimination of [a | I] leaves [d I | d a^-1], with d = det a up to the
+    sign of the row swaps. Column j of adj a is orthogonal to every row but j.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("int_adjugate needs a square matrix")
     work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if work[i][k]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        top, p = work[k], work[k][k]
-        for i in range(n):
-            if i != k:
-                c = work[i][k]
-                work[i] = [(p * x - c * y) // prev for x, y in zip(work[i], top)]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in work)
+    pivots, d, sign = _gauss_jordan(work, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in work)
 
 
 # ---------------------------------------------------------------------------

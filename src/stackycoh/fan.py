@@ -50,10 +50,14 @@ class StackyFan:
 
 def make_fan(rank: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]) -> StackyFan:
     """Build and validate a stacky fan from 1-based cone index sets."""
+    cones = [[int(i) for i in cone] for cone in max_cones]
+    for c in cones:
+        if len(set(c)) != len(c):
+            raise FanValidationError(f"cone {c} lists a ray index twice")
     fan = StackyFan(
         int(rank),
         tuple(tuple(int(x) for x in r) for r in rays),
-        tuple(frozenset(int(i) for i in cone) for cone in max_cones),
+        tuple(map(frozenset, cones)),
     )
     validate(fan)
     return fan

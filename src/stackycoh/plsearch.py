@@ -8,6 +8,7 @@ with no cohomology at all, and the report classifies the fan accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -65,29 +66,40 @@ def cone_linear_part(
     return tuple(Fraction(sum(map(mul, row, b)), det) for row in adj)
 
 
-def _form_differences(fan: StackyFan, values: Sequence[Rational]) -> list[list[Rational]]:
-    """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
+def _linear_parts(fan: StackyFan, values: Sequence[Rational]) -> list[tuple[int, list[Rational]]]:
+    """(d_sigma, A_sigma) = (det V, adj V values|sigma) per maximal cone.
 
-    With (d_sigma, A_sigma) = (det V, adj V values|sigma) the linear part
-    on sigma is A_sigma / d_sigma, in cone order. The rows vanish exactly
-    when all linear parts agree, and span the affine hull of the parts.
+    In cone order; the linear part on sigma is A_sigma / d_sigma.
     """
-    pairs, adjugates = [], cone_adjugates(fan)
+    parts, adjugates = [], cone_adjugates(fan)
     for sigma in _cone_order(fan):
         det, adj = adjugates[sigma]
         b = [values[i - 1] for i in sorted(sigma)]
-        pairs.append((det, [sum(map(mul, row, b)) for row in adj]))
-    (d0, a0), *rest = pairs
+        parts.append((det, [sum(map(mul, row, b)) for row in adj]))
+    return parts
+
+
+def _form_differences(parts: Sequence[tuple[int, list[Rational]]]) -> list[list[Rational]]:
+    """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
+
+    The rows vanish exactly when all linear parts agree, and span the
+    affine hull of the parts.
+    """
+    (d0, a0), *rest = parts
     return [[d0 * x - d * y for x, y in zip(a, a0)] for d, a in rest]
 
 
 def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
-    forms = tuple(cone_linear_part(fan, psi, c) for c in _cone_order(fan))
-    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(fan, psi.values)))
+    # scale * psi has integer values and multiplies every A_sigma and every
+    # difference row by scale > 0, which keeps the rank
+    scale = math.lcm(*(v.denominator for v in psi.values))
+    parts = _linear_parts(fan, [v.numerator * (scale // v.denominator) for v in psi.values])
+    forms = tuple(tuple(Fraction(x, d * scale) for x in a) for d, a in parts)
+    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(parts)))
 
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
-    return not any(map(any, _form_differences(fan, psi.values)))
+    return not any(map(any, _form_differences(_linear_parts(fan, psi.values))))
 
 
 def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
@@ -131,7 +143,7 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
         if dim <= m - 1:
             continue
         for vec in basis:
-            diffs = _form_differences(fan, vec)
+            diffs = _form_differences(_linear_parts(fan, vec))
             if any(map(any, diffs)):
                 if rat_rank(diffs) >= m:
                     raise AssertionError("the linear parts of psi must span less than the rank")

@@ -137,6 +137,15 @@ class TestValidation:
             "cone ray index 4 out of range",
         )
 
+    def test_cone_repeating_a_ray(self):
+        # read as a set, (1, 2, 2) would silently become the cone {1, 2}
+        self.refused(
+            2,
+            [(1, 0), (0, 1), (-1, -1)],
+            [(1, 2, 2), (2, 3), (3, 1)],
+            "cone [1, 2, 2] lists a ray index twice",
+        )
+
     def test_non_simplicial_cone(self):
         # two opposite rays span a line, not a two-dimensional cone
         self.refused(

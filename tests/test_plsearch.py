@@ -138,6 +138,15 @@ class TestConeLinearPart:
         assert lp.dim == 1
         assert set(lp.forms) == {(1, 0), (-1, 0)}
 
+    def test_rational_linear_function(self):
+        fan = catalog_fan("blp3_center")
+        w = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+        psi = pl_function([sum(x * y for x, y in zip(w, v)) for v in fan.rays])
+        assert is_linear(fan, psi)
+        lp = lambda_polytope(fan, psi)
+        assert lp.dim == 0
+        assert set(lp.forms) == {w}
+
     def test_p1xp2_absolute_value(self):
         fan = catalog_fan("p1xp2")
         assert lambda_polytope(fan, pl_function((1, 1, 0, 0, 0))).dim == 1
