@@ -84,16 +84,16 @@ def _weak_points(
 ) -> IntegerPoints:
     """Lattice points of the weak system of (a, I), or existence only.
 
-    Without first_only every point is listed, and an unbounded system
-    with a lattice point is an error; with it the search stops at the
-    first point, and an unbounded system only reports that one exists.
+    Without first_only every point is listed; with it the search stops at
+    the first point. A feasible unbounded system is a PropernessError
+    either way: on a complete fan every Delta member's tower is bounded.
     """
     res = tower_points(_tower(fan, I), _rhs(fan, a, I, False), cap, first_only)
     if res.status is PointsStatus.CAP_EXCEEDED:
         raise CapExceededError(
             f"lattice point enumeration exceeded the cap {cap} on index set {sorted(I)}"
         )
-    if res.status is PointsStatus.UNBOUNDED_WITH_LATTICE_POINT and not first_only:
+    if res.status is PointsStatus.UNBOUNDED:
         raise PropernessError(
             f"infinite-dimensional contribution from index set {sorted(I)}"
         )

@@ -6,8 +6,9 @@ kernels and the Fourier-Motzkin machinery that the rest of the package is
 built on: Smith normal form with unimodular transforms, one fraction-free
 (Bareiss) Gauss-Jordan elimination behind every rank, kernel and
 adjugate, and integer Fourier-Motzkin towers. A tower depends only on the
-coefficient rows of a system R x >= b; feasibility, recession detection
-and lattice-point enumeration read it for any right-hand side b.
+coefficient rows of a system R x >= b and records whether {x : R x >= 0}
+is {0}; feasibility and lattice-point enumeration read it for any
+right-hand side b. Only a bounded system is enumerated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -202,9 +203,21 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
     return pivots, prev, sign
 
 
+def _int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The rows copied as lists; TypeError on an entry that is not an int.
+
+    The exact divisions of _gauss_jordan floor any other number silently.
+    """
+    work = [list(row) for row in rows]
+    bad = [x for row in work for x in row if not isinstance(x, int)]
+    if bad:
+        raise TypeError(f"integer matrix expected, got the entry {bad[0]!r}")
+    return work
+
+
 def rat_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix: its number of pivots."""
-    work = [list(row) for row in rows]
+    work = _int_rows(rows)
     return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
 
 
@@ -214,7 +227,7 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ..
     One vector per free column, in ascending order: the primitive positive
     multiple of the echelon kernel vector with a 1 at that column.
     """
-    work = [list(row) for row in rows]
+    work = _int_rows(rows)
     pivots, d, _ = _gauss_jordan(work, ncols)
     basis = []
     for f in range(ncols):
@@ -238,7 +251,7 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("int_adjugate needs a square matrix")
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_int_rows(a))]
     pivots, d, sign = _gauss_jordan(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
@@ -301,17 +314,15 @@ class Tower:
     levels[k] holds the rows of the projection onto x_0..x_{k-1}: the
     variables are eliminated from the last down, so once x_0..x_{k-1} are
     fixed the rows of levels[k + 1] bound x_k, and levels[0] are the
-    constant rows that decide feasibility. recession is None exactly when
-    the polyhedron is bounded; otherwise it is a primitive recession ray
-    z, and reduced is the tower of the rows that a unimodular change of
-    variables with first column z leaves free of the first variable,
-    together with the indices of those rows among the original ones.
+    constant rows that decide feasibility. bounded says whether every
+    level bounds its variable from both sides, that is whether the
+    recession cone {x : R x >= 0} is {0}, so that every feasible R x >= b
+    has finitely many lattice points.
     """
 
     nvars: int
     levels: tuple[tuple[TowerRow, ...], ...]
-    recession: Optional[IntVector] = None
-    reduced: Optional[tuple["Tower", tuple[int, ...]]] = None
+    bounded: bool
 
 
 @lru_cache(maxsize=TOWER_CACHE_SIZE)
@@ -324,20 +335,8 @@ def build_tower(rows: IntMatrix, nvars: int) -> Tower:
         level = _eliminate(level, k, nvars - k + 1)
         levels.append(tuple(level))
     levels.reverse()
-    tower = Tower(nvars, tuple(levels))
-    # the recession cone is {0} exactly when every level bounds its
-    # variable from both sides
-    for k in range(nvars):
-        signs = {coeffs[k] > 0 for coeffs, _ in levels[k + 1] if coeffs[k]}
-        if len(signs) < 2:
-            prefix = (0,) * k + (1 if signs != {False} else -1,)
-            z = _lift(tower, prefix)
-            w = _unimodular_with_first_column(z)
-            moved = [tuple(_dot(r, col) for col in zip(*w)) for r in rows]
-            keep = tuple(i for i, r in enumerate(moved) if r[0] == 0)
-            sub = build_tower(tuple(moved[i][1:] for i in keep), nvars - 1)
-            return Tower(nvars, tuple(levels), z, (sub, keep))
-    return tower
+    bounded = all(len({c[k] > 0 for c, _ in levels[k + 1] if c[k]}) == 2 for k in range(nvars))
+    return Tower(nvars, tuple(levels), bounded)
 
 
 def tower_feasible(tower: Tower, b: Sequence[int], strict: Sequence[bool] = ()) -> bool:
@@ -349,58 +348,17 @@ def tower_feasible(tower: Tower, b: Sequence[int], strict: Sequence[bool] = ()) 
     return True
 
 
-def _lift(tower: Tower, prefix: IntVector) -> IntVector:
-    """A primitive integer point of R x >= 0 that extends the prefix.
-
-    Each further coordinate takes the midpoint of its fiber, or steps one
-    past its only bound, or 0 when the fiber is the whole line. The point
-    is kept as x / d with d > 0, and a new coordinate p / q scales x and d
-    by q, so everything stays integer; bounds are (numerator, denominator)
-    pairs with a positive denominator.
-    """
-    x, d = list(prefix), 1
-    for k in range(len(x), tower.nvars):
-        lo = hi = None
-        for coeffs, _ in tower.levels[k + 1]:
-            c = coeffs[k]
-            if c == 0:
-                continue
-            # the row reads c x_k >= -(coeffs . x), all scaled by d
-            t = _dot(coeffs, x)
-            bound = (-t, c) if c > 0 else (t, -c)
-            if c > 0:
-                if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
-                    lo = bound
-            elif hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
-                hi = bound
-        if lo is None and hi is None:
-            p, q = 0, 1
-        elif lo is None:
-            p, q = hi[0] - d * hi[1], hi[1]
-        elif hi is None:
-            p, q = lo[0] + d * lo[1], lo[1]
-        elif lo[0] * hi[1] <= hi[0] * lo[1]:
-            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-        else:
-            raise AssertionError("projection exactness violated")
-        x = [q * v for v in x] + [p]
-        d *= q
-    g = math.gcd(*x)
-    return tuple(v // g for v in x)
-
-
 class PointsStatus(Enum):
     POINTS = "points"
     INFEASIBLE = "infeasible"
     CAP_EXCEEDED = "cap_exceeded"
-    UNBOUNDED_WITH_LATTICE_POINT = "unbounded_with_lattice_point"
+    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class IntegerPoints:
     status: PointsStatus
     points: tuple[IntVector, ...] = ()
-    recession: Optional[IntVector] = None
 
 
 _INFEASIBLE = IntegerPoints(PointsStatus.INFEASIBLE)
@@ -457,50 +415,27 @@ def _enumerate(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool
     return found
 
 
-def _points(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool) -> IntegerPoints:
-    if not tower_feasible(tower, b):
-        return _INFEASIBLE
-    if tower.reduced is not None:
-        # the first new variable has no upper bound on any non-empty fiber,
-        # so integer solvability reduces to the rows free of it
-        sub, keep = tower.reduced
-        if _points(sub, [b[i] for i in keep], budget, True).status is PointsStatus.INFEASIBLE:
-            return _INFEASIBLE
-        return IntegerPoints(PointsStatus.UNBOUNDED_WITH_LATTICE_POINT, (), tower.recession)
-    found = _enumerate(tower, b, budget, first_only)
-    return IntegerPoints(PointsStatus.POINTS, tuple(found)) if found else _INFEASIBLE
-
-
 def tower_points(tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False) -> IntegerPoints:
     """Integer solutions of R x >= b in lexicographic order.
 
     The cap is spent once per candidate value of each coordinate, and a
     full enumeration with a non-positive cap is refused outright. With
     first_only the search stops at the first solution. Result statuses:
-      POINTS                        non-empty finite solution list
-      INFEASIBLE                    no integer solution exists
-      CAP_EXCEEDED                  more than `cap` candidates were visited
-      UNBOUNDED_WITH_LATTICE_POINT  a lattice point plus a nonzero integer
-                                    recession direction (infinitely many)
+      POINTS        non-empty finite solution list
+      INFEASIBLE    no integer solution exists
+      CAP_EXCEEDED  more than `cap` candidates were visited
+      UNBOUNDED     the system is rationally feasible and unbounded; it is
+                    not enumerated, so whether it has lattice points is
+                    left open
     """
     if cap <= 0 and not first_only:
         return IntegerPoints(PointsStatus.CAP_EXCEEDED)
+    if not tower_feasible(tower, b):
+        return _INFEASIBLE
+    if not tower.bounded:
+        return IntegerPoints(PointsStatus.UNBOUNDED)
     try:
-        return _points(tower, b, _Budget(cap), first_only)
+        found = _enumerate(tower, b, _Budget(cap), first_only)
     except _CapHit:
         return IntegerPoints(PointsStatus.CAP_EXCEEDED)
-
-
-def _unimodular_with_first_column(z: IntVector) -> IntMatrix:
-    """A unimodular matrix whose first column is the primitive vector z."""
-    col = tuple((zi,) for zi in z)
-    s, u, v = smith_normal_form(col)
-    if s[0][0] != 1:
-        raise ValueError("direction vector must be primitive")
-    # u * z * v = e1 with v = (+-1), so z = v * u^{-1} e1; u is unimodular,
-    # so det u = +-1 and u^{-1} = det u * adj u
-    det, adj = int_adjugate(u)
-    w = tuple(tuple(det * x * (v[0][0] if j == 0 else 1) for j, x in enumerate(row)) for row in adj)
-    if tuple(row[0] for row in w) != z:
-        raise AssertionError("unimodular completion does not start with z")
-    return w
+    return IntegerPoints(PointsStatus.POINTS, tuple(found)) if found else _INFEASIBLE

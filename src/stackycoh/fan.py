@@ -85,6 +85,8 @@ def load_fan(text: bytes | str) -> StackyFan:
         raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FanFormatError(f"invalid fan JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FanFormatError("invalid fan JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise FanFormatError("fan file must contain a JSON object")
     missing = {"rank", "rays", "max_cones"} - set(data)

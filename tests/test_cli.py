@@ -104,6 +104,19 @@ class TestValidateCommand:
         assert proc.stderr.startswith("invalid fan: invalid fan JSON: 'utf-8' codec")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("extra", [False, True], ids=["bare", "inside_a_fan"])
+    def test_deeply_nested_json_rejected(self, tmp_path, extra):
+        deep = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(P2_FILE.rstrip()[:-1] + ', "x": %s}' % deep if extra else deep)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stackycoh.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "invalid fan: invalid fan JSON: nested too deeply\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -220,7 +220,7 @@ class TestTowerAgainstOracle:
                 )
                 tower = build_tower(rows, fan.rank)
                 expected = fm_bounded(sign_system(fan, zero, I))
-                assert (tower.recession is None) == expected, I
+                assert tower.bounded == expected, I
 
     @pytest.mark.parametrize(
         "name", [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
@@ -354,14 +354,20 @@ class TestRepresentativeInvariance:
 
 
 class TestPropernessGuard:
+    # built directly to bypass completeness validation: a single quadrant
+    # cone leaves the weak system unbounded with lattice points, which a
+    # complete fan never does
+    QUADRANT = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=(frozenset({1, 2}),))
+
     def test_incomplete_fan_triggers_unbounded_error(self):
-        # built directly to bypass completeness validation: a single
-        # quadrant cone leaves the weak system unbounded with lattice
-        # points, which a complete fan never does
-        fan = StackyFan(
-            rank=2,
-            rays=((1, 0), (0, 1)),
-            max_cones=(frozenset({1, 2}),),
-        )
         with pytest.raises(PropernessError, match="infinite-dimensional"):
-            cohomology(fan, (0, 0))
+            cohomology(self.QUADRANT, (0, 0))
+
+    @pytest.mark.parametrize(
+        "decide", [is_h_trivial, first_forbidden, forbidden_cone], ids=lambda f: f.__name__
+    )
+    def test_every_entry_point_refuses_the_unbounded_system(self, decide):
+        # the existence searches stop at a first point, yet they refuse an
+        # unbounded sign system as cohomology does
+        with pytest.raises(PropernessError, match="infinite-dimensional"):
+            decide(self.QUADRANT, (0, 0))

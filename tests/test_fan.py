@@ -56,6 +56,13 @@ class TestLoading:
         with pytest.raises(FanFormatError, match="^invalid fan JSON: 'utf-8' codec"):
             load_fan(b"\xff")
 
+    @pytest.mark.parametrize("extra", [False, True], ids=["bare", "inside_a_fan"])
+    def test_rejects_json_nested_too_deeply(self, extra):
+        deep = "[" * 100000 + "]" * 100000
+        text = P2_JSON[:-1] + ', "x": %s}' % deep if extra else deep
+        with pytest.raises(FanFormatError, match="^invalid fan JSON: nested too deeply$"):
+            load_fan(text)
+
     def test_rejects_missing_field(self):
         with pytest.raises(FanFormatError):
             load_fan('{"rank": 2, "rays": [[1, 0]]}')

@@ -4,13 +4,15 @@ A fan that winds k times around the origin pairs and separates every
 facet, so only the covering-degree check can refuse it. A stellar
 subdivision at an interior lattice point stays complete by construction,
 so it must validate, and its Delta and its cohomology must match the
-exhaustive routes.
+exhaustive routes. On every such complete fan the sign system of each
+Delta member is bounded, so its lattice points are finite in number.
 """
 
 import json
 import random
 from fractions import Fraction
 from math import cos, gcd, pi, sin
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,9 @@ from oracles import (
 )
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
-from stackycoh.cohomline import cohomology
-from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, make_fan
-from stackycoh.homology import delta_family
+from stackycoh.cohomline import _tower, cohomology
+from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, load_fan, make_fan
+from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import pic_structure
 from stackycoh.plsearch import cone_linear_part, degenerate_space, pl_function
 
@@ -99,6 +101,31 @@ START_FANS = [(n,) for n in catalog_names() if catalog_fan(n).rank >= 2] + PRODU
 
 def start_fan(names):
     return catalog_fan(names[0]) if len(names) == 1 else named_product(names)
+
+
+BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
+
+
+def catalog_and_products():
+    """Catalog fans and the products of them."""
+    out = [pytest.param(catalog_fan(n), id=n) for n in catalog_names()]
+    for rank in sorted(PRODUCTS):
+        out += [pytest.param(named_product(n), id="x".join(n)) for n in PRODUCTS[rank]]
+    return out
+
+
+def complete_fans():
+    """Catalog fans, their products, and the fans under bench/fans."""
+    return catalog_and_products() + [
+        pytest.param(load_fan(path.read_text()), id=f"bench-{path.stem}")
+        for path in sorted(BENCH_FANS.glob("*.json"))
+    ]
+
+
+def assert_delta_towers_bounded(fan):
+    """Every Delta member's tower is bounded, which the point counts rely on."""
+    unbounded = [sorted(I) for I, _ in delta_set(fan).members if not _tower(fan, I).bounded]
+    assert unbounded == []
 
 
 def _file(tmp_path, spec):
@@ -180,6 +207,7 @@ class TestStellarSubdivisions:
             ))
             fan = stellar(fan, cone, weights)
         assert_matches_exhaustive(fan)
+        assert_delta_towers_bounded(fan)
 
     @pytest.mark.parametrize("name,cone", subdivisions(max_rank=2))
     def test_cohomology_matches_direct_count(self, name, cone):
@@ -190,11 +218,15 @@ class TestStellarSubdivisions:
             assert cohomology(fan, a) == brute_cohomology(fan, a, 8), a
 
 
+class TestBoundedSignSystems:
+    @pytest.mark.parametrize("fan", complete_fans())
+    def test_delta_towers_bounded(self, fan):
+        assert_delta_towers_bounded(fan)
+
+
 def oracle_fans():
     """Catalog fans, products of them, and a stellar subdivision of each."""
-    out = [pytest.param(catalog_fan(n), id=n) for n in catalog_names()]
-    for rank in sorted(PRODUCTS):
-        out += [pytest.param(named_product(n), id="x".join(n)) for n in PRODUCTS[rank]]
+    out = catalog_and_products()
     for p in subdivisions() + product_subdivisions():
         fan = p.values[0]
         fan = catalog_fan(fan) if isinstance(fan, str) else fan

@@ -38,3 +38,22 @@ def test_no_fractions_on_the_cold_path(path):
         elif isinstance(node, ast.Name) and node.id == "Fraction":
             found.append("Fraction")
     assert found == [], f"{path.name} uses {found}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export; every other module reads what it imports
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read) == [], f"{path.name} never reads these imports"
