@@ -4,34 +4,39 @@ Every computation reduces to sign systems over the fan's rays: a class a
 and an index set I carve out the polyhedron of linear functionals whose
 value pattern is non-negative exactly on I. Counting integer points of
 the weak systems over the family Delta gives all cohomology dimensions.
-The rows of both the weak and the strict system depend only on I, so
-each (fan, I) pair has one Fourier-Motzkin tower, and a class only
-enters through the right-hand side.
+
+Each fan has one table with a row per member I of Delta, holding the
+one Fourier-Motzkin tower of the rows v_i on I and -v_i off I, which
+both sign systems share. The rows of I^c are those of I negated, so one
+tower is built per complement pair. A class a enters through the
+right-hand side b(a) = s*a + o: s_i = -1 on I and +1 off I, o_i = 1 off
+I for the weak system and o = 0 for the strict one. A constant tower
+row with multipliers mu reads w . a + c <= 0, w = mu*s and c = mu . o,
+so rational feasibility is a set of dot products: every w . a + c <= 0
+(weak), every w . a < 0 (strict, the open cone of I). Only a rationally
+feasible weak system is walked for lattice points.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
-from operator import neg
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     DEFAULT_CAP,
-    IntegerPoints,
-    IntMatrix,
     IntVector,
     PointsStatus,
     Tower,
     build_tower,
-    tower_feasible,
     tower_points,
 )
-from .fan import StackyFan
-from .homology import DEFAULT_DELTA_CAP, delta_family
-from .picard import LineBundleClass, class_from_canonical, pic_structure
+from .fan import FAN_CACHE_SIZE, StackyFan
+from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
+from .picard import LineBundleClass, class_from_canonical, coefficient_vector, pic_structure
 
 
 class PropernessError(Exception):
@@ -60,44 +65,80 @@ class Limits:
                 raise ValueError(f"{name} must be positive")
 
 
-def _signed_rays(fan: StackyFan, I: frozenset[int]) -> IntMatrix:
-    # the rows of both sign systems of I: v_i on I, -v_i off I
-    return tuple(v if i in I else tuple(map(neg, v)) for i, v in enumerate(fan.rays, 1))
+@dataclass(frozen=True)
+class _DeltaRow:
+    """One member I of Delta, with everything a class is tested against.
 
-
-def _tower(fan: StackyFan, I: frozenset[int]) -> Tower:
-    return build_tower(_signed_rays(fan, I), fan.rank)
-
-
-def _rhs(fan: StackyFan, a: Sequence[int], I: frozenset[int], strict: bool) -> list[int]:
-    # b(a): -a_i on I, and a_i + 1 (weak) or a_i (strict) off I. The weak
-    # system says a_i + f(v_i) >= 0 on I and <= -1 off I (its lattice points
-    # count), the strict one > 0 on I and < 0 off I (the open cone of I)
-    if len(a) != fan.nrays:
-        raise ValueError("coefficient vector length must equal the ray count")
-    off = 0 if strict else 1
-    return [-int(ai) if i in I else int(ai) + off for i, ai in enumerate(a, 1)]
-
-
-def _weak_points(
-    fan: StackyFan, a: Sequence[int], I: frozenset[int], cap: int, first_only: bool = False
-) -> IntegerPoints:
-    """Lattice points of the weak system of (a, I), or existence only.
-
-    Without first_only every point is listed; with it the search stops at
-    the first point. A feasible unbounded system is a PropernessError
-    either way: on a complete fan every Delta member's tower is bounded.
+    sign is s of the weak right-hand side b(a) = s*a + o, and forms holds
+    (w, c) for each constant row of the tower.
     """
-    res = tower_points(_tower(fan, I), _rhs(fan, a, I, False), cap, first_only)
-    if res.status is PointsStatus.CAP_EXCEEDED:
-        raise CapExceededError(
-            f"lattice point enumeration exceeded the cap {cap} on index set {sorted(I)}"
-        )
-    if res.status is PointsStatus.UNBOUNDED:
-        raise PropernessError(
-            f"infinite-dimensional contribution from index set {sorted(I)}"
-        )
-    return res
+
+    index_set: frozenset[int]
+    betti: BettiVector
+    tower: Tower
+    sign: IntVector
+    forms: tuple[tuple[IntVector, int], ...]
+
+    def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
+        """Lattice points of the weak system of a, or only the first one.
+
+        A feasible unbounded system is a PropernessError either way: on a
+        complete fan every Delta member's tower is bounded.
+        """
+        for w, c in self.forms:
+            if sum(map(mul, w, a)) + c > 0:
+                return ()
+        b = [s * x + (s > 0) for s, x in zip(self.sign, a)]
+        res = tower_points(self.tower, b, cap, first_only)
+        if res.status is PointsStatus.CAP_EXCEEDED:
+            raise CapExceededError(
+                f"lattice point enumeration exceeded the cap {cap} on index set {sorted(self.index_set)}"
+            )
+        if res.status is PointsStatus.UNBOUNDED:
+            raise PropernessError(
+                f"infinite-dimensional contribution from index set {sorted(self.index_set)}"
+            )
+        return res.points
+
+    def interior(self, a: IntVector) -> bool:
+        """Whether some functional realizes the sign pattern of I strictly."""
+        return all(sum(map(mul, w, a)) < 0 for w, _ in self.forms)
+
+
+def _negated(tower: Tower) -> Tower:
+    levels = tuple(tuple((tuple(map(neg, c)), m) for c, m in level) for level in tower.levels)
+    return Tower(tower.nvars, levels, tower.bounded)
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
+    """One row per member of Delta, in Delta's order.
+
+    The first of each complement pair has its tower built and the other
+    negates it: equal rows as sets, and nothing reads their order.
+    """
+    universe = frozenset(range(1, fan.nrays + 1))
+    built: dict[frozenset[int], Tower] = {}
+    table = []
+    for I, betti in delta_set(fan).members:
+        off = tuple(int(i not in I) for i in range(1, fan.nrays + 1))
+        sign = tuple(2 * o - 1 for o in off)
+        if universe - I in built:
+            tower = _negated(built[universe - I])
+        else:
+            rows = tuple(tuple(-s * x for x in v) for s, v in zip(sign, fan.rays))
+            tower = built[I] = build_tower(rows, fan.rank)
+        forms = tuple((tuple(map(mul, m, sign)), sum(map(mul, m, off))) for _, m in tower.levels[0])
+        table.append(_DeltaRow(I, betti, tower, sign, forms))
+    return tuple(table)
+
+
+def _checked(
+    fan: StackyFan, a: Sequence[int], limits: Limits
+) -> tuple[IntVector, tuple[_DeltaRow, ...]]:
+    # the Delta cap is enforced before the table is looked up or built
+    delta_family(fan, limits.delta_cap)
+    return coefficient_vector(fan, a), _delta_table(fan)
 
 
 def cohomology(
@@ -108,24 +149,24 @@ def cohomology(
     h^j collects, over the family Delta, the weak-system lattice point
     count times the reduced Betti number of C_I in degree m - j - 1.
     """
+    a, table = _checked(fan, a, limits)
     m = fan.rank
     h = [0] * (m + 1)
-    for I, betti in delta_family(fan, limits.delta_cap).members:
-        c = len(_weak_points(fan, a, I, limits.cap).points)
-        if c == 0:
-            continue
+    for row in table:
+        c = len(row.points(a, limits.cap))
         for j in range(m + 1):
-            h[j] += c * betti[m - j]
+            h[j] += c * row.betti[m - j]
     return tuple(h)
 
 
 def _first_member(
     fan: StackyFan, a: Sequence[int], limits: Limits, first_only: bool
-) -> Optional[tuple[frozenset[int], IntegerPoints]]:
-    for I, _ in delta_family(fan, limits.delta_cap).members:
-        res = _weak_points(fan, a, I, limits.cap, first_only)
-        if res.status is not PointsStatus.INFEASIBLE:
-            return I, res
+) -> Optional[tuple[frozenset[int], tuple[IntVector, ...]]]:
+    a, table = _checked(fan, a, limits)
+    for row in table:
+        points = row.points(a, limits.cap, first_only)
+        if points:
+            return row.index_set, points
     return None
 
 
@@ -159,12 +200,8 @@ def forbidden_cone(
     found = _first_member(fan, a, limits, first_only=False)
     if found is None:
         return None
-    I, res = found
-    return ForbiddenCone(index_set=I, witness=res.points[0])
-
-
-def _in_interior(fan: StackyFan, a: Sequence[int], I: frozenset[int]) -> bool:
-    return tower_feasible(_tower(fan, I), _rhs(fan, a, I, True), (True,) * fan.nrays)
+    I, points = found
+    return ForbiddenCone(index_set=I, witness=points[0])
 
 
 def in_interior_ZI(
@@ -175,17 +212,18 @@ def in_interior_ZI(
 ) -> bool:
     """Whether some functional realizes strictly the sign pattern of I."""
     I = frozenset(index_set)
-    if I not in delta_family(fan, limits.delta_cap):
-        raise ValueError(f"{sorted(I)} is not in the index family of the fan")
-    return _in_interior(fan, a, I)
+    a, table = _checked(fan, a, limits)
+    for row in table:
+        if row.index_set == I:
+            return row.interior(a)
+    raise ValueError(f"{sorted(I)} is not in the index family of the fan")
 
 
 def outside_all_interiors(
     fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> bool:
-    return not any(
-        _in_interior(fan, a, I) for I, _ in delta_family(fan, limits.delta_cap).members
-    )
+    a, table = _checked(fan, a, limits)
+    return not any(row.interior(a) for row in table)
 
 
 def _normalize_box(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -35,14 +34,6 @@ class SingularMatrixError(ExactLinError):
 
 # ---------------------------------------------------------------------------
 # matrix and vector helpers
-
-
-def int_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    """Build a rectangular integer matrix, checking row lengths agree."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out[1:]):
-        raise ValueError("matrix rows must have equal length")
-    return out
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -267,8 +258,6 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
 
 TowerRow = tuple[IntVector, IntVector]
 
-TOWER_CACHE_SIZE = 1024
-
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     # stops at the shorter vector: a row of levels[k + 1] times x_0..x_{k-1}
@@ -285,7 +274,8 @@ def _eliminate(rows: Sequence[TowerRow], var: int, max_support: int) -> list[Tow
     Each combination is divided by the joint gcd of its coefficients and
     multipliers. Duplicates are dropped, and so is a combination of more
     than max_support original rows (Chernikov's rule), which the others
-    imply.
+    imply. Multipliers are non-negative, so a pair is refused on the union
+    of its two support bitmasks before it is combined.
     """
     out: list[TowerRow] = []
     pos, neg = [], []
@@ -294,12 +284,13 @@ def _eliminate(rows: Sequence[TowerRow], var: int, max_support: int) -> list[Tow
         if c == 0:
             out.append((coeffs[:var] + coeffs[var + 1 :], mult))
         else:
-            (pos if c > 0 else neg).append((coeffs, mult, abs(c)))
-    for pc, pm, p in pos:
-        for qc, qm, q in neg:
-            mult = tuple(q * x + p * y for x, y in zip(pm, qm))
-            if len(mult) - mult.count(0) > max_support:
+            support = sum(1 << j for j, x in enumerate(mult) if x)
+            (pos if c > 0 else neg).append((coeffs, mult, abs(c), support))
+    for pc, pm, p, ps in pos:
+        for qc, qm, q, qs in neg:
+            if (ps | qs).bit_count() > max_support:
                 continue
+            mult = tuple(q * x + p * y for x, y in zip(pm, qm))
             coeffs = tuple(q * x + p * y for x, y in zip(pc, qc))
             coeffs = coeffs[:var] + coeffs[var + 1 :]
             g = math.gcd(*coeffs, *mult)
@@ -325,7 +316,6 @@ class Tower:
     bounded: bool
 
 
-@lru_cache(maxsize=TOWER_CACHE_SIZE)
 def build_tower(rows: IntMatrix, nvars: int) -> Tower:
     """The tower of the integer rows R, eliminating x_{nvars-1}, ..., x_0."""
     n = len(rows)

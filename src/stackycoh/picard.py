@@ -65,10 +65,21 @@ class LineBundleClass:
     torsion: IntVector
 
 
-def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
+def coefficient_vector(fan: StackyFan, a: Sequence[int]) -> IntVector:
+    """The coefficients as a tuple of ints, one per ray.
+
+    TypeError on an entry that is not an int, which int() would truncate.
+    """
     if len(a) != fan.nrays:
         raise ValueError("coefficient vector length must equal the ray count")
-    raw = tuple(int(x) for x in a)
+    bad = [x for x in a if not isinstance(x, int)]
+    if bad:
+        raise TypeError(f"integer coefficients expected, got the entry {bad[0]!r}")
+    return tuple(map(int, a))
+
+
+def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
+    raw = coefficient_vector(fan, a)
     st = pic_structure(fan)
     y = [sum(map(mul, row, raw)) for row in st.u]
     torsion = tuple(y[p] % st.torsion[k] for k, p in enumerate(st.torsion_positions))

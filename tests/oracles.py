@@ -1,6 +1,6 @@
 """Independent reference computations used to cross-check the library.
 
-Five routes that never touch the production paths they check:
+Seven routes that never touch the production paths they check:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
@@ -11,6 +11,10 @@ Five routes that never touch the production paths they check:
   feasibility from the constant rows of a full projection, boundedness
   from recession probes, and lattice points by projecting again at every
   prefix; system_tower hands the same systems to the integer towers;
+* the sign systems of (a, I) built directly from the rays (signed_rays,
+  sign_rhs), one tower per index set, against the per-fan Delta table;
+  and the integer elimination step that combines every (+, -) pair
+  before Chernikov's rule looks at it, against the support-mask check;
 * linear equivalence of two classes by solving for the functional w on
   the rays of one maximal cone and checking it on every ray;
 * inverses, solutions, kernels, facet normals and affine dimensions over
@@ -161,6 +165,43 @@ def sign_system(fan, a, index_set, strict=False):
         else:
             rows.append((tuple(-x for x in v), rel, ai + (0 if strict else 1)))
     return system(fan.rank, rows)
+
+
+def signed_rays(fan, index_set):
+    """The rows of both sign systems of I: v_i on I, -v_i off I."""
+    return tuple(
+        v if i in index_set else tuple(-x for x in v) for i, v in enumerate(fan.rays, 1)
+    )
+
+
+def sign_rhs(a, index_set, strict=False):
+    """b(a) of R x >= b over signed_rays: -a_i on I, a_i + 1 (weak) or a_i (strict) off I."""
+    return [-ai if i in index_set else ai + (0 if strict else 1) for i, ai in enumerate(a, 1)]
+
+
+def eliminate_unpruned_first(rows, var, max_support):
+    """One integer elimination step that builds every (+, -) combination first.
+
+    Chernikov's rule then drops a combination of more than max_support
+    original rows; the rest is divided by its joint gcd and deduplicated.
+    """
+    out, pos, neg = [], [], []
+    for coeffs, mult in rows:
+        c = coeffs[var]
+        if c == 0:
+            out.append((coeffs[:var] + coeffs[var + 1 :], mult))
+        else:
+            (pos if c > 0 else neg).append((coeffs, mult, abs(c)))
+    for pc, pm, p in pos:
+        for qc, qm, q in neg:
+            mult = tuple(q * x + p * y for x, y in zip(pm, qm))
+            if len(mult) - mult.count(0) > max_support:
+                continue
+            coeffs = tuple(q * x + p * y for x, y in zip(pc, qc))
+            coeffs = coeffs[:var] + coeffs[var + 1 :]
+            g = gcd(*coeffs, *mult)
+            out.append((tuple(x // g for x in coeffs), tuple(x // g for x in mult)))
+    return list(dict.fromkeys(out))
 
 
 def fm_project(sys, var):

@@ -3,17 +3,18 @@
 import concurrent.futures
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
     Limits,
     PropernessError,
-    _in_interior,
-    _weak_points,
+    _delta_table,
     box_classes,
     cohomology,
     first_forbidden,
@@ -23,9 +24,9 @@ from stackycoh.cohomline import (
     outside_all_interiors,
     scan_h_trivial,
 )
-from stackycoh.exactlin import DEFAULT_CAP, PointsStatus, build_tower
+from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_feasible, tower_points
 from stackycoh.fan import StackyFan
-from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family
+from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
 
 from oracles import (
     brute_cohomology,
@@ -35,9 +36,15 @@ from oracles import (
     h_p1,
     h_p2,
     h_product,
+    sign_rhs,
     sign_system,
 )
 from test_plsearch import antiprism_fan
+
+
+def _row(fan, I):
+    """The row of the fan's Delta table that belongs to I."""
+    return next(row for row in _delta_table(fan) if row.index_set == I)
 
 
 def _shifted(fan, a, w):
@@ -191,8 +198,7 @@ class TestSignPolyhedra:
             for I, _ in delta_family(fan).members:
                 for _ in range(10):
                     a = [rng.randint(-4, 4) for _ in range(fan.nrays)]
-                    res = _weak_points(fan, a, I, DEFAULT_CAP, first_only=True)
-                    if res.status is not PointsStatus.INFEASIBLE:
+                    if _row(fan, I).points(a, DEFAULT_CAP, first_only=True):
                         assert fm_feasible(sign_system(fan, a, I))
 
     def test_strict_system_uses_strict_rows(self):
@@ -200,9 +206,9 @@ class TestSignPolyhedra:
         # weak system of I = {1, 2, 3} has a point and the strict one none
         fan = catalog_fan("p2")
         I = frozenset({1, 2, 3})
-        assert _weak_points(fan, (0, 0, 0), I, DEFAULT_CAP).points == ((0, 0),)
-        assert not _in_interior(fan, (0, 0, 0), I)
-        assert _in_interior(fan, (1, 1, 1), I)
+        assert _row(fan, I).points((0, 0, 0), DEFAULT_CAP) == ((0, 0),)
+        assert not in_interior_ZI(fan, (0, 0, 0), I)
+        assert in_interior_ZI(fan, (1, 1, 1), I)
 
 
 class TestTowerAgainstOracle:
@@ -233,19 +239,93 @@ class TestTowerAgainstOracle:
             for I, _ in delta_family(fan).members:
                 weak = sign_system(fan, a, I)
                 points, visited = fm_points(weak)
-                res = _weak_points(fan, a, I, DEFAULT_CAP)
-                assert res.points == tuple(points), (a, I)
+                row = _row(fan, I)
+                res = row.points(a, DEFAULT_CAP)
+                assert res == tuple(points), (a, I)
                 # the cap is spent once per candidate, as the oracle counts
                 if visited:
-                    assert _weak_points(fan, a, I, visited).points == res.points
+                    assert row.points(a, visited) == res
                     with pytest.raises(CapExceededError):
-                        _weak_points(fan, a, I, visited - 1)
+                        row.points(a, visited - 1)
                 first, _ = fm_points(weak, first_only=True)
-                ex = _weak_points(fan, a, I, DEFAULT_CAP, first_only=True)
-                assert ex.points == tuple(first)
-                assert (ex.status is PointsStatus.POINTS) == bool(points)
+                ex = row.points(a, DEFAULT_CAP, first_only=True)
+                assert ex == tuple(first)
+                assert bool(ex) == bool(points)
                 strict = sign_system(fan, a, I, strict=True)
                 assert in_interior_ZI(fan, a, I) == fm_feasible(strict)
+
+
+class TestIntegerCoefficients:
+    # int() used to truncate these: cohomology(p2, (0.9, 0, 0)) gave (1, 0, 0),
+    # Fraction(3, 2) gave (3, 0, 0), and (0.5, 0, 0) lay outside all interiors
+    @pytest.mark.parametrize("a", [(0.9, 0, 0), (Fraction(3, 2), 0, 0), (0.5, 0, 0)])
+    @pytest.mark.parametrize("call", [
+        cohomology, first_forbidden, is_h_trivial, forbidden_cone, outside_all_interiors,
+        lambda fan, a: in_interior_ZI(fan, a, ()),
+    ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
+            "outside_all_interiors", "in_interior_ZI"])
+    def test_refused_not_truncated(self, call, a):
+        with pytest.raises(TypeError, match=r"^integer coefficients expected, got the entry"):
+            call(catalog_fan("p2"), a)
+
+    def test_error_names_the_entry(self):
+        with pytest.raises(TypeError, match=r"the entry Fraction\(3, 2\)$"):
+            cohomology(catalog_fan("p2"), (0, Fraction(3, 2), 0))
+
+    def test_length_still_checked_first(self):
+        with pytest.raises(ValueError, match="ray count"):
+            cohomology(catalog_fan("p2"), (0.5, 0))
+
+
+class TestDeltaTable:
+    def test_one_tower_per_complement_pair(self, monkeypatch):
+        # a count of the work, independent of the machine's speed
+        calls = []
+
+        def counted(rows, nvars):
+            calls.append(rows)
+            return build_tower(rows, nvars)
+
+        monkeypatch.setattr(cohomline, "build_tower", counted)
+        _delta_table.cache_clear()
+        fan = antiprism_fan()
+        box = ((-1, 1), (0, 0), (0, 0), (0, 0), (0, 0))
+        found = scan_h_trivial(fan, box)
+        assert len(calls) == len(delta_set(fan)) // 2 == 41
+        calls.clear()
+        assert scan_h_trivial(fan, box) == found
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["p1xp2", "cyclic5", "antiprism"])
+    def test_tower_walked_only_when_rationally_feasible(self, monkeypatch, name):
+        # the dot products decide rational feasibility; a point count walks
+        # exactly the towers of the rationally feasible weak systems
+        walked = []
+
+        def counted(tower, b, cap, first_only=False):
+            walked.append(tower)
+            return tower_points(tower, b, cap, first_only)
+
+        monkeypatch.setattr(cohomline, "tower_points", counted)
+        fan = antiprism_fan() if name == "antiprism" else catalog_fan(name)
+        rng = random.Random(name)
+        for _ in range(10):
+            a = tuple(rng.randint(-4, 4) for _ in range(fan.nrays))
+            walked.clear()
+            cohomology(fan, a)
+            feasible = [
+                row.tower for row in _delta_table(fan)
+                if tower_feasible(row.tower, sign_rhs(a, row.index_set))
+            ]
+            assert len(walked) == len(feasible) and all(
+                x is y for x, y in zip(walked, feasible)
+            ), a
+
+    def test_rows_follow_delta(self):
+        fan = antiprism_fan()
+        assert [(row.index_set, row.betti) for row in _delta_table(fan)] == list(
+            delta_set(fan).members
+        )
 
 
 class TestInteriors:

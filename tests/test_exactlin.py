@@ -14,7 +14,6 @@ from stackycoh.exactlin import (
     SingularMatrixError,
     int_adjugate,
     int_kernel,
-    int_matrix,
     mat_mul_int,
     rat_rank,
     smith_normal_form,
@@ -80,12 +79,12 @@ def _satisfies(sys, x):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        a = int_matrix([[1, 0], [0, 1]])
+        a = ((1, 0), (0, 1))
         s, u, v = smith_normal_form(a)
         assert s == a
 
     def test_diagonal_divisibility_chain(self):
-        a = int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        a = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
         s, u, v = smith_normal_form(a)
         diag = [s[i][i] for i in range(3)]
         assert diag == [2, 2, 156]
@@ -93,12 +92,12 @@ class TestSmithNormalForm:
             assert diag[i + 1] % diag[i] == 0
 
     def test_decomposition_identity(self):
-        a = int_matrix([[6, 4], [2, 8], [0, 10]])
+        a = ((6, 4), (2, 8), (0, 10))
         s, u, v = smith_normal_form(a)
         assert mat_mul_int(mat_mul_int(u, a), v) == s
 
     def test_rectangular_wide(self):
-        a = int_matrix([[1, 2, 3], [4, 5, 6]])
+        a = ((1, 2, 3), (4, 5, 6))
         s, u, v = smith_normal_form(a)
         assert s[0][0] == 1 and s[1][1] == 3
         assert all(s[i][j] == 0 for i in range(2) for j in range(3) if i != j)
@@ -117,9 +116,7 @@ class TestSmithNormalForm:
                 max_size=nrows * ncols,
             )
         )
-        a = int_matrix(
-            [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-        )
+        a = tuple(tuple(entries[i * ncols : (i + 1) * ncols]) for i in range(nrows))
         s, u, v = smith_normal_form(a)
         ours = [s[i][i] for i in range(min(nrows, ncols)) if s[i][i] != 0]
         ref = sympy_snf(sympy.Matrix(nrows, ncols, entries), domain=sympy.ZZ)

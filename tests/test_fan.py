@@ -274,7 +274,7 @@ class TestCaches:
                     found[f"{info.name}.{name}"] = obj.cache_info().maxsize
         assert set(found) == {
             "catalog.catalog_fan",
-            "exactlin.build_tower",
+            "cohomline._delta_table",
             "fan.collinear_pairs",
             "fan.cone_adjugates",
             "fan.neighborhood",

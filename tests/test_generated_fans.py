@@ -22,14 +22,19 @@ from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
 from oracles import (
     brute_cohomology,
     dot,
+    eliminate_unpruned_first,
     facet_normal,
     invert,
     rational_kernel,
+    sign_rhs,
+    signed_rays,
     solve_square,
 )
+from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
-from stackycoh.cohomline import _tower, cohomology
+from stackycoh.cohomline import _delta_table, cohomology
+from stackycoh.exactlin import build_tower, tower_feasible
 from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, load_fan, make_fan
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import pic_structure
@@ -124,7 +129,7 @@ def complete_fans():
 
 def assert_delta_towers_bounded(fan):
     """Every Delta member's tower is bounded, which the point counts rely on."""
-    unbounded = [sorted(I) for I, _ in delta_set(fan).members if not _tower(fan, I).bounded]
+    unbounded = [sorted(row.index_set) for row in _delta_table(fan) if not row.tower.bounded]
     assert unbounded == []
 
 
@@ -222,6 +227,53 @@ class TestBoundedSignSystems:
     @pytest.mark.parametrize("fan", complete_fans())
     def test_delta_towers_bounded(self, fan):
         assert_delta_towers_bounded(fan)
+
+
+class TestDeltaTable:
+    """The per-fan table against one tower per index set, built directly."""
+
+    @pytest.mark.parametrize("fan", complete_fans())
+    def test_towers_equal_direct_towers(self, fan):
+        # a complement's tower is a negated copy: the same rows, in another order
+        for row in _delta_table(fan):
+            direct = build_tower(signed_rays(fan, row.index_set), fan.rank)
+            assert row.tower.bounded == direct.bounded
+            assert row.tower.nvars == direct.nvars
+            assert [set(level) for level in row.tower.levels] == [
+                set(level) for level in direct.levels
+            ], sorted(row.index_set)
+            assert [len(level) for level in row.tower.levels] == [
+                len(level) for level in direct.levels
+            ]
+
+    @pytest.mark.parametrize("fan", complete_fans())
+    def test_dot_products_decide_feasibility(self, fan):
+        rng = random.Random(fan_to_json(fan))
+        strict = (True,) * fan.nrays
+        for _ in range(6):
+            a = tuple(rng.randint(-5, 5) for _ in range(fan.nrays))
+            for row in _delta_table(fan):
+                I = row.index_set
+                direct = build_tower(signed_rays(fan, I), fan.rank)
+                weak = all(dot(w, a) + c <= 0 for w, c in row.forms)
+                assert weak == tower_feasible(direct, sign_rhs(a, I)), (a, sorted(I))
+                assert row.interior(a) == tower_feasible(
+                    direct, sign_rhs(a, I, strict=True), strict
+                ), (a, sorted(I))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(complete_fans()), st.data())
+    def test_support_check_keeps_every_row_in_order(self, param, data):
+        # the rows of any index set, Delta member or not, through every level
+        fan = param.values[0]
+        I = data.draw(st.frozensets(st.integers(1, fan.nrays)))
+        rows = signed_rays(fan, I)
+        unit = [tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows))]
+        level = list(zip(rows, unit))
+        for k in range(fan.rank - 1, -1, -1):
+            expected = eliminate_unpruned_first(level, k, fan.rank - k + 1)
+            level = exactlin._eliminate(level, k, fan.rank - k + 1)
+            assert level == expected, (sorted(I), k)
 
 
 def oracle_fans():

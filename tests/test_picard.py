@@ -192,6 +192,14 @@ class TestCanonicalCoordinates:
             "canonical": {"free": [1], "torsion": [1]},
         }
 
+    @pytest.mark.parametrize("a", [(0.9, 0, 0), (Fraction(3, 2), 0, 0), (0, 0, 2.0)])
+    def test_non_integer_coefficients_refused(self, a):
+        # int() used to truncate them: (0.9, 0, 0) became the class of (0, 0, 0)
+        with pytest.raises(TypeError, match=r"^integer coefficients expected, got the entry"):
+            class_of(catalog_fan("p2"), a)
+        with pytest.raises(TypeError, match="integer coefficients expected"):
+            classes_equal(catalog_fan("p2"), a, (0, 0, 0))
+
     def test_wrong_lengths_rejected(self):
         fan = catalog_fan("p2")
         with pytest.raises(ValueError):

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
-from stackycoh.exactlin import tower_feasible
+from stackycoh.exactlin import build_tower, tower_feasible
 from stackycoh.fan import collinear_pairs, load_fan, make_fan, parallel_rays
 from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.picard import classes_equal
@@ -29,7 +28,7 @@ from stackycoh.plsearch import (
     sign_changes,
 )
 
-from oracles import affine_dim
+from oracles import affine_dim, sign_rhs, signed_rays
 
 BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
 
@@ -288,8 +287,8 @@ class TestFamilyClass:
             for r in range(-5, 6):
                 raw = family_class(fan, s, psi, r).raw
                 for I, _ in delta_family(fan).members:
-                    b = cohomline._rhs(fan, raw, I, False)
-                    assert not tower_feasible(cohomline._tower(fan, I), b), (mult, r, I)
+                    tower = build_tower(signed_rays(fan, I), fan.rank)
+                    assert not tower_feasible(tower, sign_rhs(raw, I)), (mult, r, I)
 
     def test_scaling_reindexes_parameter(self):
         fan = catalog_fan("p1xp2")
