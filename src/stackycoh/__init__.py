@@ -16,17 +16,11 @@ from .cohomline import (
     cohomology,
     first_forbidden,
     forbidden_cone,
-    in_interior_ZI,
     is_h_trivial,
     outside_all_interiors,
     scan_h_trivial,
 )
-from .exactlin import (
-    DEFAULT_CAP,
-    IntegerPoints,
-    PointsStatus,
-    smith_normal_form,
-)
+from .exactlin import DEFAULT_CAP, smith_normal_form
 from .fan import (
     FanError,
     FanFormatError,
@@ -42,13 +36,9 @@ from .fan import (
 from .homology import (
     DeltaCapError,
     DeltaFamily,
-    SimplicialComplex,
-    complex_CI,
     delta_family,
     delta_fast_lowdim,
     delta_set,
-    reduced_betti,
-    supp,
 )
 from .picard import (
     LineBundleClass,

@@ -13,8 +13,11 @@ right-hand side b(a) = s*a + o: s_i = -1 on I and +1 off I, o_i = 1 off
 I for the weak system and o = 0 for the strict one. A constant tower
 row with multipliers mu reads w . a + c <= 0, w = mu*s and c = mu . o,
 so rational feasibility is a set of dot products: every w . a + c <= 0
-(weak), every w . a < 0 (strict, the open cone of I). Only a rationally
-feasible weak system is walked for lattice points.
+(weak), every w . a < 0 (strict, the open cone of I). The strict test
+lives here alone; exactlin walks weak systems only, and only a
+rationally feasible one is walked for lattice points. On a complete fan
+every tower is bounded; an unbounded one is refused with
+PropernessError when the table is built.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from operator import mul, neg
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlin import (
     DEFAULT_CAP,
     IntVector,
-    PointsStatus,
     Tower,
     build_tower,
     tower_points,
@@ -80,25 +82,17 @@ class _DeltaRow:
     forms: tuple[tuple[IntVector, int], ...]
 
     def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
-        """Lattice points of the weak system of a, or only the first one.
-
-        A feasible unbounded system is a PropernessError either way: on a
-        complete fan every Delta member's tower is bounded.
-        """
+        """Lattice points of the weak system of a, or only the first one."""
         for w, c in self.forms:
             if sum(map(mul, w, a)) + c > 0:
                 return ()
         b = [s * x + (s > 0) for s, x in zip(self.sign, a)]
-        res = tower_points(self.tower, b, cap, first_only)
-        if res.status is PointsStatus.CAP_EXCEEDED:
+        points = tower_points(self.tower, b, cap, first_only)
+        if points is None:
             raise CapExceededError(
                 f"lattice point enumeration exceeded the cap {cap} on index set {sorted(self.index_set)}"
             )
-        if res.status is PointsStatus.UNBOUNDED:
-            raise PropernessError(
-                f"infinite-dimensional contribution from index set {sorted(self.index_set)}"
-            )
-        return res.points
+        return points
 
     def interior(self, a: IntVector) -> bool:
         """Whether some functional realizes the sign pattern of I strictly."""
@@ -115,7 +109,10 @@ def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
     """One row per member of Delta, in Delta's order.
 
     The first of each complement pair has its tower built and the other
-    negates it: equal rows as sets, and nothing reads their order.
+    negates it: equal rows as sets, and nothing reads their order. A
+    negated tower keeps the bounded flag, so each pair is checked once:
+    on a complete fan every member's tower is bounded, and an unbounded
+    one is a PropernessError for every class.
     """
     universe = frozenset(range(1, fan.nrays + 1))
     built: dict[frozenset[int], Tower] = {}
@@ -128,6 +125,8 @@ def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
         else:
             rows = tuple(tuple(-s * x for x in v) for s, v in zip(sign, fan.rays))
             tower = built[I] = build_tower(rows, fan.rank)
+            if not tower.bounded:
+                raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
         forms = tuple((tuple(map(mul, m, sign)), sum(map(mul, m, off))) for _, m in tower.levels[0])
         table.append(_DeltaRow(I, betti, tower, sign, forms))
     return tuple(table)
@@ -160,13 +159,14 @@ def cohomology(
 
 
 def _first_member(
-    fan: StackyFan, a: Sequence[int], limits: Limits, first_only: bool
-) -> Optional[tuple[frozenset[int], tuple[IntVector, ...]]]:
+    fan: StackyFan, a: Sequence[int], limits: Limits
+) -> Optional[tuple[frozenset[int], IntVector]]:
+    """First index set in Delta with lattice points, and its first point."""
     a, table = _checked(fan, a, limits)
     for row in table:
-        points = row.points(a, limits.cap, first_only)
+        points = row.points(a, limits.cap, first_only=True)
         if points:
-            return row.index_set, points
+            return row.index_set, points[0]
     return None
 
 
@@ -174,7 +174,7 @@ def first_forbidden(
     fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> Optional[frozenset[int]]:
     """First index set in Delta whose weak system has an integer point."""
-    found = _first_member(fan, a, limits, first_only=True)
+    found = _first_member(fan, a, limits)
     return None if found is None else found[0]
 
 
@@ -196,27 +196,13 @@ class ForbiddenCone:
 def forbidden_cone(
     fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
 ) -> Optional[ForbiddenCone]:
-    """First index set in Delta with lattice points, and the first point."""
-    found = _first_member(fan, a, limits, first_only=False)
-    if found is None:
-        return None
-    I, points = found
-    return ForbiddenCone(index_set=I, witness=points[0])
+    """First index set in Delta with lattice points, and its first point.
 
-
-def in_interior_ZI(
-    fan: StackyFan,
-    a: Sequence[int],
-    index_set: Iterable[int],
-    limits: Limits = Limits(),
-) -> bool:
-    """Whether some functional realizes strictly the sign pattern of I."""
-    I = frozenset(index_set)
-    a, table = _checked(fan, a, limits)
-    for row in table:
-        if row.index_set == I:
-            return row.interior(a)
-    raise ValueError(f"{sorted(I)} is not in the index family of the fan")
+    The search stops at that point, as first_forbidden does, so the cap
+    bounds only the candidates visited before it.
+    """
+    found = _first_member(fan, a, limits)
+    return None if found is None else ForbiddenCone(*found)
 
 
 def outside_all_interiors(

@@ -7,17 +7,16 @@ built on: Smith normal form with unimodular transforms, one fraction-free
 (Bareiss) Gauss-Jordan elimination behind every rank, kernel and
 adjugate, and integer Fourier-Motzkin towers. A tower depends only on the
 coefficient rows of a system R x >= b and records whether {x : R x >= 0}
-is {0}; feasibility and lattice-point enumeration read it for any
-right-hand side b. Only a bounded system is enumerated.
+is {0}. tower_points walks a bounded tower for the lattice points of
+R x >= b, for any right-hand side b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -254,7 +253,7 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
 #
 # A tower row (coeffs, mult) is the non-negative combination mult of the
 # original rows, so it reads coeffs . x >= mult . b for every right-hand
-# side b, strictly when mult uses a strict original row.
+# side b.
 
 TowerRow = tuple[IntVector, IntVector]
 
@@ -262,10 +261,6 @@ TowerRow = tuple[IntVector, IntVector]
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     # stops at the shorter vector: a row of levels[k + 1] times x_0..x_{k-1}
     return sum(map(mul, x, y))
-
-
-def _is_strict(mult: IntVector, strict: Sequence[bool]) -> bool:
-    return any(s for m, s in zip(mult, strict) if m)
 
 
 def _eliminate(rows: Sequence[TowerRow], var: int, max_support: int) -> list[TowerRow]:
@@ -329,48 +324,25 @@ def build_tower(rows: IntMatrix, nvars: int) -> Tower:
     return Tower(nvars, tuple(levels), bounded)
 
 
-def tower_feasible(tower: Tower, b: Sequence[int], strict: Sequence[bool] = ()) -> bool:
-    """Whether R x >= b has a rational solution; rows flagged in strict are >."""
-    for _, mult in tower.levels[0]:
-        s = _dot(mult, b)
-        if s > 0 or (s == 0 and _is_strict(mult, strict)):
-            return False
-    return True
-
-
-class PointsStatus(Enum):
-    POINTS = "points"
-    INFEASIBLE = "infeasible"
-    CAP_EXCEEDED = "cap_exceeded"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class IntegerPoints:
-    status: PointsStatus
-    points: tuple[IntVector, ...] = ()
-
-
-_INFEASIBLE = IntegerPoints(PointsStatus.INFEASIBLE)
-
-
 class _CapHit(Exception):
     pass
 
 
-class _Budget:
-    __slots__ = ("left",)
+def tower_points(
+    tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False
+) -> Optional[tuple[IntVector, ...]]:
+    """Integer solutions of R x >= b in lexicographic order, () if there are none.
 
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise _CapHit
-
-
-def _enumerate(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool) -> list[IntVector]:
+    The cap is spent once per candidate value of each coordinate, and the
+    result is None once it runs out. With first_only the search stops at
+    the first solution. Only a bounded tower is walked: ValueError
+    otherwise.
+    """
+    if not tower.bounded:
+        raise ValueError("the lattice points of an unbounded system are not enumerated")
+    # the walk never reads a row whose original coefficients are all zero
+    if any(_dot(mult, b) > 0 for _, mult in tower.levels[0]):
+        return ()
     # every level of a bounded tower has lower and upper rows; a prefix
     # inside the projection always has a non-empty rational fiber
     bounds = [
@@ -378,8 +350,10 @@ def _enumerate(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool
         for k in range(tower.nvars)
     ]
     found: list[IntVector] = []
+    left = cap
 
     def walk(prefix: IntVector) -> None:
+        nonlocal left
         k = len(prefix)
         if k == tower.nvars:
             found.append(prefix)
@@ -396,36 +370,15 @@ def _enumerate(tower: Tower, b: Sequence[int], budget: _Budget, first_only: bool
                 if hi is None or t < hi:
                     hi = t
         for t in range(lo, hi + 1):
-            budget.spend()
+            left -= 1
+            if left < 0:
+                raise _CapHit
             walk(prefix + (t,))
             if first_only and found:
                 return
 
-    walk(())
-    return found
-
-
-def tower_points(tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False) -> IntegerPoints:
-    """Integer solutions of R x >= b in lexicographic order.
-
-    The cap is spent once per candidate value of each coordinate, and a
-    full enumeration with a non-positive cap is refused outright. With
-    first_only the search stops at the first solution. Result statuses:
-      POINTS        non-empty finite solution list
-      INFEASIBLE    no integer solution exists
-      CAP_EXCEEDED  more than `cap` candidates were visited
-      UNBOUNDED     the system is rationally feasible and unbounded; it is
-                    not enumerated, so whether it has lattice points is
-                    left open
-    """
-    if cap <= 0 and not first_only:
-        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
-    if not tower_feasible(tower, b):
-        return _INFEASIBLE
-    if not tower.bounded:
-        return IntegerPoints(PointsStatus.UNBOUNDED)
     try:
-        found = _enumerate(tower, b, _Budget(cap), first_only)
+        walk(())
     except _CapHit:
-        return IntegerPoints(PointsStatus.CAP_EXCEEDED)
-    return IntegerPoints(PointsStatus.POINTS, tuple(found)) if found else _INFEASIBLE
+        return None
+    return tuple(found)

@@ -1,18 +1,15 @@
-"""Support complexes and exact reduced homology over the rationals.
+"""The index family Delta of a fan, from exact reduced homology over Q.
 
-For a coefficient vector r on the rays, the support complex has a face
-for every ray subset that lies in a common cone and has all r-values
-non-negative. The index family Delta collects the subsets I whose
-complex C_I (r = 0 on I, r = -1 off I) has nontrivial reduced homology;
-it stratifies every cohomology computation in this package, and is read
-off the topology of the fan's cone complex.
+For a ray subset I, the complex C_I has a face for every subset of I
+that lies in a common cone. Delta collects the subsets I whose C_I has
+nontrivial reduced homology; it stratifies every cohomology computation
+in this package, and is read off the topology of the fan's cone complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactlin import rat_rank
@@ -27,59 +24,6 @@ class DeltaCapError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """An abstract simplicial complex, faces stored as frozensets.
-
-    The empty face is always present; a complex with no vertices is the
-    one-point chain complex whose reduced homology sits in degree -1.
-    """
-
-    faces: frozenset[frozenset[int]]
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for f in self.faces if len(f) == 1 for v in f)
-
-    def dim(self) -> int:
-        return max(len(f) for f in self.faces) - 1
-
-
-def _close_downward(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
-    out: set[frozenset[int]] = {frozenset()}
-    for f in faces:
-        f = frozenset(f)
-        out.add(f)
-        for k in range(1, len(f)):
-            for sub in combinations(sorted(f), k):
-                out.add(frozenset(sub))
-    return frozenset(out)
-
-
-def simplicial_complex(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-    return SimplicialComplex(_close_downward(frozenset(f) for f in faces))
-
-
-def supp(fan: StackyFan, r: Sequence[int]) -> SimplicialComplex:
-    """Support complex of a coefficient vector on the rays.
-
-    Faces are the subsets J of a maximal cone with r_i >= 0 for all i in J
-    (1-based ray indices, r indexed by position).
-    """
-    if len(r) != fan.nrays:
-        raise ValueError("coefficient vector length must equal the ray count")
-    nonneg = {i for i in range(1, fan.nrays + 1) if r[i - 1] >= 0}
-    tops = {frozenset(cone & nonneg) for cone in fan.max_cones}
-    return SimplicialComplex(_close_downward(tops))
-
-
-def complex_CI(fan: StackyFan, index_set: Iterable[int]) -> SimplicialComplex:
-    """The complex C_I: r = 0 on I and r = -1 off I."""
-    I = set(index_set)
-    r = [0 if i in I else -1 for i in range(1, fan.nrays + 1)]
-    return supp(fan, r)
-
-
 def _boundary_rank(faces: Sequence[int], lower: Sequence[int]) -> int:
     """Rank of the boundary map from faces to faces one smaller, as bitmasks."""
     index = {f: k for k, f in enumerate(lower)}
@@ -91,22 +35,6 @@ def _boundary_rank(faces: Sequence[int], lower: Sequence[int]) -> int:
             row[index[f ^ bit]] = (-1) ** k
         rows.append(row)
     return rat_rank(rows)
-
-
-def reduced_betti(cx: SimplicialComplex, m: int) -> BettiVector:
-    """Reduced Betti numbers over Q in degrees -1..m-1, as an (m+1)-tuple.
-
-    Computed from exact ranks of the augmented boundary maps; entry k of
-    the result is the rank in degree k-1.
-    """
-    levels: list[list[int]] = [[] for _ in range(m + 1)]  # faces by size
-    for f in cx.faces:
-        if len(f) > m:
-            raise ValueError("complex dimension exceeds the requested range")
-        levels[len(f)].append(sum(1 << v for v in f))
-    ranks = [_boundary_rank(levels[k], levels[k - 1]) for k in range(1, m + 1)]
-    ranks = [0, *ranks, 0]
-    return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(m + 1))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ Seven routes that never touch the production paths they check:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
-  with the homology of its support complex;
+  with the homology of its support complex (supp, reduced_betti);
 * the index family Delta over all 2^n ray subsets, each complex C_I's
-  Betti vector from its boundary ranks;
+  Betti vector from the boundary ranks of all its faces;
 * unpruned Fourier-Motzkin over Fractions on LinearSystem values:
   feasibility from the constant rows of a full projection, boundedness
   from recession probes, and lattice points by projecting again at every
-  prefix; system_tower hands the same systems to the integer towers;
+  prefix; system_tower hands the same systems to the integer towers, and
+  tower_feasible reads weak and strict feasibility off a tower's constant
+  rows, against the class-space forms of the Delta table;
 * the sign systems of (a, I) built directly from the rays (signed_rays,
   sign_rhs), one tower per index set, against the per-fan Delta table;
   and the integer elimination step that combines every (+, -) pair
@@ -27,8 +29,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, build_tower
-from stackycoh.homology import DeltaFamily, complex_CI, reduced_betti, supp
+from stackycoh.exactlin import SingularMatrixError, build_tower, rat_rank
+from stackycoh.homology import DeltaFamily
 
 GE = ">="
 GT = ">"
@@ -57,6 +59,82 @@ def h_product(ha, hb):
         for q, y in enumerate(hb):
             out[p + q] += x * y
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """An abstract simplicial complex, faces stored as frozensets.
+
+    The empty face is always present; a complex with no vertices is the
+    one-point chain complex whose reduced homology sits in degree -1.
+    """
+
+    faces: frozenset
+
+    @property
+    def vertices(self):
+        return frozenset(v for f in self.faces if len(f) == 1 for v in f)
+
+    def dim(self):
+        return max(len(f) for f in self.faces) - 1
+
+
+def _close_downward(faces):
+    out = {frozenset()}
+    for f in faces:
+        f = frozenset(f)
+        out.add(f)
+        for k in range(1, len(f)):
+            for sub in combinations(sorted(f), k):
+                out.add(frozenset(sub))
+    return frozenset(out)
+
+
+def simplicial_complex(faces):
+    return SimplicialComplex(_close_downward(frozenset(f) for f in faces))
+
+
+def supp(fan, r):
+    """Support complex of a coefficient vector on the rays.
+
+    Faces are the subsets J of a maximal cone with r_i >= 0 for all i in J
+    (1-based ray indices, r indexed by position).
+    """
+    if len(r) != fan.nrays:
+        raise ValueError("coefficient vector length must equal the ray count")
+    nonneg = {i for i in range(1, fan.nrays + 1) if r[i - 1] >= 0}
+    return SimplicialComplex(_close_downward(cone & nonneg for cone in fan.max_cones))
+
+
+def complex_CI(fan, index_set):
+    """The complex C_I: r = 0 on I and r = -1 off I."""
+    I = set(index_set)
+    return supp(fan, [0 if i in I else -1 for i in range(1, fan.nrays + 1)])
+
+
+def reduced_betti(cx, m):
+    """Reduced Betti numbers over Q in degrees -1..m-1, as an (m+1)-tuple.
+
+    Entry k is the rank in degree k-1, from the ranks of the augmented
+    boundary maps, each face's vertices in ascending order.
+    """
+    levels = [[] for _ in range(m + 1)]  # faces by size
+    for f in cx.faces:
+        if len(f) > m:
+            raise ValueError("complex dimension exceeds the requested range")
+        levels[len(f)].append(tuple(sorted(f)))
+    ranks = [0]
+    for k in range(1, m + 1):
+        index = {f: j for j, f in enumerate(levels[k - 1])}
+        rows = []
+        for f in levels[k]:
+            row = [0] * len(index)
+            for j in range(k):
+                row[index[f[:j] + f[j + 1 :]]] = (-1) ** j
+            rows.append(row)
+        ranks.append(rat_rank(rows))
+    ranks.append(0)
+    return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(m + 1))
 
 
 def brute_cohomology(fan, a, radius):
@@ -149,6 +227,20 @@ def system_tower(sys):
             b.append(sign * int(r.rhs))
             strict.append(r.rel == GT)
     return build_tower(tuple(rows), sys.nvars), b, tuple(strict)
+
+
+def tower_feasible(tower, b, strict=()):
+    """Whether R x >= b has a rational solution; rows flagged in strict are >.
+
+    Read off the constant rows of the tower: each is a non-negative
+    combination mult of the original rows, so 0 >= mult . b must hold,
+    strictly when mult uses a strict row.
+    """
+    for _, mult in tower.levels[0]:
+        s = sum(m * x for m, x in zip(mult, b))
+        if s > 0 or (s == 0 and any(m and st for m, st in zip(mult, strict))):
+            return False
+    return True
 
 
 def sign_system(fan, a, index_set, strict=False):

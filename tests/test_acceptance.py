@@ -17,7 +17,7 @@ from stackycoh.cohomline import (
     scan_h_trivial,
 )
 from stackycoh.fan import collinear_pairs
-from stackycoh.homology import complex_CI, delta_family, reduced_betti
+from stackycoh.homology import delta_family
 from stackycoh.picard import class_of, pic_structure
 from stackycoh.plsearch import (
     FINITELY_MANY,
@@ -29,6 +29,8 @@ from stackycoh.plsearch import (
     pl_function,
     sign_changes,
 )
+
+from oracles import complex_CI, reduced_betti
 
 
 def _verdict(capsys, ok, number, label, detail, elapsed, budget):

@@ -582,6 +582,15 @@ class TestHTrivialCommand:
         assert code == 0
         assert out == "true\n"
 
+    def test_cap_bounds_the_search_up_to_the_first_witness(self, capsys):
+        # counting the 55 sections of O(9) on P2 runs past the cap 3; the
+        # first witness is the second candidate value the search visits
+        data = run_json(capsys, "h-trivial", "@p2", "--coeffs=9,0,0", "--cap", "3")
+        assert data["forbidden"] == {"index_set": [1, 2, 3], "witness": [-9, 0]}
+        code, out, err = run(capsys, "h-trivial", "@p2", "--coeffs=9,0,0", "--cap", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("computation stopped:") and "cap 1 on index set [1, 2, 3]" in err
+
 
 class TestScanCommand:
     def test_p2_window(self, capsys):

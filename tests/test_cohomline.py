@@ -19,12 +19,11 @@ from stackycoh.cohomline import (
     cohomology,
     first_forbidden,
     forbidden_cone,
-    in_interior_ZI,
     is_h_trivial,
     outside_all_interiors,
     scan_h_trivial,
 )
-from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_feasible, tower_points
+from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_points
 from stackycoh.fan import StackyFan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
 
@@ -38,6 +37,7 @@ from oracles import (
     h_product,
     sign_rhs,
     sign_system,
+    tower_feasible,
 )
 from test_plsearch import antiprism_fan
 
@@ -152,6 +152,15 @@ class TestHTriviality:
         with pytest.raises(CapExceededError, match="cap 3"):
             cohomology(fan, (9, 0, 0), Limits(cap=3))
 
+    def test_forbidden_cone_stops_at_the_first_point(self):
+        # the count of O(9) on P2 runs past the cap 3, the first witness does not
+        fan = catalog_fan("p2")
+        fc = forbidden_cone(fan, (9, 0, 0), Limits(cap=3))
+        assert fc == forbidden_cone(fan, (9, 0, 0))
+        assert fc.index_set == frozenset({1, 2, 3}) and fc.witness == (-9, 0)
+        with pytest.raises(CapExceededError, match=r"cap 1 on index set \[1, 2, 3\]"):
+            forbidden_cone(fan, (9, 0, 0), Limits(cap=1))
+
 
 class TestLimits:
     def test_defaults(self):
@@ -172,12 +181,11 @@ class TestLimits:
         lambda fan, lim: first_forbidden(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: is_h_trivial(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: forbidden_cone(fan, (0,) * fan.nrays, lim),
-        lambda fan, lim: in_interior_ZI(fan, (0,) * fan.nrays, (), lim),
         lambda fan, lim: outside_all_interiors(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim),
         lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim, workers=2),
     ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
-            "in_interior_ZI", "outside_all_interiors", "scan", "scan_pool"])
+            "outside_all_interiors", "scan", "scan_pool"])
     def test_delta_cap_reaches_delta(self, call):
         with pytest.raises(DeltaCapError, match="cap 2"):
             call(catalog_fan("p1xp1"), Limits(delta_cap=2))
@@ -207,8 +215,8 @@ class TestSignPolyhedra:
         fan = catalog_fan("p2")
         I = frozenset({1, 2, 3})
         assert _row(fan, I).points((0, 0, 0), DEFAULT_CAP) == ((0, 0),)
-        assert not in_interior_ZI(fan, (0, 0, 0), I)
-        assert in_interior_ZI(fan, (1, 1, 1), I)
+        assert not _row(fan, I).interior((0, 0, 0))
+        assert _row(fan, I).interior((1, 1, 1))
 
 
 class TestTowerAgainstOracle:
@@ -252,7 +260,7 @@ class TestTowerAgainstOracle:
                 assert ex == tuple(first)
                 assert bool(ex) == bool(points)
                 strict = sign_system(fan, a, I, strict=True)
-                assert in_interior_ZI(fan, a, I) == fm_feasible(strict)
+                assert row.interior(a) == fm_feasible(strict)
 
 
 class TestIntegerCoefficients:
@@ -261,9 +269,8 @@ class TestIntegerCoefficients:
     @pytest.mark.parametrize("a", [(0.9, 0, 0), (Fraction(3, 2), 0, 0), (0.5, 0, 0)])
     @pytest.mark.parametrize("call", [
         cohomology, first_forbidden, is_h_trivial, forbidden_cone, outside_all_interiors,
-        lambda fan, a: in_interior_ZI(fan, a, ()),
     ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
-            "outside_all_interiors", "in_interior_ZI"])
+            "outside_all_interiors"])
     def test_refused_not_truncated(self, call, a):
         with pytest.raises(TypeError, match=r"^integer coefficients expected, got the entry"):
             call(catalog_fan("p2"), a)
@@ -331,13 +338,10 @@ class TestDeltaTable:
 class TestInteriors:
     def test_negative_degree_sits_inside_empty_set_cone(self):
         fan = catalog_fan("p2")
-        assert in_interior_ZI(fan, (-1, 0, 0), frozenset())
-        assert in_interior_ZI(fan, (-5, 0, 0), frozenset())
-        assert not in_interior_ZI(fan, (0, 0, 0), frozenset())
-
-    def test_index_set_must_be_in_family(self):
-        with pytest.raises(ValueError):
-            in_interior_ZI(catalog_fan("p2"), (0, 0, 0), {1})
+        row = _row(fan, frozenset())
+        assert row.interior((-1, 0, 0))
+        assert row.interior((-5, 0, 0))
+        assert not row.interior((0, 0, 0))
 
     def test_outside_all_interiors_examples(self):
         p2 = catalog_fan("p2")
@@ -444,10 +448,15 @@ class TestPropernessGuard:
             cohomology(self.QUADRANT, (0, 0))
 
     @pytest.mark.parametrize(
-        "decide", [is_h_trivial, first_forbidden, forbidden_cone], ids=lambda f: f.__name__
+        "decide",
+        [is_h_trivial, first_forbidden, forbidden_cone, outside_all_interiors, scan_h_trivial],
+        ids=lambda f: f.__name__,
     )
     def test_every_entry_point_refuses_the_unbounded_system(self, decide):
-        # the existence searches stop at a first point, yet they refuse an
-        # unbounded sign system as cohomology does
-        with pytest.raises(PropernessError, match="infinite-dimensional"):
+        # the Delta table refuses the unbounded tower when it is built, so
+        # the searches that stop at a first point and the interior test
+        # refuse it as cohomology does; the quadrant's box is a single class
+        with pytest.raises(
+            PropernessError, match=r"^infinite-dimensional contribution from index set \[\]$"
+        ):
             decide(self.QUADRANT, (0, 0))

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from stackycoh.exactlin import (
     DEFAULT_CAP,
-    PointsStatus,
     SingularMatrixError,
+    build_tower,
     int_adjugate,
     int_kernel,
     mat_mul_int,
     rat_rank,
     smith_normal_form,
-    tower_feasible,
     tower_points,
 )
 
@@ -35,6 +34,7 @@ from oracles import (
     solve_square,
     system,
     system_tower,
+    tower_feasible,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -284,7 +284,7 @@ class TestFourierMotzkin:
         # 0 < x < 1 has rational but no integer solutions; 0 < x < 0 has none,
         # although 0 <= x <= 0 has one
         assert feasible(system(1, [((1,), GT, 0), ((-1,), GT, -1)]))
-        assert integer_points(system(1, [((1,), GE, 1), ((-1,), GE, 0)])).status is PointsStatus.INFEASIBLE
+        assert integer_points(system(1, [((1,), GE, 1), ((-1,), GE, 0)])) == ()
         assert not feasible(system(1, [((1,), GT, 0), ((-1,), GT, 0)]))
         assert feasible(system(1, [((1,), GE, 0), ((-1,), GE, 0)]))
 
@@ -324,33 +324,47 @@ class TestIntegerPoints:
 
     def test_segment(self):
         sys = system(1, [((1,), GE, 0), ((-1,), GE, -2)])
-        res = integer_points(sys)
-        assert res.status is PointsStatus.POINTS
-        assert res.points == ((0,), (1,), (2,))
+        assert integer_points(sys) == ((0,), (1,), (2,))
 
     def test_empty_integer_nonempty_rational(self):
         # 2y = 1 has rational solutions only
         sys = system(1, [((2,), EQ, 1)])
-        res = integer_points(sys)
-        assert res.status is PointsStatus.INFEASIBLE
+        assert integer_points(sys) == ()
 
     def test_unbounded_line_with_lattice_points(self):
         # 2y = x + 1, x >= 0: points (1,1), (3,2), ...
         sys = system(2, [((-1, 2), EQ, 1), ((1, 0), GE, 0)])
-        res = integer_points(sys)
-        assert res.status is PointsStatus.UNBOUNDED and res.points == ()
+        with pytest.raises(ValueError, match="unbounded"):
+            integer_points(sys)
 
     def test_unbounded_strip_without_lattice_points(self):
         # 3y = 3x + 1 has no integer solutions, but an unbounded system is
-        # reported as such and never enumerated
+        # refused, whatever its right-hand side, and never enumerated
         sys = system(2, [((-3, 3), EQ, 1)])
-        res = integer_points(sys, first_only=True)
-        assert res.status is PointsStatus.UNBOUNDED and res.points == ()
+        with pytest.raises(ValueError, match="unbounded"):
+            integer_points(sys, first_only=True)
+        tower, _, _ = system_tower(sys)
+        with pytest.raises(ValueError, match="unbounded"):
+            tower_points(tower, (1, -1), cap=0)
 
     def test_cap_exhausted(self):
         sys = system(1, [((1,), GE, 0), ((-1,), GE, -10**4)])
-        res = integer_points(sys, cap=10)
-        assert res.status is PointsStatus.CAP_EXCEEDED
+        assert integer_points(sys, cap=10) is None
+        assert integer_points(sys, cap=10, first_only=True) == ((0,),)
+
+    def test_cap_spent_once_per_candidate(self):
+        tower = build_tower(((1,), (-1,)), 1)
+        assert tower_points(tower, (0, -2), cap=3) == ((0,), (1,), (2,))
+        assert tower_points(tower, (0, -2), cap=2) is None
+        assert tower_points(tower, (0, -2), cap=0) is None
+        assert tower_points(tower, (0, -2), cap=1, first_only=True) == ((0,),)
+
+    def test_constant_row_is_read_before_the_walk(self):
+        # the row 0 . x >= b_0 bounds no variable, so no level of the walk reads it
+        tower = build_tower(((0,), (1,), (-1,)), 1)
+        assert tower_points(tower, (0, 0, -2)) == ((0,), (1,), (2,))
+        assert tower_points(tower, (1, 0, -2)) == ()
+        assert tower_points(tower, (1, 0, -2), first_only=True) == ()
 
     def test_lex_order(self):
         sys = system(
@@ -361,8 +375,7 @@ class TestIntegerPoints:
                 ((-1, -1), GE, -1),
             ],
         )
-        res = integer_points(sys)
-        assert res.points == ((0, 0), (0, 1), (1, 0))
+        assert integer_points(sys) == ((0, 0), (0, 1), (1, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), st.data())
@@ -381,16 +394,10 @@ class TestIntegerPoints:
                 for i in range(nvars)
             ],
         )
-        res = integer_points(boxed)
         naive = [
             pt
             for pt in product(range(-bound, bound + 1), repeat=nvars)
             if _satisfies(boxed, pt)
         ]
-        if naive:
-            assert res.status is PointsStatus.POINTS
-            assert list(res.points) == naive
-        else:
-            assert res.status is PointsStatus.INFEASIBLE
-        first = integer_points(boxed, first_only=True)
-        assert (first.status is PointsStatus.POINTS) is bool(naive)
+        assert integer_points(boxed) == tuple(naive)
+        assert integer_points(boxed, first_only=True) == tuple(naive[:1])

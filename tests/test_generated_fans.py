@@ -29,12 +29,13 @@ from oracles import (
     sign_rhs,
     signed_rays,
     solve_square,
+    tower_feasible,
 )
 from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import _delta_table, cohomology
-from stackycoh.exactlin import build_tower, tower_feasible
+from stackycoh.exactlin import build_tower
 from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, load_fan, make_fan
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import pic_structure

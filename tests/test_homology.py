@@ -1,4 +1,4 @@
-"""Support complexes, reduced Betti numbers, and the index family."""
+"""Reduced Betti numbers of the support-complex oracle, and the index family."""
 
 import random
 
@@ -7,15 +7,9 @@ import pytest
 from fangen import PRODUCTS, assert_matches_exhaustive, named_product
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.fan import make_fan
-from stackycoh.homology import (
-    DeltaCapError,
-    complex_CI,
-    delta_family,
-    delta_set,
-    reduced_betti,
-    simplicial_complex,
-    supp,
-)
+from stackycoh.homology import DeltaCapError, delta_family, delta_set
+
+from oracles import complex_CI, reduced_betti, simplicial_complex, supp
 
 LOWDIM = [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
 RANK4_PRODUCTS, RANK5_PRODUCTS = (

@@ -8,7 +8,7 @@ import pytest
 
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
-from stackycoh.exactlin import build_tower, tower_feasible
+from stackycoh.exactlin import build_tower
 from stackycoh.fan import collinear_pairs, load_fan, make_fan, parallel_rays
 from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.picard import classes_equal
@@ -28,7 +28,7 @@ from stackycoh.plsearch import (
     sign_changes,
 )
 
-from oracles import affine_dim, sign_rhs, signed_rays
+from oracles import affine_dim, sign_rhs, signed_rays, tower_feasible
 
 BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,44 @@ def test_no_unused_imports(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported - read) == [], f"{path.name} never reads these imports"
+
+
+
+def _public_names(tree):
+    """Public names bound at the top level of a module by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def _script_entry_points():
+    """(module, name) of each console script the project declares."""
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    return {tuple(target.split(":")) for target in scripts.values()}
+
+
+def test_every_public_name_is_used_or_exported():
+    # a public name that nothing in the package reads and __init__ does not
+    # export is a route only tests take: it belongs in tests/oracles.py
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    used = {(f"{PACKAGE.name}.{m}", n) for m, n in _script_entry_points()}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((f"{PACKAGE.name}.{module}", node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                used.update((f"{PACKAGE.name}.{node.module}", a.name) for a in node.names)
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for name in _public_names(tree)
+        if (f"{PACKAGE.name}.{module}", name) not in used
+    ]
+    assert unused == [], f"neither read in the package nor exported: {unused}"
