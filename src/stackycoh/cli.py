@@ -124,30 +124,17 @@ def _box(cfg: RunConfig, fan: StackyFan) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_catalog(cfg: RunConfig, _: None) -> tuple[dict, list[str]]:
-    rows = []
-    lines = []
+    rows, lines = [], []
     for name in catalog_names():
         fan = catalog_fan(name)
         fp = fan_fingerprint(fan)
-        rows.append(
-            {
-                "name": name,
-                "rank": fan.rank,
-                "rays": fan.nrays,
-                "fingerprint": fp,
-            }
-        )
+        rows.append({"name": name, "rank": fan.rank, "rays": fan.nrays, "fingerprint": fp})
         lines.append(f"{name}: rank {fan.rank}, {fan.nrays} rays, {fp}")
     return {"fans": rows}, lines
 
 
 def _cmd_validate(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
-    payload = {
-        "valid": True,
-        "rank": fan.rank,
-        "rays": fan.nrays,
-        "max_cones": len(fan.max_cones),
-    }
+    payload = {"valid": True, "rank": fan.rank, "rays": fan.nrays, "max_cones": len(fan.max_cones)}
     return payload, [
         f"valid: rank {fan.rank}, {fan.nrays} rays, "
         f"{len(fan.max_cones)} maximal cones, {fan_fingerprint(fan)}"
@@ -163,24 +150,15 @@ def _cmd_pic(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
 
 def _cmd_delta(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     fam = delta_family(fan, cfg.limits.delta_cap)
-    members = [
-        {"index_set": sorted(I), "betti": list(b)} for I, b in fam.members
-    ]
-    lines = [
-        f"{{{','.join(str(i) for i in sorted(I))}}}: betti {b}"
-        for I, b in fam.members
-    ]
+    members = [{"index_set": sorted(I), "betti": list(b)} for I, b in fam.members]
+    lines = [f"{{{','.join(str(i) for i in sorted(I))}}}: betti {b}" for I, b in fam.members]
     return {"members": members}, lines
 
 
 def _cmd_cohomology(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     a = _require_coeffs(cfg, fan)
     h = cohomology(fan, a, cfg.limits)
-    payload = {
-        "coeffs": list(a),
-        "h": list(h),
-        "class": class_to_json(class_of(fan, a)),
-    }
+    payload = {"coeffs": list(a), "h": list(h), "class": class_to_json(class_of(fan, a))}
     return payload, ["h = (" + ", ".join(str(x) for x in h) + ")"]
 
 
@@ -250,9 +228,7 @@ def _cmd_family(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     for r in range(lo, hi + 1):
         cls = family_class(fan, s, psi, r)
         trivial = is_h_trivial(fan, cls.raw, cfg.limits)
-        rows.append(
-            {"r": r, "class": class_to_json(cls), "h_trivial": trivial}
-        )
+        rows.append({"r": r, "class": class_to_json(cls), "h_trivial": trivial})
         lines.append(
             f"r={r}: free {cls.free} torsion {cls.torsion} "
             f"{'H-trivial' if trivial else 'NOT H-trivial'}"

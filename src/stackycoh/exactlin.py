@@ -3,12 +3,12 @@
 Everything here takes and returns Python ints; no rational or floating
 point number enters anywhere. The module provides the normal forms,
 kernels and the Fourier-Motzkin machinery that the rest of the package is
-built on: Smith normal form with unimodular transforms, one fraction-free
-(Bareiss) Gauss-Jordan elimination behind every rank, kernel and
-adjugate, and integer Fourier-Motzkin towers. A tower depends only on the
-coefficient rows of a system R x >= b and records whether {x : R x >= 0}
-is {0}. tower_points walks a bounded tower for the lattice points of
-R x >= b, for any right-hand side b.
+built on: Smith normal form with unimodular transforms, a sparse
+fraction-free rank, one fraction-free (Bareiss) Gauss-Jordan elimination
+behind every kernel and adjugate, and integer Fourier-Motzkin towers. A
+tower depends only on the coefficient rows of a system R x >= b and
+records whether {x : R x >= 0} is {0}. tower_points walks a bounded
+tower for the lattice points of R x >= b, for any right-hand side b.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -205,10 +205,41 @@ def _int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     return work
 
 
-def rat_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix: its number of pivots."""
-    work = _int_rows(rows)
-    return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
+def rat_rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse rows {column: entry}.
+
+    Each row is reduced at its lowest column until it is zero or becomes the
+    pivot row there. A +-1 pivot is subtracted in place; any other gives the
+    fraction-free combination, divided by its content. Zeros are dropped.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {}
+        for j, x in given.items():
+            if not isinstance(x, int):
+                raise TypeError(f"integer matrix expected, got the entry {x!r}")
+            if x:
+                row[j] = x
+        while row:
+            c = min(row)
+            top = pivots.get(c)
+            if top is None:
+                pivots[c] = row
+                break
+            p, a = top[c], row[c]
+            if p == 1 or p == -1:
+                a *= p
+                for j, x in top.items():
+                    y = row.get(j, 0) - a * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+            else:
+                row = {j: p * row.get(j, 0) - a * top.get(j, 0) for j in row.keys() | top.keys()}
+                g = math.gcd(*row.values())
+                row = {j: y // g for j, y in row.items() if y}
+    return len(pivots)
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ...]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -38,6 +39,17 @@ class StackyFan:
     rank: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[frozenset[int], ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once: every fan-keyed cache asks for it
+        return hash((self.rank, self.rays, self.max_cones))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def nrays(self) -> int:
@@ -101,10 +113,8 @@ def load_fan(text: bytes | str) -> StackyFan:
         raise FanFormatError("rays must be a list of integer vectors")
     if not isinstance(cones, list) or not all(isinstance(c, list) for c in cones):
         raise FanFormatError("max_cones must be a list of index lists")
-    for r in rays:
-        for x in r:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise FanFormatError("ray coordinates must be integers")
+    if any(isinstance(x, bool) or not isinstance(x, int) for r in rays for x in r):
+        raise FanFormatError("ray coordinates must be integers")
     n = len(rays)
     for c in cones:
         for i in c:
@@ -247,12 +257,8 @@ def collinear_pairs(fan: StackyFan) -> tuple[tuple[int, int], ...]:
     In a valid fan two distinct rays on one line point in opposite
     directions.
     """
-    out = []
-    for i in range(1, fan.nrays + 1):
-        for j in range(i + 1, fan.nrays + 1):
-            if parallel_rays(fan.ray(i), fan.ray(j)):
-                out.append((i, j))
-    return tuple(out)
+    pairs = combinations(range(1, fan.nrays + 1), 2)
+    return tuple((i, j) for i, j in pairs if parallel_rays(fan.ray(i), fan.ray(j)))
 
 
 @dataclass(frozen=True)
@@ -260,18 +266,6 @@ class RayNeighborhood:
     center: int
     members: frozenset[int]
     cycle: Optional[tuple[int, ...]]
-
-
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def two_cone_pairs(fan: StackyFan) -> frozenset[frozenset[int]]:
-    """All 2-element subsets of maximal cones (the two-dimensional cones)."""
-    out: set[frozenset[int]] = set()
-    for cone in fan.max_cones:
-        members = sorted(cone)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                out.add(frozenset((members[a], members[b])))
-    return frozenset(out)
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -285,9 +279,8 @@ def neighborhood(fan: StackyFan, s: int) -> RayNeighborhood:
     """
     if not 1 <= s <= fan.nrays:
         raise ValueError(f"ray index {s} out of range")
-    members = frozenset(
-        j for pair in two_cone_pairs(fan) if s in pair for j in pair if j != s
-    )
+    # every two rays of a maximal cone span a two-dimensional cone
+    members = frozenset().union(*(c for c in fan.max_cones if s in c)) - {s}
     if fan.rank != 3:
         return RayNeighborhood(s, members, None)
     adj: dict[int, list[int]] = {j: [] for j in members}

@@ -24,16 +24,15 @@ class DeltaCapError(Exception):
     pass
 
 
-def _boundary_rank(faces: Sequence[int], lower: Sequence[int]) -> int:
-    """Rank of the boundary map from faces to faces one smaller, as bitmasks."""
-    index = {f: k for k, f in enumerate(lower)}
+def _boundary_rank(faces: Sequence[int]) -> int:
+    """Rank of the boundary map on faces given as ray bitmasks.
+
+    The row of a face is keyed by the bitmasks of the faces one smaller.
+    """
     rows = []
     for f in faces:
-        row = [0] * len(lower)
         bits = [1 << v for v in range(f.bit_length()) if f >> v & 1]
-        for k, bit in enumerate(bits):
-            row[index[f ^ bit]] = (-1) ** k
-        rows.append(row)
+        rows.append({f ^ bit: (-1) ** k for k, bit in enumerate(bits)})
     return rat_rank(rows)
 
 
@@ -61,11 +60,6 @@ class DeltaFamily:
         return len(self.members)
 
 
-def _sorted_members(pairs: Iterable[tuple[frozenset[int], BettiVector]]) -> DeltaFamily:
-    ordered = sorted(pairs, key=lambda p: (len(p[0]), tuple(sorted(p[0]))))
-    return DeltaFamily(tuple(ordered))
-
-
 def _components(adj: Sequence[int], mask: int) -> int:
     """Connected components of the graph of two-cones on the rays in mask."""
     count = 0
@@ -88,8 +82,12 @@ def _proper_betti(
 
     Degrees -1 and m-1 vanish. Degree 0 counts the components of I and,
     by duality, degree m-2 those of Ic. Degrees 1..m-4 come from boundary
-    ranks and the reduced Euler characteristic fixes degree m-3.
+    ranks and the reduced Euler characteristic fixes degree m-3. Those
+    ranks are taken on the side with fewer rays; by the same duality the
+    vector of the other side is the reverse.
     """
+    if m >= 5 and I.bit_count() > Ic.bit_count():
+        return _proper_betti(m, Ic, I, adj, levels)[::-1]
     b = [0] * (m + 1)  # b[k] is the rank in degree k-1
     if m >= 2:
         b[1], b[m - 1] = _components(adj, I) - 1, _components(adj, Ic) - 1
@@ -98,7 +96,7 @@ def _proper_betti(
         rank = len(f[0]) - 1 - b[1]  # of the boundary from edges to vertices
         for d in range(1, m - 3):
             # with no d-cycles the next boundary map is zero
-            nxt = _boundary_rank(f[d + 1], f[d]) if len(f[d]) > rank else 0
+            nxt = _boundary_rank(f[d + 1]) if len(f[d]) > rank else 0
             b[d + 1], rank = len(f[d]) - rank - nxt, nxt
         chi = sum((-1) ** d * len(faces) for d, faces in enumerate(f)) - 1
         known = sum((-1) ** d * x for d, x in enumerate(b[1:]))
@@ -134,7 +132,8 @@ def delta_set(fan: StackyFan) -> DeltaFamily:
         if any(b):
             members = frozenset(i + 1 for i in range(n) if I >> i & 1)
             pairs += [(members, tuple(b)), (universe - members, tuple(b[::-1]))]
-    return _sorted_members(pairs)
+    pairs.sort(key=lambda p: (len(p[0]), sorted(p[0])))
+    return DeltaFamily(tuple(pairs))
 
 
 # One enumerator serves every rank; the benchmark harness still reads the

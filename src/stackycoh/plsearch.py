@@ -79,14 +79,14 @@ def _linear_parts(fan: StackyFan, values: Sequence[Rational]) -> list[tuple[int,
     return parts
 
 
-def _form_differences(parts: Sequence[tuple[int, list[Rational]]]) -> list[list[Rational]]:
+def _form_differences(parts: Sequence[tuple[int, list[Rational]]]) -> list[dict[int, Rational]]:
     """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
 
-    The rows vanish exactly when all linear parts agree, and span the
-    affine hull of the parts.
+    The rows are sparse, {column: nonzero entry}, so they are empty exactly
+    when all linear parts agree. They span the affine hull of the parts.
     """
     (d0, a0), *rest = parts
-    return [[d0 * x - d * y for x, y in zip(a, a0)] for d, a in rest]
+    return [{j: v for j, (x, y) in enumerate(zip(a, a0)) if (v := d0 * x - d * y)} for d, a in rest]
 
 
 def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
@@ -99,7 +99,7 @@ def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
 
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
-    return not any(map(any, _form_differences(_linear_parts(fan, psi.values))))
+    return not any(_form_differences(_linear_parts(fan, psi.values)))
 
 
 def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
@@ -144,7 +144,7 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
             continue
         for vec in basis:
             diffs = _form_differences(_linear_parts(fan, vec))
-            if any(map(any, diffs)):
+            if any(diffs):
                 if rat_rank(diffs) >= m:
                     raise AssertionError("the linear parts of psi must span less than the rank")
                 return s, pl_function(vec)

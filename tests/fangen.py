@@ -29,6 +29,10 @@ PRODUCTS = {
         ("p1xp1", "p1xp1xp1"),
         ("p2_221", "blp3_center"),
     ],
+    6: [
+        ("p3", "p3"),
+        ("p1xp2", "p3"),
+    ],
 }
 
 

@@ -6,7 +6,8 @@ Seven routes that never touch the production paths they check:
 * a direct sum over integer functionals in a box, pairing each functional
   with the homology of its support complex (supp, reduced_betti);
 * the index family Delta over all 2^n ray subsets, each complex C_I's
-  Betti vector from the boundary ranks of all its faces;
+  Betti vector from the dense fraction-free ranks of the boundary maps
+  of all its faces, against the sparse rat_rank of the package;
 * unpruned Fourier-Motzkin over Fractions on LinearSystem values:
   feasibility from the constant rows of a full projection, boundedness
   from recession probes, and lattice points by projecting again at every
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, build_tower, rat_rank
+from stackycoh.exactlin import SingularMatrixError, build_tower
 from stackycoh.homology import DeltaFamily
 
 GE = ">="
@@ -112,6 +113,32 @@ def complex_CI(fan, index_set):
     return supp(fan, [0 if i in I else -1 for i in range(1, fan.nrays + 1)])
 
 
+def dense_rank(rows):
+    """Rank over Q of dense integer rows by fraction-free (Bareiss) elimination.
+
+    After k pivots every entry below them is a (k+1) x (k+1) minor, so each
+    division by the previous pivot is exact.
+    """
+    work = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top, p = work[rank], work[rank][c]
+        for i in range(rank + 1, len(work)):
+            a = work[i][c]
+            work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+        rank, prev = rank + 1, p
+    return rank
+
+
+def sparse_rows(rows):
+    """Dense rows as the {column: nonzero entry} rows of exactlin.rat_rank."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def reduced_betti(cx, m):
     """Reduced Betti numbers over Q in degrees -1..m-1, as an (m+1)-tuple.
 
@@ -132,7 +159,7 @@ def reduced_betti(cx, m):
             for j in range(k):
                 row[index[f[:j] + f[j + 1 :]]] = (-1) ** j
             rows.append(row)
-        ranks.append(rat_rank(rows))
+        ranks.append(dense_rank(rows))
     ranks.append(0)
     return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(m + 1))
 

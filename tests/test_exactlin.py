@@ -26,12 +26,14 @@ from oracles import (
     GT,
     LinearSystem,
     affine_dim,
+    dense_rank,
     fm_bounded,
     fm_feasible,
     invert,
     rational_kernel,
     rref,
     solve_square,
+    sparse_rows,
     system,
     system_tower,
     tower_feasible,
@@ -136,13 +138,19 @@ class TestRationalLinearAlgebra:
         assert work[0] == [Fraction(1), Fraction(2)]
 
     def test_rank(self):
-        assert rat_rank([[1, 2], [2, 4]]) == 1
-        assert rat_rank([[1, 0], [0, 1]]) == 2
+        assert rat_rank(sparse_rows([[1, 2], [2, 4]])) == 1
+        assert rat_rank(sparse_rows([[1, 0], [0, 1]])) == 2
         assert rat_rank([]) == 0
 
     def test_rank_of_zero_rows(self):
-        assert rat_rank([[0, 0, 0], [0, 0, 0]]) == 0
-        assert rat_rank([[0, 0, 5], [0, 1, 0], [0, 2, 7]]) == 2
+        assert rat_rank(sparse_rows([[0, 0, 0], [0, 0, 0]])) == 0
+        assert rat_rank(sparse_rows([[0, 0, 5], [0, 1, 0], [0, 2, 7]])) == 2
+        assert rat_rank([{}, {3: 0}, {1: 0, 2: -4}]) == 1
+
+    def test_columns_are_any_int_keys(self):
+        # the columns need not be 0..n-1: Delta keys them by face bitmasks
+        assert rat_rank([{0b11: 1, 0b101: -1}, {0b101: 1, 0b110: -1}, {0b11: 1, 0b110: -1}]) == 2
+        assert rat_rank([{-7: 2, 10**20: 3}, {-7: 4, 10**20: 6}]) == 1
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 5), st.integers(1, 5), st.data())
@@ -152,7 +160,29 @@ class TestRationalLinearAlgebra:
             min_size=nrows, max_size=nrows,
         ))
         expected = sympy.Matrix(rows).rank() if rows else 0
-        assert rat_rank(rows) == expected == len(rref(rows, ncols)[1])
+        assert rat_rank(sparse_rows(rows)) == expected == len(rref(rows, ncols)[1])
+        assert dense_rank(rows) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 8), st.integers(0, 8), st.data())
+    def test_sparse_rank_equals_dense_oracle(self, nrows, ncols, inner, data):
+        # rows = A B with A nrows x inner and B inner x ncols has rank at
+        # most inner, so rows cancel through non-unit pivots; the entries
+        # mix zeros, units and large values, and the columns get random
+        # distinct keys, so the pivot order differs from the dense one
+        entry = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-9, 9),
+                          st.integers(-10**12, 10**12))
+        a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                               min_size=nrows, max_size=nrows))
+        b = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                               min_size=inner, max_size=inner))
+        rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] if b else [0] * ncols
+                for r in a]
+        keys = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=ncols,
+                                  max_size=ncols, unique=True))
+        relabeled = [{keys[j]: x for j, x in row.items()} for row in sparse_rows(rows)]
+        assert rat_rank(relabeled) == rat_rank(sparse_rows(rows)) == dense_rank(rows)
+        assert dense_rank(rows) <= min(inner, nrows, ncols)
 
     def test_kernel_of_projection(self):
         assert int_kernel([[1, 0, 0]], 3) == ((0, 1, 0), (0, 0, 1))
@@ -199,7 +229,9 @@ class TestRationalLinearAlgebra:
         # det 5/36, but the elimination would read rank 1 and det 0
         half_third = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]]
         with pytest.raises(TypeError, match="integer matrix"):
-            rat_rank(half_third)
+            rat_rank(sparse_rows(half_third))
+        with pytest.raises(TypeError, match="integer matrix"):
+            rat_rank([{0: 1, 1: 1.0}])
         with pytest.raises(TypeError, match="integer matrix"):
             int_adjugate(half_third)
         with pytest.raises(TypeError, match="integer matrix"):

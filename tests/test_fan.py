@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pickle
 import pkgutil
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.fan import (
     FanFormatError,
     FanValidationError,
+    StackyFan,
     collinear_pairs,
     fan_fingerprint,
     fan_to_json,
@@ -278,9 +280,44 @@ class TestCaches:
             "fan.collinear_pairs",
             "fan.cone_adjugates",
             "fan.neighborhood",
-            "fan.two_cone_pairs",
             "homology.delta_fast_lowdim",
             "homology.delta_set",
             "picard.pic_structure",
         }, found
         assert all(size is not None for size in found.values()), found
+
+
+class _CountedRays(tuple):
+    """A ray tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+class TestIdentity:
+    """Fans key every cache: equal, hashable and picklable as plain values."""
+
+    def test_hashed_once(self):
+        p2 = catalog_fan("p2")
+        fan = StackyFan(p2.rank, _CountedRays(p2.rays), p2.max_cones)
+        for _ in range(5):
+            hash(fan)
+        assert {fan: 1}[p2] == 1
+        assert _CountedRays.hashes == 1
+
+    def test_equality_hash_and_pickle(self):
+        fan = catalog_fan("p1xp2")
+        # built without make_fan, whose validation hashes the fan for its caches
+        twin = StackyFan(fan.rank, fan.rays, fan.max_cones)
+        unhashed = pickle.dumps(twin)
+        assert fan == twin and fan is not twin
+        assert hash(fan) == hash(twin) == hash((fan.rank, fan.rays, fan.max_cones))
+        assert fan != catalog_fan("p1xp1")
+        # the cached hash stays out of the pickled state and the repr
+        assert pickle.dumps(twin) == pickle.dumps(fan) == unhashed
+        assert "_hash" not in repr(twin)
+        loaded = pickle.loads(unhashed)
+        assert loaded == fan and hash(loaded) == hash(fan)

@@ -4,17 +4,19 @@ import random
 
 import pytest
 
-from fangen import PRODUCTS, assert_matches_exhaustive, named_product
+from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
+from stackycoh import homology
 from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh.exactlin import rat_rank
 from stackycoh.fan import make_fan
 from stackycoh.homology import DeltaCapError, delta_family, delta_set
 
 from oracles import complex_CI, reduced_betti, simplicial_complex, supp
 
 LOWDIM = [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
-RANK4_PRODUCTS, RANK5_PRODUCTS = (
+RANK4_PRODUCTS, RANK5_PRODUCTS, RANK6_PRODUCTS = (
     [pytest.param(names, id="x".join(names)) for names in PRODUCTS[rank]]
-    for rank in (4, 5)
+    for rank in (4, 5, 6)
 )
 
 
@@ -151,9 +153,15 @@ class TestDeltaFamily:
     def test_fast_path_equals_exhaustive(self, name):
         assert_matches_exhaustive(catalog_fan(name))
 
-    @pytest.mark.parametrize("names", RANK4_PRODUCTS + RANK5_PRODUCTS)
+    @pytest.mark.parametrize("names", RANK4_PRODUCTS + RANK5_PRODUCTS + RANK6_PRODUCTS)
     def test_products_equal_exhaustive(self, names):
         assert_matches_exhaustive(named_product(names))
+
+    def test_subdivided_rank_five_product_equals_exhaustive(self):
+        # no product symmetry left: its last cone subdivided with unequal weights
+        fan = named_product(("p1xp1", "p3"))
+        cone = max(fan.max_cones, key=sorted)
+        assert_matches_exhaustive(stellar(fan, cone, [1, 2, 1, 3, 1]))
 
     @pytest.mark.parametrize("name", LOWDIM)
     def test_duality_under_complement(self, name):
@@ -200,3 +208,39 @@ class TestNoLinearAlgebraBelowRankFive:
     def test_guard_is_live_in_rank_five(self):
         with pytest.raises(AssertionError, match="boundary rank"):
             delta_family(named_product(PRODUCTS[5][0]))
+
+
+class TestSmallerSide:
+    """Above rank 4 the boundary ranks are taken on the side with fewer rays."""
+
+    @pytest.mark.parametrize("names", [
+        pytest.param(("p2", "p1xp2"), id="p1xp2xp2"),
+        pytest.param(("p1xp1", "p1xp1xp1"), id="p1^5"),
+    ])
+    def test_every_rank_is_taken_on_the_smaller_side(self, monkeypatch, names):
+        # each rank is charged to the innermost (I, Ic) of _proper_betti
+        # in progress; a swapped call nests inside the call it swaps
+        fan, open_calls, charged = named_product(names), [], []
+        proper_betti = homology._proper_betti
+
+        def tracked(m, I, Ic, *rest):
+            open_calls.append((I, Ic))
+            try:
+                return proper_betti(m, I, Ic, *rest)
+            finally:
+                open_calls.pop()
+
+        def counted(rows):
+            charged.append((*open_calls[-1], len(open_calls)))
+            return rat_rank(rows)
+
+        monkeypatch.setattr(homology, "_proper_betti", tracked)
+        monkeypatch.setattr(homology, "rat_rank", counted)
+        delta_set.cache_clear()
+        try:
+            delta_set(fan)
+        finally:
+            delta_set.cache_clear()
+        assert charged
+        assert [c for c in charged if c[0].bit_count() > c[1].bit_count()] == []
+        assert {depth for _, _, depth in charged} == {1, 2}

@@ -99,3 +99,35 @@ def test_every_public_name_is_used_or_exported():
         if (f"{PACKAGE.name}.{module}", name) not in used
     ]
     assert unused == [], f"neither read in the package nor exported: {unused}"
+
+
+def _readers(tree, name):
+    """The top-level functions of a module that read name; None for module level."""
+    readers = set()
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load):
+                readers.add(owner)
+            elif isinstance(sub, ast.Attribute) and sub.attr == name:
+                readers.add(owner)
+    return readers
+
+
+def test_one_rank_routine():
+    # exactlin.rat_rank is the one rank routine: any other function named
+    # for a rank delegates to it, and the dense Gauss-Jordan loop serves
+    # only the kernels and the adjugates
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    gauss_jordan = {(m, f) for m, tree in trees.items() for f in _readers(tree, "_gauss_jordan")}
+    assert gauss_jordan == {("exactlin", "int_kernel"), ("exactlin", "int_adjugate")}
+    others = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and "rank" in node.name
+        and (module, node.name) != ("exactlin", "rat_rank")
+        and not any(isinstance(n, ast.Name) and n.id == "rat_rank" for n in ast.walk(node))
+    ]
+    assert others == [], f"rank routines besides exactlin.rat_rank: {others}"
