@@ -14,7 +14,6 @@ from .cohomline import (
     PropernessError,
     box_classes,
     cohomology,
-    first_forbidden,
     forbidden_cone,
     is_h_trivial,
     outside_all_interiors,
@@ -35,7 +34,6 @@ from .fan import (
 )
 from .homology import (
     DeltaCapError,
-    DeltaFamily,
     delta_family,
     delta_fast_lowdim,
     delta_set,

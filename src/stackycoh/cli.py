@@ -103,8 +103,6 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: Sequence[str]) -> None:
 
 
 def _require_coeffs(cfg: RunConfig, fan: StackyFan) -> tuple[int, ...]:
-    if cfg.coeffs is None:
-        raise UsageError("--coeffs is required")
     if len(cfg.coeffs) != fan.nrays:
         raise UsageError(
             f"expected {fan.nrays} coefficients, got {len(cfg.coeffs)}"
@@ -150,8 +148,8 @@ def _cmd_pic(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
 
 def _cmd_delta(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     fam = delta_family(fan, cfg.limits.delta_cap)
-    members = [{"index_set": sorted(I), "betti": list(b)} for I, b in fam.members]
-    lines = [f"{{{','.join(str(i) for i in sorted(I))}}}: betti {b}" for I, b in fam.members]
+    members = [{"index_set": sorted(I), "betti": list(b)} for I, b in fam]
+    lines = [f"{{{','.join(str(i) for i in sorted(I))}}}: betti {b}" for I, b in fam]
     return {"members": members}, lines
 
 

@@ -117,7 +117,7 @@ def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
     universe = frozenset(range(1, fan.nrays + 1))
     built: dict[frozenset[int], Tower] = {}
     table = []
-    for I, betti in delta_set(fan).members:
+    for I, betti in delta_set(fan):
         off = tuple(int(i not in I) for i in range(1, fan.nrays + 1))
         sign = tuple(2 * o - 1 for o in off)
         if universe - I in built:
@@ -158,33 +158,6 @@ def cohomology(
     return tuple(h)
 
 
-def _first_member(
-    fan: StackyFan, a: Sequence[int], limits: Limits
-) -> Optional[tuple[frozenset[int], IntVector]]:
-    """First index set in Delta with lattice points, and its first point."""
-    a, table = _checked(fan, a, limits)
-    for row in table:
-        points = row.points(a, limits.cap, first_only=True)
-        if points:
-            return row.index_set, points[0]
-    return None
-
-
-def first_forbidden(
-    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
-) -> Optional[frozenset[int]]:
-    """First index set in Delta whose weak system has an integer point."""
-    found = _first_member(fan, a, limits)
-    return None if found is None else found[0]
-
-
-def is_h_trivial(
-    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
-) -> bool:
-    """Whether every cohomology dimension of the class vanishes."""
-    return first_forbidden(fan, a, limits) is None
-
-
 @dataclass(frozen=True)
 class ForbiddenCone:
     """A witness that a class has cohomology: an index set plus a point."""
@@ -198,11 +171,22 @@ def forbidden_cone(
 ) -> Optional[ForbiddenCone]:
     """First index set in Delta with lattice points, and its first point.
 
-    The search stops at that point, as first_forbidden does, so the cap
-    bounds only the candidates visited before it.
+    The search stops at that point, so the cap bounds only the candidates
+    visited before it.
     """
-    found = _first_member(fan, a, limits)
-    return None if found is None else ForbiddenCone(*found)
+    a, table = _checked(fan, a, limits)
+    for row in table:
+        points = row.points(a, limits.cap, first_only=True)
+        if points:
+            return ForbiddenCone(row.index_set, points[0])
+    return None
+
+
+def is_h_trivial(
+    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
+) -> bool:
+    """Whether every cohomology dimension of the class vanishes."""
+    return forbidden_cone(fan, a, limits) is None
 
 
 def outside_all_interiors(

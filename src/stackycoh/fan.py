@@ -124,13 +124,7 @@ def load_fan(text: bytes | str) -> StackyFan:
                 raise FanFormatError(f"cone ray index {i} out of range (0-based)")
         if len(set(c)) != len(c):
             raise FanFormatError(f"cone {c} lists a ray index twice")
-    fan = StackyFan(
-        rank,
-        tuple(tuple(r) for r in rays),
-        tuple(frozenset(i + 1 for i in c) for c in cones),
-    )
-    validate(fan)
-    return fan
+    return make_fan(rank, rays, [[i + 1 for i in c] for c in cones])
 
 
 def fan_to_json(fan: StackyFan) -> str:

@@ -4,13 +4,13 @@ For a ray subset I, the complex C_I has a face for every subset of I
 that lies in a common cone. Delta collects the subsets I whose C_I has
 nontrivial reduced homology; it stratifies every cohomology computation
 in this package, and is read off the topology of the fan's cone complex.
+Delta is a sorted tuple of (index set, reduced Betti vector) pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactlin import rat_rank
 from .fan import FAN_CACHE_SIZE, StackyFan
@@ -18,6 +18,8 @@ from .fan import FAN_CACHE_SIZE, StackyFan
 DEFAULT_DELTA_CAP = 16
 
 BettiVector = tuple[int, ...]
+
+DeltaMembers = tuple[tuple[frozenset[int], BettiVector], ...]
 
 
 class DeltaCapError(Exception):
@@ -34,30 +36,6 @@ def _boundary_rank(faces: Sequence[int]) -> int:
         bits = [1 << v for v in range(f.bit_length()) if f >> v & 1]
         rows.append({f ^ bit: (-1) ** k for k, bit in enumerate(bits)})
     return rat_rank(rows)
-
-
-@dataclass(frozen=True)
-class DeltaFamily:
-    """The index sets with homologically nontrivial C_I, plus their ranks."""
-
-    members: tuple[tuple[frozenset[int], BettiVector], ...]
-
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(I for I, _ in self.members)
-
-    def betti(self, index_set: Iterable[int]) -> BettiVector:
-        I = frozenset(index_set)
-        for J, b in self.members:
-            if J == I:
-                return b
-        raise KeyError(f"{sorted(I)} is not in the family")
-
-    def __contains__(self, index_set) -> bool:
-        I = frozenset(index_set)
-        return any(J == I for J, _ in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _components(adj: Sequence[int], mask: int) -> int:
@@ -92,7 +70,8 @@ def _proper_betti(
     if m >= 2:
         b[1], b[m - 1] = _components(adj, I) - 1, _components(adj, Ic) - 1
     if m >= 4:
-        f = [[face for face in level if face | I == I] for level in levels]
+        k = I.bit_count()  # a face with more rays than I is never in C_I
+        f = [[face for face in level if face | I == I] for level in levels[:k]] + [[]] * (m - k)
         rank = len(f[0]) - 1 - b[1]  # of the boundary from edges to vertices
         for d in range(1, m - 3):
             # with no d-cycles the next boundary map is zero
@@ -105,7 +84,7 @@ def _proper_betti(
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def delta_set(fan: StackyFan) -> DeltaFamily:
+def delta_set(fan: StackyFan) -> DeltaMembers:
     """Delta of a complete simplicial fan from the topology of its cones.
 
     The cone complex triangulates the sphere S^{m-1} and C_I is its full
@@ -133,7 +112,7 @@ def delta_set(fan: StackyFan) -> DeltaFamily:
             members = frozenset(i + 1 for i in range(n) if I >> i & 1)
             pairs += [(members, tuple(b)), (universe - members, tuple(b[::-1]))]
     pairs.sort(key=lambda p: (len(p[0]), sorted(p[0])))
-    return DeltaFamily(tuple(pairs))
+    return tuple(pairs)
 
 
 # One enumerator serves every rank; the benchmark harness still reads the
@@ -141,7 +120,7 @@ def delta_set(fan: StackyFan) -> DeltaFamily:
 delta_fast_lowdim = delta_set
 
 
-def delta_family(fan: StackyFan, cap: int = DEFAULT_DELTA_CAP) -> DeltaFamily:
+def delta_family(fan: StackyFan, cap: int = DEFAULT_DELTA_CAP) -> DeltaMembers:
     """Delta of the fan, refused when it has more than cap rays.
 
     The enumeration visits 2^(n-1) index sets in every rank.

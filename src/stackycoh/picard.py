@@ -90,7 +90,10 @@ def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
 def class_from_canonical(
     fan: StackyFan, free: Sequence[int], torsion: Sequence[int] = ()
 ) -> LineBundleClass:
-    """A raw representative with the given canonical coordinates."""
+    """A raw representative with the given canonical coordinates.
+
+    The raw vector is U^-1 y, y the coordinates with torsion reduced.
+    """
     st = pic_structure(fan)
     if len(free) != st.free_rank:
         raise ValueError(f"expected {st.free_rank} free coordinates")
@@ -99,9 +102,10 @@ def class_from_canonical(
     y = [0] * fan.nrays
     for k, p in enumerate(st.torsion_positions):
         y[p] = int(torsion[k]) % st.torsion[k]
-    for i, val in enumerate(free):
-        y[st.free_offset + i] = int(val)
-    return class_of(fan, [sum(map(mul, row, y)) for row in st.u_inv])
+    free = tuple(map(int, free))
+    y[st.free_offset :] = free
+    raw = tuple(sum(map(mul, row, y)) for row in st.u_inv)
+    return LineBundleClass(raw, free, tuple(y[p] for p in st.torsion_positions))
 
 
 def classes_equal(fan: StackyFan, a: Sequence[int], b: Sequence[int]) -> bool:

@@ -37,9 +37,6 @@ class PLFunction:
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
 
-    def scaled(self, k: Rational) -> "PLFunction":
-        return PLFunction(tuple(Fraction(k) * v for v in self.values))
-
 
 def pl_function(values: Sequence[Rational]) -> PLFunction:
     return PLFunction(tuple(map(Fraction, values)))

@@ -3,12 +3,17 @@
 A product of two complete simplicial fans is complete and simplicial,
 and so is a stellar subdivision at a point interior to a maximal cone,
 so every fan built here must validate. assert_matches_exhaustive checks
-the Delta of such a fan against the exhaustive oracle.
+the Delta of such a fan against the exhaustive oracle. complete_fans
+lists the catalog, the products and the fans under bench/fans.
 """
 
+from pathlib import Path
+
+import pytest
+
 from oracles import exhaustive_delta
-from stackycoh.catalog import catalog_fan
-from stackycoh.fan import make_fan
+from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh.fan import load_fan, make_fan
 from stackycoh.homology import delta_set
 
 # products of catalog fans, by factor names
@@ -69,8 +74,27 @@ def stellar(fan, cone, weights=None):
     return make_fan(fan.rank, list(fan.rays) + [w], cones)
 
 
+BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
+
+
+def catalog_and_products():
+    """Catalog fans and the products of them."""
+    out = [pytest.param(catalog_fan(n), id=n) for n in catalog_names()]
+    for rank in sorted(PRODUCTS):
+        out += [pytest.param(named_product(n), id="x".join(n)) for n in PRODUCTS[rank]]
+    return out
+
+
+def complete_fans():
+    """Catalog fans, their products, and the fans under bench/fans."""
+    return catalog_and_products() + [
+        pytest.param(load_fan(path.read_text()), id=f"bench-{path.stem}")
+        for path in sorted(BENCH_FANS.glob("*.json"))
+    ]
+
+
 def assert_matches_exhaustive(fan):
     """Delta equals the exhaustive oracle, with int Betti entries."""
     fam = delta_set(fan)
-    assert fam.members == exhaustive_delta(fan).members
-    assert all(type(x) is int for _, betti in fam.members for x in betti)
+    assert fam == exhaustive_delta(fan)
+    assert all(type(x) is int for _, betti in fam for x in betti)

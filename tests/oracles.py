@@ -31,7 +31,6 @@ from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
 from stackycoh.exactlin import SingularMatrixError, build_tower
-from stackycoh.homology import DeltaFamily
 
 GE = ">="
 GT = ">"
@@ -201,7 +200,7 @@ def exhaustive_delta(fan):
             b = reduced_betti(complex_CI(fan, I), fan.rank)
             if any(b):
                 pairs.append((frozenset(I), b))
-    return DeltaFamily(tuple(pairs))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

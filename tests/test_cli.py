@@ -240,7 +240,7 @@ class TestDeltaCommand:
         fan = catalog_fan(name)
         members = [
             {"index_set": sorted(I), "betti": list(b)}
-            for I, b in exhaustive_delta(fan).members
+            for I, b in exhaustive_delta(fan)
         ]
         expected = json.dumps(
             {"fan": fan_fingerprint(fan), "members": members},

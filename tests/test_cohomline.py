@@ -12,12 +12,12 @@ from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import (
     CapExceededError,
+    ForbiddenCone,
     Limits,
     PropernessError,
     _delta_table,
     box_classes,
     cohomology,
-    first_forbidden,
     forbidden_cone,
     is_h_trivial,
     outside_all_interiors,
@@ -125,10 +125,10 @@ class TestHTriviality:
                 assert is_h_trivial(fan, a) == vanishes
                 assert (forbidden_cone(fan, a) is None) == vanishes
 
-    def test_first_forbidden_on_structure_sheaf(self):
+    def test_forbidden_cone_on_structure_sheaf(self):
         fan = catalog_fan("p2")
-        assert first_forbidden(fan, (0, 0, 0)) == frozenset({1, 2, 3})
-        assert first_forbidden(fan, (-1, 0, 0)) is None
+        assert forbidden_cone(fan, (0, 0, 0)) == ForbiddenCone(frozenset({1, 2, 3}), (0, 0))
+        assert forbidden_cone(fan, (-1, 0, 0)) is None
 
     def test_forbidden_witness_realizes_sign_pattern(self):
         rng = random.Random(31)
@@ -178,13 +178,12 @@ class TestLimits:
 
     @pytest.mark.parametrize("call", [
         lambda fan, lim: cohomology(fan, (0,) * fan.nrays, lim),
-        lambda fan, lim: first_forbidden(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: is_h_trivial(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: forbidden_cone(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: outside_all_interiors(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim),
         lambda fan, lim: scan_h_trivial(fan, (-1, 1), lim, workers=2),
-    ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
+    ], ids=["cohomology", "is_h_trivial", "forbidden_cone",
             "outside_all_interiors", "scan", "scan_pool"])
     def test_delta_cap_reaches_delta(self, call):
         with pytest.raises(DeltaCapError, match="cap 2"):
@@ -203,7 +202,7 @@ class TestSignPolyhedra:
         rng = random.Random(37)
         for name in ["p2", "p1xp1", "p1xp2"]:
             fan = catalog_fan(name)
-            for I, _ in delta_family(fan).members:
+            for I, _ in delta_family(fan):
                 for _ in range(10):
                     a = [rng.randint(-4, 4) for _ in range(fan.nrays)]
                     if _row(fan, I).points(a, DEFAULT_CAP, first_only=True):
@@ -244,7 +243,7 @@ class TestTowerAgainstOracle:
         fan = catalog_fan(name)
         for _ in range(3):
             a = [rng.randint(-6, 6) for _ in range(fan.nrays)]
-            for I, _ in delta_family(fan).members:
+            for I, _ in delta_family(fan):
                 weak = sign_system(fan, a, I)
                 points, visited = fm_points(weak)
                 row = _row(fan, I)
@@ -268,9 +267,8 @@ class TestIntegerCoefficients:
     # Fraction(3, 2) gave (3, 0, 0), and (0.5, 0, 0) lay outside all interiors
     @pytest.mark.parametrize("a", [(0.9, 0, 0), (Fraction(3, 2), 0, 0), (0.5, 0, 0)])
     @pytest.mark.parametrize("call", [
-        cohomology, first_forbidden, is_h_trivial, forbidden_cone, outside_all_interiors,
-    ], ids=["cohomology", "first_forbidden", "is_h_trivial", "forbidden_cone",
-            "outside_all_interiors"])
+        cohomology, is_h_trivial, forbidden_cone, outside_all_interiors,
+    ], ids=["cohomology", "is_h_trivial", "forbidden_cone", "outside_all_interiors"])
     def test_refused_not_truncated(self, call, a):
         with pytest.raises(TypeError, match=r"^integer coefficients expected, got the entry"):
             call(catalog_fan("p2"), a)
@@ -331,7 +329,7 @@ class TestDeltaTable:
     def test_rows_follow_delta(self):
         fan = antiprism_fan()
         assert [(row.index_set, row.betti) for row in _delta_table(fan)] == list(
-            delta_set(fan).members
+            delta_set(fan)
         )
 
 
@@ -449,7 +447,7 @@ class TestPropernessGuard:
 
     @pytest.mark.parametrize(
         "decide",
-        [is_h_trivial, first_forbidden, forbidden_cone, outside_all_interiors, scan_h_trivial],
+        [is_h_trivial, forbidden_cone, outside_all_interiors, scan_h_trivial],
         ids=lambda f: f.__name__,
     )
     def test_every_entry_point_refuses_the_unbounded_system(self, decide):

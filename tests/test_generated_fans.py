@@ -12,13 +12,19 @@ import json
 import random
 from fractions import Fraction
 from math import cos, gcd, pi, sin
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
+from fangen import (
+    PRODUCTS,
+    assert_matches_exhaustive,
+    catalog_and_products,
+    complete_fans,
+    named_product,
+    stellar,
+)
 from oracles import (
     brute_cohomology,
     dot,
@@ -36,7 +42,7 @@ from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import _delta_table, cohomology
 from stackycoh.exactlin import build_tower
-from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, load_fan, make_fan
+from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, make_fan
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import pic_structure
 from stackycoh.plsearch import cone_linear_part, degenerate_space, pl_function
@@ -107,25 +113,6 @@ START_FANS = [(n,) for n in catalog_names() if catalog_fan(n).rank >= 2] + PRODU
 
 def start_fan(names):
     return catalog_fan(names[0]) if len(names) == 1 else named_product(names)
-
-
-BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
-
-
-def catalog_and_products():
-    """Catalog fans and the products of them."""
-    out = [pytest.param(catalog_fan(n), id=n) for n in catalog_names()]
-    for rank in sorted(PRODUCTS):
-        out += [pytest.param(named_product(n), id="x".join(n)) for n in PRODUCTS[rank]]
-    return out
-
-
-def complete_fans():
-    """Catalog fans, their products, and the fans under bench/fans."""
-    return catalog_and_products() + [
-        pytest.param(load_fan(path.read_text()), id=f"bench-{path.stem}")
-        for path in sorted(BENCH_FANS.glob("*.json"))
-    ]
 
 
 def assert_delta_towers_bounded(fan):

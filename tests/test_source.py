@@ -73,6 +73,14 @@ def _public_names(tree):
     return [n for n in names if not n.startswith("_")]
 
 
+def _is_property(node):
+    """Whether a def in a class body is decorated as a property."""
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+        for d in node.decorator_list
+    )
+
+
 def _script_entry_points():
     """(module, name) of each console script the project declares."""
     pyproject = PACKAGE.parents[1] / "pyproject.toml"
@@ -97,6 +105,25 @@ def test_every_public_name_is_used_or_exported():
         if module != "__init__"
         for name in _public_names(tree)
         if (f"{PACKAGE.name}.{module}", name) not in used
+    ]
+    # a property is read as an attribute and a method is called as one;
+    # exporting the class does not make them used, and dunder methods are
+    # called by Python itself
+    read, called = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    unused += [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if node.name not in (read if _is_property(node) else called)
     ]
     assert unused == [], f"neither read in the package nor exported: {unused}"
 
