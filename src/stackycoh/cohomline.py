@@ -5,27 +5,32 @@ and an index set I carve out the polyhedron of linear functionals whose
 value pattern is non-negative exactly on I. Counting integer points of
 the weak systems over the family Delta gives all cohomology dimensions.
 
-Each fan has one table with a row per member I of Delta, holding the
-one Fourier-Motzkin tower of the rows v_i on I and -v_i off I, which
-both sign systems share. The rows of I^c are those of I negated, so one
-tower is built per complement pair. A class a enters through the
-right-hand side b(a) = s*a + o: s_i = -1 on I and +1 off I, o_i = 1 off
-I for the weak system and o = 0 for the strict one. A constant tower
-row with multipliers mu reads w . a + c <= 0, w = mu*s and c = mu . o,
-so rational feasibility is a set of dot products: every w . a + c <= 0
-(weak), every w . a < 0 (strict, the open cone of I). The strict test
-lives here alone; exactlin walks weak systems only, and only a
-rationally feasible one is walked for lattice points. On a complete fan
-every tower is bounded; an unbounded one is refused with
-PropernessError when the table is built.
+Both sign systems of I have the rows v_i on I and -v_i off I, and a class
+a enters through the right-hand side b(a) = s*a + o: s_i = -1 on I and
++1 off I, o_i = 1 off I for the weak system and o = 0 for the strict one.
+A circuit is a linear relation lambda among the rays of minimal support;
+it conforms to I when it is positive only on I and negative only off I.
+The conforming circuits are the constant rows of the Fourier-Motzkin
+tower of I (Rockafellar 1969), and each reads w . a + c <= 0 with
+w = -lambda and c the sum of its negative entries' absolute values. So
+rational feasibility is a set of dot products: every w . a + c <= 0
+(weak), every w . a < 0 (strict, the open cone of I). By Stiemke's lemma
+the system is bounded exactly when the rays span and the conforming
+circuits cover every ray, as on a complete fan.
+
+Each fan has one table with a row per member I of Delta, holding those
+forms. A row's tower is built only when a class passes its forms and is
+walked for lattice points, and the tower of I^c is that of I negated.
+The strict test lives here alone; exactlin walks weak systems only.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from itertools import combinations, product
+from math import gcd
 from operator import mul, neg
 from typing import Optional, Sequence
 
@@ -34,6 +39,8 @@ from .exactlin import (
     IntVector,
     Tower,
     build_tower,
+    int_kernel,
+    int_tuple,
     tower_points,
 )
 from .fan import FAN_CACHE_SIZE, StackyFan
@@ -72,14 +79,32 @@ class _DeltaRow:
     """One member I of Delta, with everything a class is tested against.
 
     sign is s of the weak right-hand side b(a) = s*a + o, and forms holds
-    (w, c) for each constant row of the tower.
+    (w, c) for each circuit that conforms to I. towers is shared by the
+    rows of one table and holds the towers built so far, by index set.
     """
 
     index_set: frozenset[int]
     betti: BettiVector
-    tower: Tower
     sign: IntVector
     forms: tuple[tuple[IntVector, int], ...]
+    fan: StackyFan = field(compare=False, repr=False)
+    towers: dict[frozenset[int], Tower] = field(compare=False, repr=False)
+
+    @cached_property
+    def tower(self) -> Tower:
+        """The tower of the rows v_i on I and -v_i off I, on first use.
+
+        When the tower of I^c is built, it is negated instead: the same
+        rows, and nothing reads their order.
+        """
+        complement = frozenset(range(1, self.fan.nrays + 1)) - self.index_set
+        if complement in self.towers:
+            tower = _negated(self.towers[complement])
+        else:
+            rows = tuple(tuple(-s * x for x in v) for s, v in zip(self.sign, self.fan.rays))
+            tower = build_tower(rows, self.fan.rank)
+        self.towers[self.index_set] = tower
+        return tower
 
     def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
         """Lattice points of the weak system of a, or only the first one."""
@@ -104,31 +129,81 @@ def _negated(tower: Tower) -> Tower:
     return Tower(tower.nvars, levels, tower.bounded)
 
 
+def _circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
+    """The dimension d of the relations lambda with sum lambda_i v_i = 0, and their circuits.
+
+    A circuit is a primitive relation of minimal support, given with one of
+    its two signs. With B a kernel basis, the relations that vanish on a set
+    Z of d - 1 rays are y B for y orthogonal to the columns of B at Z; when
+    those y form a line, y B is a circuit, and every circuit arises so. A Z
+    inside the zero set of a circuit already found can only give that
+    circuit again, so it is skipped.
+    """
+    n = fan.nrays
+    basis = int_kernel(tuple(zip(*fan.rays)), n)
+    d = len(basis)
+    if d == 0:
+        return 0, ()
+    columns = tuple(zip(*basis))
+    found: list[IntVector] = []
+    zero_sets: list[int] = []
+    for Z in combinations(range(n), d - 1):
+        mask = sum(1 << j for j in Z)
+        if any(mask & z == mask for z in zero_sets):
+            continue
+        y = int_kernel(tuple(columns[j] for j in Z), d)
+        if len(y) != 1:
+            continue
+        relation = [sum(map(mul, y[0], col)) for col in columns]
+        g = gcd(*relation)
+        found.append(tuple(x // g for x in relation))
+        zero_sets.append(sum(1 << j for j, x in enumerate(relation) if not x))
+    return d, tuple(found)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
-    """One row per member of Delta, in Delta's order.
+    """One row per member of Delta, in Delta's order, with no tower built.
 
-    The first of each complement pair has its tower built and the other
-    negates it: equal rows as sets, and nothing reads their order. A
-    negated tower keeps the bounded flag, so each pair is checked once:
-    on a complete fan every member's tower is bounded, and an unbounded
-    one is a PropernessError for every class.
+    Each circuit enters with both signs. A signed circuit conforms to I
+    unless it is positive at a ray off I or negative at a ray on I; bit k
+    of positive[i] (negative[i]) says that signed circuit k is positive
+    (negative) at ray i. An unbounded system is a PropernessError for
+    every class.
     """
-    universe = frozenset(range(1, fan.nrays + 1))
-    built: dict[frozenset[int], Tower] = {}
+    n = fan.nrays
+    d, circuits = _circuits(fan)
+    signed = circuits + tuple(tuple(map(neg, c)) for c in circuits)
+    positive, negative = [0] * n, [0] * n
+    for k, relation in enumerate(signed):
+        for i, x in enumerate(relation):
+            if x > 0:
+                positive[i] |= 1 << k
+            elif x < 0:
+                negative[i] |= 1 << k
+    forms_of = [(tuple(map(neg, c)), -sum(x for x in c if x < 0)) for c in signed]
+    full = (1 << len(signed)) - 1
+    towers: dict[frozenset[int], Tower] = {}
     table = []
     for I, betti in delta_set(fan):
-        off = tuple(int(i not in I) for i in range(1, fan.nrays + 1))
-        sign = tuple(2 * o - 1 for o in off)
-        if universe - I in built:
-            tower = _negated(built[universe - I])
-        else:
-            rows = tuple(tuple(-s * x for x in v) for s, v in zip(sign, fan.rays))
-            tower = built[I] = build_tower(rows, fan.rank)
-            if not tower.bounded:
-                raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
-        forms = tuple((tuple(map(mul, m, sign)), sum(map(mul, m, off))) for _, m in tower.levels[0])
-        table.append(_DeltaRow(I, betti, tower, sign, forms))
+        broken = 0
+        for i, p, q in zip(range(1, n + 1), positive, negative):
+            broken |= q if i in I else p
+        conforming = full & ~broken
+        # Stiemke: bounded exactly when the rays span and the conforming circuits cover them
+        if d != n - fan.rank or not all(conforming & (p | q) for p, q in zip(positive, negative)):
+            raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
+        sign = tuple(-1 if i in I else 1 for i in range(1, n + 1))
+        forms = tuple(forms_of[k] for k in _bits(conforming))
+        table.append(_DeltaRow(I, betti, sign, forms, fan, towers))
     return tuple(table)
 
 
@@ -202,12 +277,13 @@ def _normalize_box(
     """One (lo, hi) range per free coordinate.
 
     The box is a flat pair or a single range, applied to every coordinate,
-    or one range per coordinate; ValueError names what is wrong.
+    or one range per coordinate; ValueError names what is wrong, and
+    TypeError a bound that is not an int.
     """
     st = pic_structure(fan)
     if st.free_rank == 0:
         return ()
-    if len(box) == 2 and all(isinstance(x, int) for x in box):
+    if len(box) == 2 and not any(isinstance(x, (tuple, list)) for x in box):
         box = [tuple(box)]
     if len(box) == 1:
         box = list(box) * st.free_rank
@@ -215,8 +291,8 @@ def _normalize_box(
         ranges = "1 range" if st.free_rank == 1 else f"1 or {st.free_rank} ranges"
         raise ValueError(f"expected {ranges}, got {len(box)}")
     out = []
-    for lo, hi in box:
-        lo, hi = int(lo), int(hi)
+    for bounds in box:
+        lo, hi = int_tuple(bounds, "integer box bounds")
         if lo > hi:
             raise ValueError(f"empty range {lo}:{hi}")
         out.append((lo, hi))

@@ -193,16 +193,31 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
     return pivots, prev, sign
 
 
+_INT = frozenset({int})
+
+
+def int_tuple(values: Iterable, what: str) -> IntVector:
+    """The values as a tuple of ints; TypeError naming the first that is not one.
+
+    int() would truncate a float or a Fraction silently. The message reads
+    "{what} expected, got the entry ...". Entries of an int subclass such
+    as bool are converted to int.
+    """
+    out = tuple(values)
+    if _INT.issuperset(map(type, out)):
+        return out
+    for x in out:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} expected, got the entry {x!r}")
+    return tuple(map(int, out))
+
+
 def _int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """The rows copied as lists; TypeError on an entry that is not an int.
 
     The exact divisions of _gauss_jordan floor any other number silently.
     """
-    work = [list(row) for row in rows]
-    bad = [x for row in work for x in row if not isinstance(x, int)]
-    if bad:
-        raise TypeError(f"integer matrix expected, got the entry {bad[0]!r}")
-    return work
+    return [list(int_tuple(row, "integer matrix")) for row in rows]
 
 
 def rat_rank(rows: Iterable[Mapping[int, int]]) -> int:

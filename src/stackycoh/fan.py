@@ -16,7 +16,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate
+from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate, int_tuple
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
@@ -61,16 +61,18 @@ class StackyFan:
 
 
 def make_fan(rank: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]) -> StackyFan:
-    """Build and validate a stacky fan from 1-based cone index sets."""
-    cones = [[int(i) for i in cone] for cone in max_cones]
+    """Build and validate a stacky fan from 1-based cone index sets.
+
+    TypeError on a rank, coordinate or index that is not an int, which
+    int() would truncate.
+    """
+    (rank,) = int_tuple((rank,), "an integer rank")
+    rays = tuple(int_tuple(r, "integer ray coordinates") for r in rays)
+    cones = [list(int_tuple(cone, "integer ray indices")) for cone in max_cones]
     for c in cones:
         if len(set(c)) != len(c):
             raise FanValidationError(f"cone {c} lists a ray index twice")
-    fan = StackyFan(
-        int(rank),
-        tuple(tuple(int(x) for x in r) for r in rays),
-        tuple(map(frozenset, cones)),
-    )
+    fan = StackyFan(rank, rays, tuple(map(frozenset, cones)))
     validate(fan)
     return fan
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .exactlin import IntMatrix, IntVector, int_adjugate, smith_normal_form
+from .exactlin import IntMatrix, IntVector, int_adjugate, int_tuple, smith_normal_form
 from .fan import FAN_CACHE_SIZE, FanValidationError, StackyFan
 
 
@@ -72,10 +72,7 @@ def coefficient_vector(fan: StackyFan, a: Sequence[int]) -> IntVector:
     """
     if len(a) != fan.nrays:
         raise ValueError("coefficient vector length must equal the ray count")
-    bad = [x for x in a if not isinstance(x, int)]
-    if bad:
-        raise TypeError(f"integer coefficients expected, got the entry {bad[0]!r}")
-    return tuple(map(int, a))
+    return int_tuple(a, "integer coefficients")
 
 
 def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
@@ -93,16 +90,18 @@ def class_from_canonical(
     """A raw representative with the given canonical coordinates.
 
     The raw vector is U^-1 y, y the coordinates with torsion reduced.
+    TypeError on a coordinate that is not an int, which int() would truncate.
     """
     st = pic_structure(fan)
     if len(free) != st.free_rank:
         raise ValueError(f"expected {st.free_rank} free coordinates")
     if len(torsion) != len(st.torsion):
         raise ValueError(f"expected {len(st.torsion)} torsion residues")
+    coords = int_tuple((*free, *torsion), "integer coordinates")
+    free = coords[: st.free_rank]
     y = [0] * fan.nrays
     for k, p in enumerate(st.torsion_positions):
-        y[p] = int(torsion[k]) % st.torsion[k]
-    free = tuple(map(int, free))
+        y[p] = coords[st.free_rank + k] % st.torsion[k]
     y[st.free_offset :] = free
     raw = tuple(sum(map(mul, row, y)) for row in st.u_inv)
     return LineBundleClass(raw, free, tuple(y[p] for p in st.torsion_positions))

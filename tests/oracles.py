@@ -22,7 +22,8 @@ Seven routes that never touch the production paths they check:
   the rays of one maximal cone and checking it on every ray;
 * inverses, solutions, kernels, facet normals and affine dimensions over
   Fractions by reduced echelon form, against the integer adjugates and
-  fraction-free kernels of the package.
+  fraction-free kernels of the package, and the circuits of the rays from
+  every small ray subset, against the kernel solves of the Delta table.
 """
 
 from dataclasses import dataclass
@@ -477,6 +478,34 @@ def rational_kernel(a, ncols):
             vec[p] = -work[r][f]
         basis.append(tuple(vec))
     return tuple(basis)
+
+
+def brute_circuits(fan):
+    """The circuits of the rays, each primitive with its first entry positive.
+
+    A circuit is a relation sum lambda_i v_i = 0 of minimal support. Its
+    support S is a minimal dependent set, so |S| <= m + 1: the rays of S
+    have rank |S| - 1, and so do the rays of S minus any one ray. Every
+    such S of at most m + 1 rays is tried, with the ranks and the one
+    relation on S taken from the reduced echelon form.
+    """
+    out = set()
+    for size in range(1, fan.rank + 2):
+        for S in combinations(range(fan.nrays), size):
+            rays = [fan.rays[i] for i in S]
+            if len(rref(rays, fan.rank)[1]) != size - 1 or any(
+                len(rref(rays[:k] + rays[k + 1 :], fan.rank)[1]) != size - 1 for k in range(size)
+            ):
+                continue
+            (relation,) = rational_kernel(list(zip(*rays)), size)
+            scale = lcm(*(x.denominator for x in relation))
+            ints = [int(x * scale) for x in relation]
+            g = gcd(*ints) * (1 if ints[0] > 0 else -1)
+            full = [0] * fan.nrays
+            for i, x in zip(S, ints):
+                full[i] = x // g
+            out.add(tuple(full))
+    return out
 
 
 def affine_dim(points):

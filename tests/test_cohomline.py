@@ -10,6 +10,7 @@ import pytest
 
 from stackycoh import cohomline
 from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh.cli import main
 from stackycoh.cohomline import (
     CapExceededError,
     ForbiddenCone,
@@ -27,6 +28,7 @@ from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_points
 from stackycoh.fan import StackyFan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
 
+from fangen import BENCH_FANS
 from oracles import (
     brute_cohomology,
     fm_bounded,
@@ -281,25 +283,56 @@ class TestIntegerCoefficients:
         with pytest.raises(ValueError, match="ray count"):
             cohomology(catalog_fan("p2"), (0.5, 0))
 
+    @pytest.mark.parametrize("box,entry", [
+        (((-1.7, 1.9),), "-1.7"),
+        ((-1, 1.9), "1.9"),
+        (((0, 1), (Fraction(1, 2), 1)), r"Fraction\(1, 2\)"),
+    ])
+    def test_box_bounds_refused_not_truncated(self, box, entry):
+        # int() used to truncate them: ((-1.7, 1.9),) scanned (-1, 1)
+        with pytest.raises(TypeError, match=rf"^integer box bounds expected, got the entry {entry}$"):
+            scan_h_trivial(catalog_fan("p1xp1"), box)
+
 
 class TestDeltaTable:
-    def test_one_tower_per_complement_pair(self, monkeypatch):
-        # a count of the work, independent of the machine's speed
-        calls = []
+    def test_towers_built_only_for_walked_pairs(self, monkeypatch, capsys):
+        # a count of the work, independent of the machine's speed: the
+        # 3-class antiprism scan walks 2 of the 41 complement pairs, the
+        # report walks none, and a repeated call builds nothing
+        built, walked = [], []
 
-        def counted(rows, nvars):
-            calls.append(rows)
+        def counted_build(rows, nvars):
+            built.append(rows)
             return build_tower(rows, nvars)
 
-        monkeypatch.setattr(cohomline, "build_tower", counted)
+        def counted_walk(tower, b, cap, first_only=False):
+            walked.append(tower)
+            return tower_points(tower, b, cap, first_only)
+
+        monkeypatch.setattr(cohomline, "build_tower", counted_build)
+        monkeypatch.setattr(cohomline, "tower_points", counted_walk)
         _delta_table.cache_clear()
         fan = antiprism_fan()
         box = ((-1, 1), (0, 0), (0, 0), (0, 0), (0, 0))
         found = scan_h_trivial(fan, box)
-        assert len(calls) == len(delta_set(fan)) // 2 == 41
-        calls.clear()
+        universe = frozenset(range(1, fan.nrays + 1))
+        # only a walk asks a row for its tower, so the rows holding one were walked
+        held = [row for row in _delta_table(fan) if "tower" in vars(row)]
+        assert {id(vars(row)["tower"]) for row in held} == set(map(id, walked))
+        pairs = {frozenset({row.index_set, universe - row.index_set}) for row in held}
+        assert len(built) == len(pairs) == 2
+        built.clear()
         assert scan_h_trivial(fan, box) == found
-        assert calls == []
+        assert built == []
+
+        _delta_table.cache_clear()
+        argv = ["report", str(BENCH_FANS / "antiprism.json"), "--box=-1:1,0:0,0:0,0:0,0:0"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert built == []
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == []
 
     @pytest.mark.parametrize("name", ["p1xp2", "cyclic5", "antiprism"])
     def test_tower_walked_only_when_rationally_feasible(self, monkeypatch, name):
@@ -440,6 +473,25 @@ class TestPropernessGuard:
     # cone leaves the weak system unbounded with lattice points, which a
     # complete fan never does
     QUADRANT = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=(frozenset({1, 2}),))
+    # rays in the plane z = 0: the circuits cover every ray, but the
+    # z-axis solves every homogeneous system, so only the span check
+    # refuses them
+    PLANAR = StackyFan(
+        rank=3,
+        rays=((1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 1, 0)),
+        max_cones=(frozenset({1, 2, 4}), frozenset({2, 3, 4}), frozenset({1, 3, 4})),
+    )
+
+    @pytest.mark.parametrize(
+        "decide",
+        [cohomology, is_h_trivial, forbidden_cone, outside_all_interiors],
+        ids=lambda f: f.__name__,
+    )
+    def test_rays_that_do_not_span_are_refused(self, decide):
+        with pytest.raises(
+            PropernessError, match=r"^infinite-dimensional contribution from index set \[\]$"
+        ):
+            decide(self.PLANAR, (0, 0, 0, 0))
 
     def test_incomplete_fan_triggers_unbounded_error(self):
         with pytest.raises(PropernessError, match="infinite-dimensional"):

@@ -14,6 +14,7 @@ from stackycoh.exactlin import (
     build_tower,
     int_adjugate,
     int_kernel,
+    int_tuple,
     mat_mul_int,
     rat_rank,
     smith_normal_form,
@@ -236,6 +237,14 @@ class TestRationalLinearAlgebra:
             int_adjugate(half_third)
         with pytest.raises(TypeError, match="integer matrix"):
             int_kernel(half_third[:1], 2)
+
+    def test_int_tuple_converts_int_subclasses(self):
+        # exact ints come back as they are, a bool as the int it equals
+        assert int_tuple([3, -2], "x") == (3, -2)
+        out = int_tuple((True, 0, False), "x")
+        assert out == (1, 0, 0) and all(type(x) is int for x in out)
+        with pytest.raises(TypeError, match=r"^x expected, got the entry 2\.0$"):
+            int_tuple((True, 2.0), "x")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.data())

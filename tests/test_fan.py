@@ -227,6 +227,20 @@ class TestValidation:
                 [tuple(remap[i] for i in c) for c in kept],
             )
 
+    @pytest.mark.parametrize("rank,rays,cones,message", [
+        (2, [[1.5, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1]],
+         "integer ray coordinates expected, got the entry 1.5"),
+        (2.0, [[1, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1]],
+         "an integer rank expected, got the entry 2.0"),
+        (2, [[1, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1.2]],
+         "integer ray indices expected, got the entry 1.2"),
+    ], ids=["ray", "rank", "cone"])
+    def test_non_integers_refused_not_truncated(self, rank, rays, cones, message):
+        # int() used to truncate them: the first of these built P2
+        with pytest.raises(TypeError) as info:
+            make_fan(rank, rays, cones)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_validates(self, name):
         fan = catalog_fan(name)

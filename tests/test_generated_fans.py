@@ -26,6 +26,7 @@ from fangen import (
     stellar,
 )
 from oracles import (
+    brute_circuits,
     brute_cohomology,
     dot,
     eliminate_unpruned_first,
@@ -40,9 +41,15 @@ from oracles import (
 from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
-from stackycoh.cohomline import _delta_table, cohomology
+from stackycoh.cohomline import _circuits, _delta_table, cohomology
 from stackycoh.exactlin import build_tower
-from stackycoh.fan import FanValidationError, cone_adjugates, fan_to_json, make_fan
+from stackycoh.fan import (
+    FanValidationError,
+    collinear_pairs,
+    cone_adjugates,
+    fan_to_json,
+    make_fan,
+)
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import pic_structure
 from stackycoh.plsearch import cone_linear_part, degenerate_space, pl_function
@@ -104,6 +111,16 @@ def product_subdivisions():
             fan = named_product(names)
             cone = min(fan.max_cones, key=sorted)
             out.append(pytest.param(fan, cone, id="x".join(names)))
+    return out
+
+
+def stellar_fans():
+    """Each catalog fan subdivided at every maximal cone, each product at its first."""
+    out = []
+    for p in subdivisions() + product_subdivisions():
+        fan = p.values[0]
+        fan = catalog_fan(fan) if isinstance(fan, str) else fan
+        out.append(pytest.param(stellar(fan, p.values[1]), id=f"stellar-{p.id}"))
     return out
 
 
@@ -249,6 +266,17 @@ class TestDeltaTable:
                     direct, sign_rhs(a, I, strict=True), strict
                 ), (a, sorted(I))
 
+    @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
+    def test_circuits_match_every_small_subset(self, fan):
+        d, circuits = _circuits(fan)
+        assert d == fan.nrays - fan.rank
+        signed = [c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in circuits]
+        assert len(set(signed)) == len(signed)
+        assert set(signed) == brute_circuits(fan)
+        # a collinear pair, which the 3-fold criterion counts, is a circuit of two rays
+        pairs = {tuple(i + 1 for i, x in enumerate(c) if x) for c in circuits}
+        assert {p for p in pairs if len(p) == 2} == set(collinear_pairs(fan))
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(complete_fans()), st.data())
     def test_support_check_keeps_every_row_in_order(self, param, data):
@@ -266,12 +294,7 @@ class TestDeltaTable:
 
 def oracle_fans():
     """Catalog fans, products of them, and a stellar subdivision of each."""
-    out = catalog_and_products()
-    for p in subdivisions() + product_subdivisions():
-        fan = p.values[0]
-        fan = catalog_fan(fan) if isinstance(fan, str) else fan
-        out.append(pytest.param(stellar(fan, p.values[1]), id=f"stellar-{p.id}"))
-    return out
+    return catalog_and_products() + stellar_fans()
 
 
 class TestIntegerCones:

@@ -208,6 +208,16 @@ class TestCanonicalCoordinates:
         with pytest.raises(TypeError, match="integer coefficients expected"):
             classes_equal(catalog_fan("p2"), a, (0, 0, 0))
 
+    @pytest.mark.parametrize("name,free,torsion,entry", [
+        ("p2", (0.9,), (), "0.9"),
+        ("p1_22", (Fraction(3, 2),), (1,), r"Fraction\(3, 2\)"),
+        ("p1_22", (1,), (1.7,), "1.7"),
+    ])
+    def test_non_integer_coordinates_refused(self, name, free, torsion, entry):
+        # int() used to truncate them: (0.9,) on P2 gave the class of (0, 0, 0)
+        with pytest.raises(TypeError, match=rf"^integer coordinates expected, got the entry {entry}$"):
+            class_from_canonical(catalog_fan(name), free, torsion)
+
     def test_wrong_lengths_rejected(self):
         fan = catalog_fan("p2")
         with pytest.raises(ValueError):
