@@ -11,17 +11,18 @@ a enters through the right-hand side b(a) = s*a + o: s_i = -1 on I and
 A circuit is a linear relation lambda among the rays of minimal support;
 it conforms to I when it is positive only on I and negative only off I.
 The conforming circuits are the constant rows of the Fourier-Motzkin
-tower of I (Rockafellar 1969), and each reads w . a + c <= 0 with
-w = -lambda and c the sum of its negative entries' absolute values. So
-rational feasibility is a set of dot products: every w . a + c <= 0
-(weak), every w . a < 0 (strict, the open cone of I). By Stiemke's lemma
+tower of I (Rockafellar 1969): a conforming signed circuit sigma asks
+sigma . a >= c, c the sum of the absolute values of its negative entries
+(weak), or sigma . a > 0 (strict, the open cone of I). By Stiemke's lemma
 the system is bounded exactly when the rays span and the conforming
 circuits cover every ray, as on a complete fan.
 
-Each fan has one table with a row per member I of Delta, holding those
-forms. A row's tower is built only when a class passes its forms and is
-walked for lattice points, and the tower of I^c is that of I negated.
-The strict test lives here alone; exactlin walks weak systems only.
+Each fan has one table of the circuits and of a row per member I of
+Delta, holding the bitmask of the signed circuits that conform to I. One
+dot product per circuit gives the mask of those a class fails, and a row
+is feasible exactly when the two masks are disjoint. A row's tower is
+built only when it is walked for lattice points, and the tower of I^c is
+that of I negated. The strict test lives here alone.
 """
 
 from __future__ import annotations
@@ -32,17 +33,9 @@ from functools import cached_property, lru_cache, partial
 from itertools import combinations, product
 from math import gcd
 from operator import mul, neg
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactlin import (
-    DEFAULT_CAP,
-    IntVector,
-    Tower,
-    build_tower,
-    int_kernel,
-    int_tuple,
-    tower_points,
-)
+from .exactlin import DEFAULT_CAP, IntVector, Tower, build_tower, int_kernel, int_tuple, tower_points
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
 from .picard import LineBundleClass, class_from_canonical, coefficient_vector, pic_structure
@@ -78,15 +71,15 @@ class Limits:
 class _DeltaRow:
     """One member I of Delta, with everything a class is tested against.
 
-    sign is s of the weak right-hand side b(a) = s*a + o, and forms holds
-    (w, c) for each circuit that conforms to I. towers is shared by the
-    rows of one table and holds the towers built so far, by index set.
+    sign is s of the weak right-hand side b(a) = s*a + o, and bit k of
+    conforming says that signed circuit k of the table conforms to I.
+    towers, shared by the rows of one table, holds the towers built so far.
     """
 
     index_set: frozenset[int]
     betti: BettiVector
     sign: IntVector
-    forms: tuple[tuple[IntVector, int], ...]
+    conforming: int
     fan: StackyFan = field(compare=False, repr=False)
     towers: dict[frozenset[int], Tower] = field(compare=False, repr=False)
 
@@ -108,9 +101,6 @@ class _DeltaRow:
 
     def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
         """Lattice points of the weak system of a, or only the first one."""
-        for w, c in self.forms:
-            if sum(map(mul, w, a)) + c > 0:
-                return ()
         b = [s * x + (s > 0) for s, x in zip(self.sign, a)]
         points = tower_points(self.tower, b, cap, first_only)
         if points is None:
@@ -119,9 +109,16 @@ class _DeltaRow:
             )
         return points
 
-    def interior(self, a: IntVector) -> bool:
-        """Whether some functional realizes the sign pattern of I strictly."""
-        return all(sum(map(mul, w, a)) < 0 for w, _ in self.forms)
+
+class _DeltaTable(NamedTuple):
+    """A fan's rows in Delta's order, and (lambda, c+, -c-) per circuit lambda.
+
+    c+ (c-) sums the absolute values of lambda's negative (positive) entries.
+    Of the K circuits, signed circuit k is lambda_k and k + K is -lambda_k.
+    """
+
+    rows: tuple[_DeltaRow, ...]
+    circuits: tuple[tuple[IntVector, int, int], ...]
 
 
 def _negated(tower: Tower) -> Tower:
@@ -161,16 +158,8 @@ def _circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
     return d, tuple(found)
 
 
-def _bits(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
+def _delta_table(fan: StackyFan) -> _DeltaTable:
     """One row per member of Delta, in Delta's order, with no tower built.
 
     Each circuit enters with both signs. A signed circuit conforms to I
@@ -189,10 +178,9 @@ def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
                 positive[i] |= 1 << k
             elif x < 0:
                 negative[i] |= 1 << k
-    forms_of = [(tuple(map(neg, c)), -sum(x for x in c if x < 0)) for c in signed]
     full = (1 << len(signed)) - 1
     towers: dict[frozenset[int], Tower] = {}
-    table = []
+    rows = []
     for I, betti in delta_set(fan):
         broken = 0
         for i, p, q in zip(range(1, n + 1), positive, negative):
@@ -202,31 +190,44 @@ def _delta_table(fan: StackyFan) -> tuple[_DeltaRow, ...]:
         if d != n - fan.rank or not all(conforming & (p | q) for p, q in zip(positive, negative)):
             raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
         sign = tuple(-1 if i in I else 1 for i in range(1, n + 1))
-        forms = tuple(forms_of[k] for k in _bits(conforming))
-        table.append(_DeltaRow(I, betti, sign, forms, fan, towers))
-    return tuple(table)
+        rows.append(_DeltaRow(I, betti, sign, conforming, fan, towers))
+    bounds = tuple((c, -sum(x for x in c if x < 0), -sum(x for x in c if x > 0)) for c in circuits)
+    return _DeltaTable(tuple(rows), bounds)
 
 
-def _checked(
-    fan: StackyFan, a: Sequence[int], limits: Limits
-) -> tuple[IntVector, tuple[_DeltaRow, ...]]:
+def _table(fan: StackyFan, limits: Limits) -> _DeltaTable:
     # the Delta cap is enforced before the table is looked up or built
     delta_family(fan, limits.delta_cap)
-    return coefficient_vector(fan, a), _delta_table(fan)
+    return _delta_table(fan)
 
 
-def cohomology(
-    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
-) -> tuple[int, ...]:
+def _feasible(table: _DeltaTable, a: IntVector, strict: bool = False) -> Iterator[_DeltaRow]:
+    """The rows whose weak system of a is rationally feasible, or whose open cone holds a.
+
+    With t = lambda . a, lambda fails when t < c+ and -lambda when t > -c-,
+    or strictly when t <= 0 and t >= 0; a row fails with a conforming one.
+    """
+    k = len(table.circuits)
+    failing = 0
+    for bit, (relation, lo, hi) in enumerate(table.circuits):
+        t = sum(map(mul, relation, a))  # an integer, so t < 1 is t <= 0
+        if t < (1 if strict else lo):
+            failing |= 1 << bit
+        if t > (-1 if strict else hi):
+            failing |= 1 << (bit + k)
+    return (row for row in table.rows if not row.conforming & failing)
+
+
+def cohomology(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> tuple[int, ...]:
     """Dimensions (h^0, ..., h^m) of the class with coefficients a.
 
     h^j collects, over the family Delta, the weak-system lattice point
     count times the reduced Betti number of C_I in degree m - j - 1.
     """
-    a, table = _checked(fan, a, limits)
+    a = coefficient_vector(fan, a)
     m = fan.rank
     h = [0] * (m + 1)
-    for row in table:
+    for row in _feasible(_table(fan, limits), a):
         c = len(row.points(a, limits.cap))
         for j in range(m + 1):
             h[j] += c * row.betti[m - j]
@@ -249,31 +250,26 @@ def forbidden_cone(
     The search stops at that point, so the cap bounds only the candidates
     visited before it.
     """
-    a, table = _checked(fan, a, limits)
-    for row in table:
+    a = coefficient_vector(fan, a)
+    for row in _feasible(_table(fan, limits), a):
         points = row.points(a, limits.cap, first_only=True)
         if points:
             return ForbiddenCone(row.index_set, points[0])
     return None
 
 
-def is_h_trivial(
-    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
-) -> bool:
+def is_h_trivial(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> bool:
     """Whether every cohomology dimension of the class vanishes."""
     return forbidden_cone(fan, a, limits) is None
 
 
-def outside_all_interiors(
-    fan: StackyFan, a: Sequence[int], limits: Limits = Limits()
-) -> bool:
-    a, table = _checked(fan, a, limits)
-    return not any(row.interior(a) for row in table)
+def outside_all_interiors(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> bool:
+    """Whether no member's open cone holds the class: no strictly feasible row."""
+    a = coefficient_vector(fan, a)
+    return next(_feasible(_table(fan, limits), a, strict=True), None) is None
 
 
-def _normalize_box(
-    fan: StackyFan, box: Sequence
-) -> tuple[tuple[int, int], ...]:
+def _normalize_box(fan: StackyFan, box: Sequence) -> tuple[tuple[int, int], ...]:
     """One (lo, hi) range per free coordinate.
 
     The box is a flat pair or a single range, applied to every coordinate,
@@ -313,10 +309,13 @@ def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
     return out
 
 
-def _scan_chunk(
-    fan: StackyFan, limits: Limits, raws: Sequence[IntVector]
-) -> list[bool]:
-    return [is_h_trivial(fan, raw, limits) for raw in raws]
+def _scan_chunk(fan: StackyFan, limits: Limits, raws: Sequence[IntVector]) -> list[bool]:
+    # the raws come from class_from_canonical, so only the Delta cap is checked, once
+    table = _table(fan, limits)
+    return [
+        not any(row.points(raw, limits.cap, first_only=True) for row in _feasible(table, raw))
+        for raw in raws
+    ]
 
 
 def scan_h_trivial(
@@ -331,18 +330,16 @@ def scan_h_trivial(
     classes = box_classes(fan, box)
     # a pool starts every worker at once, so never more than cores or classes
     workers = min(workers, os.cpu_count() or 1, len(classes))
+    raws = [c.raw for c in classes]
     if workers <= 1 or len(classes) < 4:
-        flags = _scan_chunk(fan, limits, [c.raw for c in classes])
+        flags = _scan_chunk(fan, limits, raws)
     else:
-        chunks: list[list[IntVector]] = [[] for _ in range(workers)]
-        for idx, c in enumerate(classes):
-            chunks[idx % workers].append(c.raw)
         from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
 
+        chunks = [raws[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(_scan_chunk, fan, limits), chunks))
-        flags = [False] * len(classes)
-        for w in range(workers):
-            for k, flag in enumerate(results[w]):
-                flags[w + k * workers] = flag
+        flags = [False] * len(raws)
+        for w, chunk in enumerate(results):
+            flags[w::workers] = chunk
     return tuple(c for c, ok in zip(classes, flags) if ok)

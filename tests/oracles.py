@@ -13,7 +13,7 @@ Seven routes that never touch the production paths they check:
   from recession probes, and lattice points by projecting again at every
   prefix; system_tower hands the same systems to the integer towers, and
   tower_feasible reads weak and strict feasibility off a tower's constant
-  rows, against the class-space forms of the Delta table;
+  rows, against the circuit masks of the Delta table;
 * the sign systems of (a, I) built directly from the rays (signed_rays,
   sign_rhs), one tower per index set, against the per-fan Delta table;
   and the integer elimination step that combines every (+, -) pair
@@ -23,11 +23,14 @@ Seven routes that never touch the production paths they check:
 * inverses, solutions, kernels, facet normals and affine dimensions over
   Fractions by reduced echelon form, against the integer adjugates and
   fraction-free kernels of the package, and the circuits of the rays from
-  every small ray subset, against the kernel solves of the Delta table.
+  every small ray subset, against the kernel solves of the Delta table,
+  with the class-space form of each circuit that conforms to an index set
+  (conforming_forms), against the circuit masks of the Delta table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
@@ -480,6 +483,7 @@ def rational_kernel(a, ncols):
     return tuple(basis)
 
 
+@lru_cache(maxsize=None)
 def brute_circuits(fan):
     """The circuits of the rays, each primitive with its first entry positive.
 
@@ -505,6 +509,23 @@ def brute_circuits(fan):
             for i, x in zip(S, ints):
                 full[i] = x // g
             out.add(tuple(full))
+    return frozenset(out)
+
+
+def conforming_forms(fan, index_set):
+    """(w, c) for each signed circuit sigma that conforms to I, by brute_circuits.
+
+    sigma conforms when it is positive only on I and negative only off I.
+    It is a constant row of the tower of I, so the weak system of a is
+    rationally feasible only if w . a + c <= 0, with w = -sigma and c the
+    sum of the absolute values of sigma's negative entries, and the open
+    cone of I holds a only if w . a < 0; together the forms decide both.
+    """
+    out = []
+    for circuit in sorted(brute_circuits(fan)):
+        for sigma in (circuit, tuple(-x for x in circuit)):
+            if all(x >= 0 if i in index_set else x <= 0 for i, x in enumerate(sigma, 1)):
+                out.append((tuple(-x for x in sigma), -sum(x for x in sigma if x < 0)))
     return out
 
 

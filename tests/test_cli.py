@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fangen import BENCH_FANS
 from oracles import exhaustive_delta
 from stackycoh import cli
 from stackycoh.catalog import catalog_fan, catalog_names
@@ -683,6 +684,23 @@ class TestDeterminism:
         code, second, _ = run(capsys, *argv)
         assert code == 0
         assert first == second
+
+    def test_bench_reference_outputs(self, capsys, monkeypatch):
+        # every recorded benchmark invocation, in process: its fan paths
+        # are relative to the repository root
+        root = BENCH_FANS.parent.parent
+        monkeypatch.chdir(root)
+        reference = json.loads((root / "bench" / "reference.json").read_text())
+        entries = [
+            entry
+            for strata in reference["workloads"].values()
+            for stratum in strata
+            for entry in stratum
+        ]
+        assert entries
+        for entry in entries:
+            code, out, err = run(capsys, *entry["argv"])
+            assert (code, out) == (0, entry["stdout"]), (entry["argv"], err)
 
 
 class TestInstalledEntryPoint:

@@ -17,6 +17,7 @@ from stackycoh.cohomline import (
     Limits,
     PropernessError,
     _delta_table,
+    _feasible,
     box_classes,
     cohomology,
     forbidden_cone,
@@ -41,12 +42,29 @@ from oracles import (
     sign_system,
     tower_feasible,
 )
+from test_generated_fans import stellar_fans
 from test_plsearch import antiprism_fan
 
 
 def _row(fan, I):
     """The row of the fan's Delta table that belongs to I."""
-    return next(row for row in _delta_table(fan) if row.index_set == I)
+    return next(row for row in _delta_table(fan).rows if row.index_set == I)
+
+
+def _feasible_row(fan, I, a, strict=False):
+    """Whether the mask decision keeps the row of I.
+
+    That is, whether the weak system of a is rationally feasible, or with
+    strict, whether the open cone of I holds a.
+    """
+    return any(row.index_set == I for row in _feasible(_delta_table(fan), a, strict))
+
+
+# stellar subdivisions with 20, 40 and 37 circuits: masks of 40, 80 and 74 bits
+WIDE_MASKS = {
+    p.id: p.values[0] for p in stellar_fans()
+    if p.id in {"stellar-p1xp1xp1xp1", "stellar-cyclic5xp1xp1", "stellar-p1xp1xp1xp1xp1"}
+}
 
 
 def _shifted(fan, a, w):
@@ -216,8 +234,9 @@ class TestSignPolyhedra:
         fan = catalog_fan("p2")
         I = frozenset({1, 2, 3})
         assert _row(fan, I).points((0, 0, 0), DEFAULT_CAP) == ((0, 0),)
-        assert not _row(fan, I).interior((0, 0, 0))
-        assert _row(fan, I).interior((1, 1, 1))
+        assert _feasible_row(fan, I, (0, 0, 0))
+        assert not _feasible_row(fan, I, (0, 0, 0), strict=True)
+        assert _feasible_row(fan, I, (1, 1, 1), strict=True)
 
 
 class TestTowerAgainstOracle:
@@ -260,8 +279,9 @@ class TestTowerAgainstOracle:
                 ex = row.points(a, DEFAULT_CAP, first_only=True)
                 assert ex == tuple(first)
                 assert bool(ex) == bool(points)
+                assert _feasible_row(fan, I, a) == fm_feasible(weak)
                 strict = sign_system(fan, a, I, strict=True)
-                assert row.interior(a) == fm_feasible(strict)
+                assert _feasible_row(fan, I, a, strict=True) == fm_feasible(strict)
 
 
 class TestIntegerCoefficients:
@@ -317,7 +337,7 @@ class TestDeltaTable:
         found = scan_h_trivial(fan, box)
         universe = frozenset(range(1, fan.nrays + 1))
         # only a walk asks a row for its tower, so the rows holding one were walked
-        held = [row for row in _delta_table(fan) if "tower" in vars(row)]
+        held = [row for row in _delta_table(fan).rows if "tower" in vars(row)]
         assert {id(vars(row)["tower"]) for row in held} == set(map(id, walked))
         pairs = {frozenset({row.index_set, universe - row.index_set}) for row in held}
         assert len(built) == len(pairs) == 2
@@ -334,10 +354,12 @@ class TestDeltaTable:
         assert capsys.readouterr().out == first
         assert built == []
 
-    @pytest.mark.parametrize("name", ["p1xp2", "cyclic5", "antiprism"])
+    @pytest.mark.parametrize("name", ["p1xp2", "cyclic5", "antiprism", *WIDE_MASKS])
     def test_tower_walked_only_when_rationally_feasible(self, monkeypatch, name):
         # the dot products decide rational feasibility; a point count walks
-        # exactly the towers of the rationally feasible weak systems
+        # exactly the towers of the rationally feasible weak systems, and
+        # a class lies outside all interiors exactly when no strict system
+        # is rationally feasible
         walked = []
 
         def counted(tower, b, cap, first_only=False):
@@ -345,23 +367,34 @@ class TestDeltaTable:
             return tower_points(tower, b, cap, first_only)
 
         monkeypatch.setattr(cohomline, "tower_points", counted)
-        fan = antiprism_fan() if name == "antiprism" else catalog_fan(name)
+        if name in WIDE_MASKS:
+            fan = WIDE_MASKS[name]
+        else:
+            fan = antiprism_fan() if name == "antiprism" else catalog_fan(name)
+        rows = _delta_table(fan).rows
+        strict = (True,) * fan.nrays
         rng = random.Random(name)
-        for _ in range(10):
-            a = tuple(rng.randint(-4, 4) for _ in range(fan.nrays))
+        # small classes too, which lie outside all interiors more often
+        for radius in (4,) * 10 + (1,) * 10:
+            a = tuple(rng.randint(-radius, radius) for _ in range(fan.nrays))
             walked.clear()
             cohomology(fan, a)
             feasible = [
-                row.tower for row in _delta_table(fan)
-                if tower_feasible(row.tower, sign_rhs(a, row.index_set))
+                row.tower for row in rows if tower_feasible(row.tower, sign_rhs(a, row.index_set))
             ]
             assert len(walked) == len(feasible) and all(
                 x is y for x, y in zip(walked, feasible)
             ), a
+            interior = [
+                row for row in rows
+                if tower_feasible(row.tower, sign_rhs(a, row.index_set, strict=True), strict)
+            ]
+            assert list(_feasible(_delta_table(fan), a, strict=True)) == interior, a
+            assert outside_all_interiors(fan, a) == (interior == []), a
 
     def test_rows_follow_delta(self):
         fan = antiprism_fan()
-        assert [(row.index_set, row.betti) for row in _delta_table(fan)] == list(
+        assert [(row.index_set, row.betti) for row in _delta_table(fan).rows] == list(
             delta_set(fan)
         )
 
@@ -369,10 +402,9 @@ class TestDeltaTable:
 class TestInteriors:
     def test_negative_degree_sits_inside_empty_set_cone(self):
         fan = catalog_fan("p2")
-        row = _row(fan, frozenset())
-        assert row.interior((-1, 0, 0))
-        assert row.interior((-5, 0, 0))
-        assert not row.interior((0, 0, 0))
+        assert _feasible_row(fan, frozenset(), (-1, 0, 0), strict=True)
+        assert _feasible_row(fan, frozenset(), (-5, 0, 0), strict=True)
+        assert not _feasible_row(fan, frozenset(), (0, 0, 0), strict=True)
 
     def test_outside_all_interiors_examples(self):
         p2 = catalog_fan("p2")

@@ -28,6 +28,7 @@ from fangen import (
 from oracles import (
     brute_circuits,
     brute_cohomology,
+    conforming_forms,
     dot,
     eliminate_unpruned_first,
     facet_normal,
@@ -41,7 +42,7 @@ from oracles import (
 from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
-from stackycoh.cohomline import _circuits, _delta_table, cohomology
+from stackycoh.cohomline import _circuits, _delta_table, _feasible, cohomology
 from stackycoh.exactlin import build_tower
 from stackycoh.fan import (
     FanValidationError,
@@ -134,7 +135,7 @@ def start_fan(names):
 
 def assert_delta_towers_bounded(fan):
     """Every Delta member's tower is bounded, which the point counts rely on."""
-    unbounded = [sorted(row.index_set) for row in _delta_table(fan) if not row.tower.bounded]
+    unbounded = [sorted(row.index_set) for row in _delta_table(fan).rows if not row.tower.bounded]
     assert unbounded == []
 
 
@@ -240,7 +241,7 @@ class TestDeltaTable:
     @pytest.mark.parametrize("fan", complete_fans())
     def test_towers_equal_direct_towers(self, fan):
         # a complement's tower is a negated copy: the same rows, in another order
-        for row in _delta_table(fan):
+        for row in _delta_table(fan).rows:
             direct = build_tower(signed_rays(fan, row.index_set), fan.rank)
             assert row.tower.bounded == direct.bounded
             assert row.tower.nvars == direct.nvars
@@ -253,16 +254,26 @@ class TestDeltaTable:
 
     @pytest.mark.parametrize("fan", complete_fans())
     def test_dot_products_decide_feasibility(self, fan):
+        # the mask decisions, weak and strict, against the forms of the
+        # brute-force circuits and against one tower per index set
         rng = random.Random(fan_to_json(fan))
         strict = (True,) * fan.nrays
+        table = _delta_table(fan)
+        forms = {row.index_set: conforming_forms(fan, row.index_set) for row in table.rows}
+        for row in table.rows:
+            assert bin(row.conforming).count("1") == len(forms[row.index_set])
+        towers = {I: build_tower(signed_rays(fan, I), fan.rank) for I in forms}
         for _ in range(6):
             a = tuple(rng.randint(-5, 5) for _ in range(fan.nrays))
-            for row in _delta_table(fan):
-                I = row.index_set
-                direct = build_tower(signed_rays(fan, I), fan.rank)
-                weak = all(dot(w, a) + c <= 0 for w, c in row.forms)
-                assert weak == tower_feasible(direct, sign_rhs(a, I)), (a, sorted(I))
-                assert row.interior(a) == tower_feasible(
+            weak = {row.index_set for row in _feasible(table, a)}
+            interior = {row.index_set for row in _feasible(table, a, strict=True)}
+            for I, direct in towers.items():
+                by_forms = all(dot(w, a) + c <= 0 for w, c in forms[I])
+                assert (I in weak) == by_forms == tower_feasible(direct, sign_rhs(a, I)), (
+                    a, sorted(I)
+                )
+                by_forms = all(dot(w, a) < 0 for w, _ in forms[I])
+                assert (I in interior) == by_forms == tower_feasible(
                     direct, sign_rhs(a, I, strict=True), strict
                 ), (a, sorted(I))
 
