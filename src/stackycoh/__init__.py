@@ -12,7 +12,6 @@ from .cohomline import (
     ForbiddenCone,
     Limits,
     PropernessError,
-    box_classes,
     cohomology,
     forbidden_cone,
     is_h_trivial,
@@ -41,22 +40,20 @@ from .homology import (
 from .picard import (
     LineBundleClass,
     PicStructure,
+    box_classes,
     class_from_canonical,
     class_of,
     class_to_json,
-    classes_equal,
     pic_structure,
 )
 from .plsearch import (
     CriterionReport,
-    LambdaPolytope,
     PLFunction,
     cone_linear_part,
     criterion_report,
     degenerate_space,
     family_class,
     find_degenerate_psi,
-    lambda_polytope,
     normalize_at_ray,
     pl_function,
     sign_changes,

@@ -21,10 +21,9 @@ from .cohomline import (
     CapExceededError,
     Limits,
     PropernessError,
-    _normalize_box,
     cohomology,
     forbidden_cone,
-    is_h_trivial,
+    h_trivial_flags,
     scan_h_trivial,
 )
 from .fan import (
@@ -36,8 +35,8 @@ from .fan import (
     load_fan,
 )
 from .homology import DeltaCapError, delta_family
-from .picard import class_of, class_to_json, pic_structure
-from .plsearch import criterion_report, family_class, find_degenerate_psi
+from .picard import class_of, class_to_json, normalize_box, pic_structure
+from .plsearch import criterion_report, family_classes, find_degenerate_psi
 
 
 class UsageError(Exception):
@@ -112,7 +111,7 @@ def _require_coeffs(cfg: RunConfig, fan: StackyFan) -> tuple[int, ...]:
 
 def _box(cfg: RunConfig, fan: StackyFan) -> tuple[tuple[int, int], ...]:
     try:
-        return _normalize_box(fan, cfg.box)
+        return normalize_box(fan, cfg.box)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -221,50 +220,32 @@ def _cmd_family(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
         return {"found": False, "classes": []}, ["none"]
     s, psi = found
     lo, hi = cfg.r_range
-    rows = []
-    lines = [f"ray {s}, psi ({_psi_text(psi)})"]
-    for r in range(lo, hi + 1):
-        cls = family_class(fan, s, psi, r)
-        trivial = is_h_trivial(fan, cls.raw, cfg.limits)
+    classes = family_classes(fan, s, psi, cfg.r_range)
+    flags = h_trivial_flags(fan, [c.raw for c in classes], cfg.limits)
+    rows, lines = [], [f"ray {s}, psi ({_psi_text(psi)})"]
+    for r, cls, trivial in zip(range(lo, hi + 1), classes, flags):
         rows.append({"r": r, "class": class_to_json(cls), "h_trivial": trivial})
-        lines.append(
-            f"r={r}: free {cls.free} torsion {cls.torsion} "
-            f"{'H-trivial' if trivial else 'NOT H-trivial'}"
-        )
-    payload = {"found": True, **_psi_json(found), "classes": rows}
-    return payload, lines
+        lines.append(f"r={r}: free {cls.free} torsion {cls.torsion} {'' if trivial else 'NOT '}H-trivial")
+    return {"found": True, **_psi_json(found), "classes": rows}, lines
 
 
 def _cmd_report(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     box = _box(cfg, fan)
     rep = criterion_report(fan, box, cfg.r_range, cfg.limits)
+    psi, witness, checks = rep.degenerate_psi, rep.statement3_witness, rep.sampled_family_checks
     payload = {
         "collinear_pair_count": rep.collinear_pair_count,
-        "degenerate_psi": _psi_json(rep.degenerate_psi),
-        "statement3_witness": None
-        if rep.statement3_witness is None
-        else class_to_json(rep.statement3_witness),
-        "sampled_family_checks": [[r, ok] for r, ok in rep.sampled_family_checks],
+        "degenerate_psi": _psi_json(psi),
+        "statement3_witness": None if witness is None else class_to_json(witness),
+        "sampled_family_checks": [[r, ok] for r, ok in checks],
         "verdict": rep.verdict,
     }
     lines = [
         f"collinear pairs: {rep.collinear_pair_count}",
-        "degenerate psi: "
-        + (
-            "none"
-            if rep.degenerate_psi is None
-            else f"ray {rep.degenerate_psi[0]}, values "
-            f"({_psi_text(rep.degenerate_psi[1])})"
-        ),
+        "degenerate psi: " + ("none" if psi is None else f"ray {psi[0]}, values ({_psi_text(psi[1])})"),
         "witness outside all interiors: "
-        + (
-            "none in box"
-            if rep.statement3_witness is None
-            else f"free {rep.statement3_witness.free} "
-            f"torsion {rep.statement3_witness.torsion}"
-        ),
-        f"family checks: {sum(1 for _, ok in rep.sampled_family_checks if ok)}"
-        f"/{len(rep.sampled_family_checks)} H-trivial",
+        + ("none in box" if witness is None else f"free {witness.free} torsion {witness.torsion}"),
+        f"family checks: {sum(ok for _, ok in checks)}/{len(checks)} H-trivial",
         f"verdict: {rep.verdict}",
     ]
     return payload, lines

@@ -22,7 +22,10 @@ Delta, holding the bitmask of the signed circuits that conform to I. One
 dot product per circuit gives the mask of those a class fails, and a row
 is feasible exactly when the two masks are disjoint. A row's tower is
 built only when it is walked for lattice points, and the tower of I^c is
-that of I negated. The strict test lives here alone.
+that of I negated. The strict test lives here alone. A batch of checked
+raw vectors, such as a box of classes built by picard, is decided against
+one table: the Delta cap is checked and the table fetched once per batch,
+and not at all for an empty batch.
 """
 
 from __future__ import annotations
@@ -30,15 +33,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import mul, neg
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactlin import DEFAULT_CAP, IntVector, Tower, build_tower, int_kernel, int_tuple, tower_points
+from .exactlin import DEFAULT_CAP, IntVector, Tower, build_tower, int_kernel, tower_points
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
-from .picard import LineBundleClass, class_from_canonical, coefficient_vector, pic_structure
+from .picard import LineBundleClass, box_classes, coefficient_vector
 
 
 class PropernessError(Exception):
@@ -263,59 +266,27 @@ def is_h_trivial(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) ->
     return forbidden_cone(fan, a, limits) is None
 
 
+def first_outside_interiors(
+    fan: StackyFan, raws: Sequence[IntVector], limits: Limits = Limits()
+) -> Optional[int]:
+    """Position of the first raw vector that no member's open cone holds, or None."""
+    if not raws:
+        return None
+    table = _table(fan, limits)
+    return next((k for k, a in enumerate(raws) if next(_feasible(table, a, strict=True), None) is None), None)
+
+
 def outside_all_interiors(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> bool:
     """Whether no member's open cone holds the class: no strictly feasible row."""
-    a = coefficient_vector(fan, a)
-    return next(_feasible(_table(fan, limits), a, strict=True), None) is None
+    return first_outside_interiors(fan, [coefficient_vector(fan, a)], limits) == 0
 
 
-def _normalize_box(fan: StackyFan, box: Sequence) -> tuple[tuple[int, int], ...]:
-    """One (lo, hi) range per free coordinate.
-
-    The box is a flat pair or a single range, applied to every coordinate,
-    or one range per coordinate; ValueError names what is wrong, and
-    TypeError a bound that is not an int.
-    """
-    st = pic_structure(fan)
-    if st.free_rank == 0:
-        return ()
-    if len(box) == 2 and not any(isinstance(x, (tuple, list)) for x in box):
-        box = [tuple(box)]
-    if len(box) == 1:
-        box = list(box) * st.free_rank
-    if len(box) != st.free_rank:
-        ranges = "1 range" if st.free_rank == 1 else f"1 or {st.free_rank} ranges"
-        raise ValueError(f"expected {ranges}, got {len(box)}")
-    out = []
-    for bounds in box:
-        lo, hi = int_tuple(bounds, "integer box bounds")
-        if lo > hi:
-            raise ValueError(f"empty range {lo}:{hi}")
-        out.append((lo, hi))
-    return tuple(out)
-
-
-def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
-    """Canonical classes in a free-coordinate box, lexicographic order.
-
-    Every torsion residue combination is paired with every free point.
-    """
-    st = pic_structure(fan)
-    ranges = _normalize_box(fan, box)
-    out = []
-    for free in product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        for torsion in product(*(range(d) for d in st.torsion)):
-            out.append(class_from_canonical(fan, free, torsion))
-    return out
-
-
-def _scan_chunk(fan: StackyFan, limits: Limits, raws: Sequence[IntVector]) -> list[bool]:
-    # the raws come from class_from_canonical, so only the Delta cap is checked, once
+def h_trivial_flags(fan: StackyFan, raws: Sequence[IntVector], limits: Limits = Limits()) -> list[bool]:
+    """Whether each raw vector is H-trivial: no weak system has a lattice point."""
+    if not raws:
+        return []
     table = _table(fan, limits)
-    return [
-        not any(row.points(raw, limits.cap, first_only=True) for row in _feasible(table, raw))
-        for raw in raws
-    ]
+    return [not any(row.points(a, limits.cap, first_only=True) for row in _feasible(table, a)) for a in raws]
 
 
 def scan_h_trivial(
@@ -328,17 +299,19 @@ def scan_h_trivial(
     included. Order is lexicographic in (free, torsion).
     """
     classes = box_classes(fan, box)
+    raws = [c.raw for c in classes]
+    # the table is built here, so its errors come before any worker and forked workers inherit it
+    _table(fan, limits)
     # a pool starts every worker at once, so never more than cores or classes
     workers = min(workers, os.cpu_count() or 1, len(classes))
-    raws = [c.raw for c in classes]
     if workers <= 1 or len(classes) < 4:
-        flags = _scan_chunk(fan, limits, raws)
+        flags = h_trivial_flags(fan, raws, limits)
     else:
         from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
 
         chunks = [raws[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_scan_chunk, fan, limits), chunks))
+            results = list(pool.map(partial(h_trivial_flags, fan, limits=limits), chunks))
         flags = [False] * len(raws)
         for w, chunk in enumerate(results):
             flags[w::workers] = chunk

@@ -2,13 +2,15 @@
 
 A class is a ray-indexed integer vector a, taken modulo the sublattice of
 vectors (w . v_i)_i for integer w. Smith normal form of the ray matrix
-gives canonical coordinates: torsion residues plus a free part.
+gives canonical coordinates: torsion residues plus a free part. A box is
+checked once, and its classes come from the U^-1 product of class_from_canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import mul
 from typing import Sequence
 
@@ -84,6 +86,14 @@ def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
     return LineBundleClass(raw=raw, free=free, torsion=torsion)
 
 
+def _from_coordinates(st: PicStructure, free: IntVector, residues: IntVector) -> LineBundleClass:
+    """The class U^-1 y of checked free coordinates and reduced torsion residues."""
+    y = [0] * st.free_offset + list(free)
+    for p, t in zip(st.torsion_positions, residues):
+        y[p] = t
+    return LineBundleClass(tuple(sum(map(mul, row, y)) for row in st.u_inv), free, residues)
+
+
 def class_from_canonical(
     fan: StackyFan, free: Sequence[int], torsion: Sequence[int] = ()
 ) -> LineBundleClass:
@@ -98,23 +108,45 @@ def class_from_canonical(
     if len(torsion) != len(st.torsion):
         raise ValueError(f"expected {len(st.torsion)} torsion residues")
     coords = int_tuple((*free, *torsion), "integer coordinates")
-    free = coords[: st.free_rank]
-    y = [0] * fan.nrays
-    for k, p in enumerate(st.torsion_positions):
-        y[p] = coords[st.free_rank + k] % st.torsion[k]
-    y[st.free_offset :] = free
-    raw = tuple(sum(map(mul, row, y)) for row in st.u_inv)
-    return LineBundleClass(raw, free, tuple(y[p] for p in st.torsion_positions))
+    residues = tuple(t % d for t, d in zip(coords[st.free_rank :], st.torsion))
+    return _from_coordinates(st, coords[: st.free_rank], residues)
 
 
-def classes_equal(fan: StackyFan, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether a - b is of the form (w . v_i)_i for an integer w.
+def normalize_box(fan: StackyFan, box: Sequence) -> tuple[tuple[int, int], ...]:
+    """One (lo, hi) range per free coordinate.
 
-    That holds exactly when U(a - b) lies in the image of the Smith form,
-    that is when a and b have the same canonical coordinates.
+    The box is a flat pair or a single range, applied to every coordinate,
+    or one range per coordinate; ValueError names what is wrong, and
+    TypeError a bound that is not an int.
     """
-    ca, cb = class_of(fan, a), class_of(fan, b)
-    return (ca.free, ca.torsion) == (cb.free, cb.torsion)
+    st = pic_structure(fan)
+    if st.free_rank == 0:
+        return ()
+    if len(box) == 2 and not any(isinstance(x, (tuple, list)) for x in box):
+        box = [tuple(box)]
+    if len(box) == 1:
+        box = list(box) * st.free_rank
+    if len(box) != st.free_rank:
+        ranges = "1 range" if st.free_rank == 1 else f"1 or {st.free_rank} ranges"
+        raise ValueError(f"expected {ranges}, got {len(box)}")
+    out = []
+    for bounds in box:
+        lo, hi = int_tuple(bounds, "integer box bounds")
+        if lo > hi:
+            raise ValueError(f"empty range {lo}:{hi}")
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
+    """Canonical classes in a free-coordinate box, lexicographic order.
+
+    Every torsion residue combination is paired with every free point.
+    """
+    st = pic_structure(fan)
+    frees = product(*(range(lo, hi + 1) for lo, hi in normalize_box(fan, box)))
+    residues = list(product(*(range(d) for d in st.torsion)))
+    return [_from_coordinates(st, free, t) for free in frees for t in residues]
 
 
 def class_to_json(cls: LineBundleClass) -> dict:

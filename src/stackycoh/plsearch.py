@@ -4,20 +4,20 @@ A function linear on every maximal cone is stored by its ray values. The
 search looks for a non-linear such function vanishing at one ray on every
 cone; when it exists, translating it sweeps out infinitely many classes
 with no cohomology at all, and the report classifies the fan accordingly.
+A family r*psi - e_s checks psi once for all its r.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .cohomline import Limits, box_classes, is_h_trivial, outside_all_interiors
+from .cohomline import Limits, first_outside_interiors, h_trivial_flags
 from .exactlin import IntVector, int_kernel, rat_rank
 from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood, parallel_rays
-from .picard import LineBundleClass, class_of
+from .picard import LineBundleClass, box_classes, class_of
 
 RatVector = tuple[Fraction, ...]
 Rational = Union[int, Fraction]
@@ -40,14 +40,6 @@ class PLFunction:
 
 def pl_function(values: Sequence[Rational]) -> PLFunction:
     return PLFunction(tuple(map(Fraction, values)))
-
-
-@dataclass(frozen=True)
-class LambdaPolytope:
-    """The per-cone linear parts of a function, with their affine span."""
-
-    forms: tuple[RatVector, ...]
-    dim: int
 
 
 def _cone_order(fan: StackyFan) -> list[frozenset[int]]:
@@ -84,15 +76,6 @@ def _form_differences(parts: Sequence[tuple[int, list[Rational]]]) -> list[dict[
     """
     (d0, a0), *rest = parts
     return [{j: v for j, (x, y) in enumerate(zip(a, a0)) if (v := d0 * x - d * y)} for d, a in rest]
-
-
-def lambda_polytope(fan: StackyFan, psi: PLFunction) -> LambdaPolytope:
-    # scale * psi has integer values and multiplies every A_sigma and every
-    # difference row by scale > 0, which keeps the rank
-    scale = math.lcm(*(v.denominator for v in psi.values))
-    parts = _linear_parts(fan, [v.numerator * (scale // v.denominator) for v in psi.values])
-    forms = tuple(tuple(Fraction(x, d * scale) for x in a) for d, a in parts)
-    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(parts)))
 
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
@@ -149,18 +132,26 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
     return None
 
 
-def family_class(
-    fan: StackyFan, s: int, psi: PLFunction, r: int
-) -> LineBundleClass:
-    """The class with coefficients r*psi(v_i) off the ray s and -1 at s."""
+def family_classes(
+    fan: StackyFan, s: int, psi: PLFunction, r_range: tuple[int, int]
+) -> list[LineBundleClass]:
+    """The classes with coefficients r*psi(v_i) off the ray s and -1 at s, r = lo..hi.
+
+    psi is checked once: integer values that vanish at v_s on every cone.
+    """
     if not psi.is_integral:
         raise ValueError("family construction needs integer psi values")
     values = [int(v) for v in psi.values]
     if any(sum(map(mul, row, values)) for row in _forms_at_ray(fan, s)):
         raise ValueError("psi must vanish at the chosen ray on every cone")
-    a = [int(r) * v for v in values]
-    a[s - 1] = -1
-    return class_of(fan, a)
+    lo, hi = r_range
+    family = ([-1 if i == s else r * v for i, v in enumerate(values, 1)] for r in range(int(lo), int(hi) + 1))
+    return [class_of(fan, a) for a in family]
+
+
+def family_class(fan: StackyFan, s: int, psi: PLFunction, r: int) -> LineBundleClass:
+    """The class with coefficients r*psi(v_i) off the ray s and -1 at s."""
+    return family_classes(fan, s, psi, (r, r))[0]
 
 
 def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction:
@@ -248,23 +239,15 @@ def criterion_report(
     pairs = collinear_pairs(fan)
     found = find_degenerate_psi(fan)
 
-    witness = None
-    for cls in box_classes(fan, search_box):
-        if not any(cls.free) and not any(cls.torsion):
-            continue
-        if outside_all_interiors(fan, cls.raw, limits):
-            witness = cls
-            break
+    classes = [c for c in box_classes(fan, search_box) if any(c.free) or any(c.torsion)]
+    k = first_outside_interiors(fan, [c.raw for c in classes], limits)
+    witness = None if k is None else classes[k]
 
-    checks: list[tuple[int, bool]] = []
+    checks: tuple[tuple[int, bool], ...] = ()
     if found is not None:
-        s, psi = found
         lo, hi = r_range
-        for r in range(lo, hi + 1):
-            raw = family_class(fan, s, psi, r).raw
-            checks.append((r, is_h_trivial(fan, raw, limits)))
-
-    if found is not None:
+        raws = [c.raw for c in family_classes(fan, *found, r_range)]
+        checks = tuple(zip(range(lo, hi + 1), h_trivial_flags(fan, raws, limits)))
         verdict = INFINITELY_MANY
     elif fan.rank == 3 and len(pairs) <= 1:
         verdict = FINITELY_MANY
@@ -274,6 +257,6 @@ def criterion_report(
         collinear_pair_count=len(pairs),
         degenerate_psi=found,
         statement3_witness=witness,
-        sampled_family_checks=tuple(checks),
+        sampled_family_checks=checks,
         verdict=verdict,
     )

@@ -26,6 +26,12 @@ Seven routes that never touch the production paths they check:
   every small ray subset, against the kernel solves of the Delta table,
   with the class-space form of each circuit that conforms to an index set
   (conforming_forms), against the circuit masks of the Delta table.
+
+Two helpers that only tests call also live here: lambda_polytope, the
+per-cone linear parts of a PL function with the rank of their integer
+differences, which the tests hold against affine_dim; and classes_equal,
+equality of canonical coordinates, which they hold against
+lattice_equivalent.
 """
 
 from dataclasses import dataclass
@@ -34,7 +40,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, build_tower
+from stackycoh.exactlin import SingularMatrixError, build_tower, rat_rank
+from stackycoh.picard import class_of
+from stackycoh.plsearch import _form_differences, _linear_parts
 
 GE = ">="
 GT = ">"
@@ -440,6 +448,29 @@ def lattice_equivalent(fan, a, b):
         sum(int(wj) * vj for wj, vj in zip(w, v)) == d
         for v, d in zip(fan.rays, diff)
     )
+
+
+def classes_equal(fan, a, b):
+    """Whether a and b have the same canonical coordinates (picard.class_of)."""
+    ca, cb = class_of(fan, a), class_of(fan, b)
+    return (ca.free, ca.torsion) == (cb.free, cb.torsion)
+
+
+@dataclass(frozen=True)
+class LambdaPolytope:
+    """The per-cone linear parts of a function, with their affine span."""
+
+    forms: tuple
+    dim: int
+
+
+def lambda_polytope(fan, psi):
+    # scale * psi has integer values and multiplies every A_sigma and every
+    # difference row by scale > 0, which keeps the rank
+    scale = lcm(*(v.denominator for v in psi.values))
+    parts = _linear_parts(fan, [v.numerator * (scale // v.denominator) for v in psi.values])
+    forms = tuple(tuple(Fraction(x, d * scale) for x in a) for d, a in parts)
+    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(parts)))
 
 
 def rref(rows, ncols=None):

@@ -668,6 +668,24 @@ class TestReportCommand:
         assert err.startswith("computation stopped:")
 
 
+    def test_delta_cap_reached_only_by_a_class_to_decide(self, capsys):
+        # a box of the zero class alone decides nothing, so the table is not fetched
+        code, out, _ = run(capsys, "report", "@p2", "--box=0:0", "--delta-cap", "1")
+        assert code == 0
+        assert out == (
+            '{"collinear_pair_count":0,"degenerate_psi":null,"fan":"e693bb08f469b217",'
+            '"sampled_family_checks":[],"statement3_witness":null,"verdict":"Undetermined"}\n'
+        )
+        code, out, err = run(capsys, "report", "@p2", "--box=-1:1", "--delta-cap", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "computation stopped: fan has 3 rays, above the enumeration cap 1\n"
+        # the psi family of p1xp1 has classes to decide, so it reaches the cap
+        code, out, err = run(capsys, "report", "@p1xp1", "--box=0:0", "--delta-cap", "1")
+        assert code == 2
+        assert err == "computation stopped: fan has 4 rays, above the enumeration cap 1\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -482,6 +482,20 @@ class TestScans:
         expected = min(os.cpu_count() or 1, 9)
         assert sizes == ([expected] if expected > 1 else [])
 
+    def test_table_errors_come_before_the_pool(self, monkeypatch):
+        # the parent builds the table, so a refused fan starts no worker
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(DeltaCapError):
+            scan_h_trivial(catalog_fan("p1xp1"), (-1, 1), Limits(delta_cap=1), workers=2)
+        assert sizes == []
+
     def test_box_validation(self):
         with pytest.raises(ValueError):
             scan_h_trivial(catalog_fan("p2"), (3, -3))

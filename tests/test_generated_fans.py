@@ -11,6 +11,7 @@ Delta member is bounded, so its lattice points are finite in number.
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import cos, gcd, pi, sin
 
 import pytest
@@ -42,7 +43,14 @@ from oracles import (
 from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
-from stackycoh.cohomline import _circuits, _delta_table, _feasible, cohomology
+from stackycoh.cohomline import (
+    _circuits,
+    _delta_table,
+    _feasible,
+    cohomology,
+    is_h_trivial,
+    outside_all_interiors,
+)
 from stackycoh.exactlin import build_tower
 from stackycoh.fan import (
     FanValidationError,
@@ -52,8 +60,16 @@ from stackycoh.fan import (
     make_fan,
 )
 from stackycoh.homology import delta_family, delta_set
-from stackycoh.picard import pic_structure
-from stackycoh.plsearch import cone_linear_part, degenerate_space, pl_function
+from stackycoh.picard import box_classes, class_from_canonical, pic_structure
+from stackycoh.plsearch import (
+    cone_linear_part,
+    criterion_report,
+    degenerate_space,
+    family_class,
+    family_classes,
+    find_degenerate_psi,
+    pl_function,
+)
 
 
 def winding(k):
@@ -306,6 +322,46 @@ class TestDeltaTable:
 def oracle_fans():
     """Catalog fans, products of them, and a stellar subdivision of each."""
     return catalog_and_products() + stellar_fans()
+
+
+def catalog_and_stellar_fans():
+    """Catalog fans, the torsion fans among them, and their stellar subdivisions."""
+    return [pytest.param(catalog_fan(n), id=n) for n in catalog_names()] + stellar_fans()
+
+
+def canonical_box(fan, lo, hi):
+    """The classes of [lo, hi] in every free coordinate, one class_from_canonical each."""
+    st = pic_structure(fan)
+    frees = product(range(lo, hi + 1), repeat=st.free_rank)
+    return [class_from_canonical(fan, f, t) for f in frees for t in product(*map(range, st.torsion))]
+
+
+class TestBatchRoutes:
+    """The batch routes of the box, the report and the psi family, one class at a time."""
+
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_box_classes_are_canonical_points(self, fan):
+        assert box_classes(fan, (-2, 1)) == canonical_box(fan, -2, 1)
+
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_report_matches_single_class_decisions(self, fan):
+        report = criterion_report(fan, (-1, 1), (-3, 3))
+        nonzero = [c for c in canonical_box(fan, -1, 1) if any(c.free) or any(c.torsion)]
+        assert report.statement3_witness == next((c for c in nonzero if outside_all_interiors(fan, c.raw)), None)
+        found = find_degenerate_psi(fan)
+        if found is None:
+            assert report.sampled_family_checks == ()
+            return
+        s, psi = found
+        assert family_classes(fan, s, psi, (-3, 3)) == [family_class(fan, s, psi, r) for r in range(-3, 4)]
+        singles = tuple((r, is_h_trivial(fan, family_class(fan, s, psi, r).raw)) for r in range(-3, 4))
+        assert report.sampled_family_checks == singles
+
+    def test_witnesses_found_and_missed(self):
+        # the report test above sees both outcomes of the witness search
+        witnesses = {criterion_report(p.values[0], (-1, 1), (0, 0)).statement3_witness is None
+                     for p in catalog_and_stellar_fans()}
+        assert witnesses == {True, False}
 
 
 class TestIntegerCones:

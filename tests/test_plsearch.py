@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from stackycoh import plsearch
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
 from stackycoh.exactlin import build_tower
 from stackycoh.fan import collinear_pairs, load_fan, make_fan, parallel_rays
 from stackycoh.homology import DeltaCapError, delta_family
-from stackycoh.picard import classes_equal
 from stackycoh.plsearch import (
     FINITELY_MANY,
     INFINITELY_MANY,
@@ -20,15 +20,15 @@ from stackycoh.plsearch import (
     criterion_report,
     degenerate_space,
     family_class,
+    family_classes,
     find_degenerate_psi,
-    lambda_polytope,
     normalize_at_ray,
     pl_function,
     is_linear,
     sign_changes,
 )
 
-from oracles import affine_dim, sign_rhs, signed_rays, tower_feasible
+from oracles import affine_dim, lambda_polytope, lattice_equivalent, sign_rhs, signed_rays, tower_feasible
 
 BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
 
@@ -256,12 +256,12 @@ class TestFamilyClass:
     def test_p1xp1_frozen_example(self):
         fan = catalog_fan("p1xp1")
         cls = family_class(fan, 3, pl_function((1, 1, 0, 0)), 2)
-        assert classes_equal(fan, cls.raw, (4, 0, -1, 0))
+        assert lattice_equivalent(fan, cls.raw, (4, 0, -1, 0))
 
     def test_p1xp2_frozen_example(self):
         fan = catalog_fan("p1xp2")
         cls = family_class(fan, 3, pl_function((1, 1, 0, 0, 0)), 1)
-        assert classes_equal(fan, cls.raw, (2, 0, -1, 0, 0))
+        assert lattice_equivalent(fan, cls.raw, (2, 0, -1, 0, 0))
 
     @pytest.mark.parametrize("name", WITH_PSI)
     def test_family_is_h_trivial_and_distinct(self, name):
@@ -304,6 +304,22 @@ class TestFamilyClass:
                     family_class(fan, s, _scaled(psi, k), r).raw
                     == family_class(fan, s, psi, k * r).raw
                 )
+
+    @pytest.mark.parametrize("name", WITH_PSI)
+    def test_psi_checked_once_per_family(self, name, monkeypatch):
+        # _forms_at_ray is the psi check: once per family, not once per r
+        fan = catalog_fan(name)
+        s, psi = find_degenerate_psi(fan)
+        calls = []
+        forms_at_ray = plsearch._forms_at_ray
+        monkeypatch.setattr(plsearch, "_forms_at_ray", lambda *a: calls.append(a) or forms_at_ray(*a))
+        assert len(family_classes(fan, s, psi, (-5, 5))) == 11
+        assert calls == [(fan, s)]
+        find_degenerate_psi(fan)
+        searched = len(calls) - 1
+        calls.clear()
+        criterion_report(fan, (0, 0), (-5, 5))
+        assert len(calls) == searched + 1
 
     def test_rejects_psi_outside_kernel(self):
         with pytest.raises(ValueError, match="vanish"):

@@ -158,3 +158,16 @@ def test_one_rank_routine():
         and not any(isinstance(n, ast.Name) and n.id == "rat_rank" for n in ast.walk(node))
     ]
     assert others == [], f"rank routines besides exactlin.rat_rank: {others}"
+
+
+def test_no_private_imports_across_modules():
+    # a name that starts with _ stays inside its module; tests may import it
+    found = [
+        f"{path.stem} imports {node.module}.{alias.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == [], f"private names imported across modules: {found}"
