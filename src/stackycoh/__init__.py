@@ -49,7 +49,6 @@ from .picard import (
 from .plsearch import (
     CriterionReport,
     PLFunction,
-    cone_linear_part,
     criterion_report,
     degenerate_space,
     family_class,

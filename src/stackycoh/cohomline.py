@@ -10,8 +10,8 @@ a enters through the right-hand side b(a) = s*a + o: s_i = -1 on I and
 +1 off I, o_i = 1 off I for the weak system and o = 0 for the strict one.
 A circuit is a linear relation lambda among the rays of minimal support;
 it conforms to I when it is positive only on I and negative only off I.
-The conforming circuits are the constant rows of the Fourier-Motzkin
-tower of I (Rockafellar 1969): a conforming signed circuit sigma asks
+The conforming circuits are the constant rows of a full Fourier-Motzkin
+elimination of I (Rockafellar 1969): a conforming signed circuit sigma asks
 sigma . a >= c, c the sum of the absolute values of its negative entries
 (weak), or sigma . a > 0 (strict, the open cone of I). By Stiemke's lemma
 the system is bounded exactly when the rays span and the conforming
@@ -20,12 +20,13 @@ circuits cover every ray, as on a complete fan.
 Each fan has one table of the circuits and of a row per member I of
 Delta, holding the bitmask of the signed circuits that conform to I. One
 dot product per circuit gives the mask of those a class fails, and a row
-is feasible exactly when the two masks are disjoint. A row's tower is
-built only when it is walked for lattice points, and the tower of I^c is
-that of I negated. The strict test lives here alone. A batch of checked
-raw vectors, such as a box of classes built by picard, is decided against
-one table: the Delta cap is checked and the table fetched once per batch,
-and not at all for an empty batch.
+is feasible exactly when the two masks are disjoint. The table is the one
+place that decides feasibility and boundedness: a row builds its own
+tower the first time it is walked for lattice points, and the walk only
+lists them. The strict test lives here alone. A batch of raw vectors,
+such as a box of classes built by picard, is decided against one table:
+the lengths and the Delta cap are checked and the table fetched once per
+batch, and not at all for an empty batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import gcd
 from operator import mul, neg
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactlin import DEFAULT_CAP, IntVector, Tower, build_tower, int_kernel, tower_points
+from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, tower_points
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
 from .picard import LineBundleClass, box_classes, coefficient_vector
@@ -75,8 +76,9 @@ class _DeltaRow:
     """One member I of Delta, with everything a class is tested against.
 
     sign is s of the weak right-hand side b(a) = s*a + o, and bit k of
-    conforming says that signed circuit k of the table conforms to I.
-    towers, shared by the rows of one table, holds the towers built so far.
+    conforming says that signed circuit k of the table conforms to I. The
+    table has decided that the system is bounded, and a row is walked only
+    when the table finds its weak system rationally feasible.
     """
 
     index_set: frozenset[int]
@@ -84,23 +86,12 @@ class _DeltaRow:
     sign: IntVector
     conforming: int
     fan: StackyFan = field(compare=False, repr=False)
-    towers: dict[frozenset[int], Tower] = field(compare=False, repr=False)
 
     @cached_property
-    def tower(self) -> Tower:
-        """The tower of the rows v_i on I and -v_i off I, on first use.
-
-        When the tower of I^c is built, it is negated instead: the same
-        rows, and nothing reads their order.
-        """
-        complement = frozenset(range(1, self.fan.nrays + 1)) - self.index_set
-        if complement in self.towers:
-            tower = _negated(self.towers[complement])
-        else:
-            rows = tuple(tuple(-s * x for x in v) for s, v in zip(self.sign, self.fan.rays))
-            tower = build_tower(rows, self.fan.rank)
-        self.towers[self.index_set] = tower
-        return tower
+    def tower(self) -> tuple[TowerLevel, ...]:
+        """The tower of the rows v_i on I and -v_i off I, on first use."""
+        rows = tuple(tuple(-s * x for x in v) for s, v in zip(self.sign, self.fan.rays))
+        return build_tower(rows, self.fan.rank)
 
     def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
         """Lattice points of the weak system of a, or only the first one."""
@@ -122,11 +113,6 @@ class _DeltaTable(NamedTuple):
 
     rows: tuple[_DeltaRow, ...]
     circuits: tuple[tuple[IntVector, int, int], ...]
-
-
-def _negated(tower: Tower) -> Tower:
-    levels = tuple(tuple((tuple(map(neg, c)), m) for c, m in level) for level in tower.levels)
-    return Tower(tower.nvars, levels, tower.bounded)
 
 
 def _circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
@@ -182,7 +168,6 @@ def _delta_table(fan: StackyFan) -> _DeltaTable:
             elif x < 0:
                 negative[i] |= 1 << k
     full = (1 << len(signed)) - 1
-    towers: dict[frozenset[int], Tower] = {}
     rows = []
     for I, betti in delta_set(fan):
         broken = 0
@@ -193,7 +178,7 @@ def _delta_table(fan: StackyFan) -> _DeltaTable:
         if d != n - fan.rank or not all(conforming & (p | q) for p, q in zip(positive, negative)):
             raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
         sign = tuple(-1 if i in I else 1 for i in range(1, n + 1))
-        rows.append(_DeltaRow(I, betti, sign, conforming, fan, towers))
+        rows.append(_DeltaRow(I, betti, sign, conforming, fan))
     bounds = tuple((c, -sum(x for x in c if x < 0), -sum(x for x in c if x > 0)) for c in circuits)
     return _DeltaTable(tuple(rows), bounds)
 
@@ -202,6 +187,14 @@ def _table(fan: StackyFan, limits: Limits) -> _DeltaTable:
     # the Delta cap is enforced before the table is looked up or built
     delta_family(fan, limits.delta_cap)
     return _delta_table(fan)
+
+
+def _batch_table(fan: StackyFan, raws: Sequence[IntVector], limits: Limits) -> _DeltaTable:
+    # the entries come from picard as ints, so only the lengths are checked, once per batch
+    for a in raws:
+        if len(a) != fan.nrays:
+            coefficient_vector(fan, a)  # raises its length error
+    return _table(fan, limits)
 
 
 def _feasible(table: _DeltaTable, a: IntVector, strict: bool = False) -> Iterator[_DeltaRow]:
@@ -272,7 +265,7 @@ def first_outside_interiors(
     """Position of the first raw vector that no member's open cone holds, or None."""
     if not raws:
         return None
-    table = _table(fan, limits)
+    table = _batch_table(fan, raws, limits)
     return next((k for k, a in enumerate(raws) if next(_feasible(table, a, strict=True), None) is None), None)
 
 
@@ -285,7 +278,7 @@ def h_trivial_flags(fan: StackyFan, raws: Sequence[IntVector], limits: Limits = 
     """Whether each raw vector is H-trivial: no weak system has a lattice point."""
     if not raws:
         return []
-    table = _table(fan, limits)
+    table = _batch_table(fan, raws, limits)
     return [not any(row.points(a, limits.cap, first_only=True) for row in _feasible(table, a)) for a in raws]
 
 

@@ -6,15 +6,16 @@ kernels and the Fourier-Motzkin machinery that the rest of the package is
 built on: Smith normal form with unimodular transforms, a sparse
 fraction-free rank, one fraction-free (Bareiss) Gauss-Jordan elimination
 behind every kernel and adjugate, and integer Fourier-Motzkin towers. A
-tower depends only on the coefficient rows of a system R x >= b and
-records whether {x : R x >= 0} is {0}. tower_points walks a bounded
-tower for the lattice points of R x >= b, for any right-hand side b.
+tower is the tuple of projections of the coefficient rows of a system
+R x >= b, shared by every right-hand side b, and tower_points walks it
+for the lattice points of R x >= b. The caller decides feasibility and
+boundedness; the walk refuses a level it reaches that leaves its
+variable unbounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -302,10 +303,11 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
 # side b.
 
 TowerRow = tuple[IntVector, IntVector]
+TowerLevel = tuple[TowerRow, ...]
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    # stops at the shorter vector: a row of levels[k + 1] times x_0..x_{k-1}
+    # stops at the shorter vector: a row of level k times x_0..x_{k-1}
     return sum(map(mul, x, y))
 
 
@@ -339,35 +341,22 @@ def _eliminate(rows: Sequence[TowerRow], var: int, max_support: int) -> list[Tow
     return list(dict.fromkeys(out))
 
 
-@dataclass(frozen=True)
-class Tower:
-    """Fourier-Motzkin projections of R x >= b, shared by every b.
+def build_tower(rows: IntMatrix, nvars: int) -> tuple[TowerLevel, ...]:
+    """The levels of the integer rows R in nvars >= 1 variables, eliminating x_{nvars-1}, ..., x_1.
 
-    levels[k] holds the rows of the projection onto x_0..x_{k-1}: the
-    variables are eliminated from the last down, so once x_0..x_{k-1} are
-    fixed the rows of levels[k + 1] bound x_k, and levels[0] are the
-    constant rows that decide feasibility. bounded says whether every
-    level bounds its variable from both sides, that is whether the
-    recession cone {x : R x >= 0} is {0}, so that every feasible R x >= b
-    has finitely many lattice points.
+    Level k holds the rows of the projection onto x_0..x_k, so once
+    x_0..x_{k-1} are fixed its rows with x_k bound x_k; the last level is R
+    itself. x_0 is never eliminated: the constant rows that decide
+    feasibility are left to the caller. A zero row bounds no variable, so
+    no level reads it: ValueError.
     """
-
-    nvars: int
-    levels: tuple[tuple[TowerRow, ...], ...]
-    bounded: bool
-
-
-def build_tower(rows: IntMatrix, nvars: int) -> Tower:
-    """The tower of the integer rows R, eliminating x_{nvars-1}, ..., x_0."""
+    if not all(map(any, rows)):
+        raise ValueError("a zero row bounds no variable of a tower")
     n = len(rows)
-    level = [(r, tuple(int(i == j) for j in range(n))) for i, r in enumerate(rows)]
-    levels = [tuple(level)]
-    for k in range(nvars - 1, -1, -1):
-        level = _eliminate(level, k, nvars - k + 1)
-        levels.append(tuple(level))
-    levels.reverse()
-    bounded = all(len({c[k] > 0 for c, _ in levels[k + 1] if c[k]}) == 2 for k in range(nvars))
-    return Tower(nvars, tuple(levels), bounded)
+    levels = [tuple((r, tuple(int(i == j) for j in range(n))) for i, r in enumerate(rows))]
+    for k in range(nvars - 1, 0, -1):
+        levels.append(tuple(_eliminate(levels[-1], k, nvars - k + 1)))
+    return tuple(reversed(levels))
 
 
 class _CapHit(Exception):
@@ -375,33 +364,32 @@ class _CapHit(Exception):
 
 
 def tower_points(
-    tower: Tower, b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False
+    tower: Sequence[TowerLevel], b: Sequence[int], cap: int = DEFAULT_CAP, first_only: bool = False
 ) -> Optional[tuple[IntVector, ...]]:
     """Integer solutions of R x >= b in lexicographic order, () if there are none.
 
     The cap is spent once per candidate value of each coordinate, and the
     result is None once it runs out. With first_only the search stops at
-    the first solution. Only a bounded tower is walked: ValueError
-    otherwise.
+    the first solution. A level that the walk reaches without rows of both
+    signs on its variable leaves the system unbounded: ValueError, before
+    any cap is spent on that level.
+
+    The caller decides rational feasibility. Every point returned solves
+    R x >= b, but on an infeasible system the walk may spend cap on
+    prefixes whose fibers are empty.
     """
-    if not tower.bounded:
-        raise ValueError("the lattice points of an unbounded system are not enumerated")
-    # the walk never reads a row whose original coefficients are all zero
-    if any(_dot(mult, b) > 0 for _, mult in tower.levels[0]):
-        return ()
-    # every level of a bounded tower has lower and upper rows; a prefix
-    # inside the projection always has a non-empty rational fiber
     bounds = [
-        [(coeffs, coeffs[k], _dot(mult, b)) for coeffs, mult in tower.levels[k + 1] if coeffs[k]]
-        for k in range(tower.nvars)
+        [(coeffs, coeffs[k], _dot(mult, b)) for coeffs, mult in level if coeffs[k]]
+        for k, level in enumerate(tower)
     ]
+    nvars = len(bounds)
     found: list[IntVector] = []
     left = cap
 
     def walk(prefix: IntVector) -> None:
         nonlocal left
         k = len(prefix)
-        if k == tower.nvars:
+        if k == nvars:
             found.append(prefix)
             return
         lo = hi = None
@@ -415,6 +403,8 @@ def tower_points(
                 t = r // c
                 if hi is None or t < hi:
                     hi = t
+        if lo is None or hi is None:
+            raise ValueError("the lattice points of an unbounded system are not enumerated")
         for t in range(lo, hi + 1):
             left -= 1
             if left < 0:

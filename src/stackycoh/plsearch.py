@@ -46,15 +46,6 @@ def _cone_order(fan: StackyFan) -> list[frozenset[int]]:
     return sorted(fan.max_cones, key=lambda c: tuple(sorted(c)))
 
 
-def cone_linear_part(
-    fan: StackyFan, psi: PLFunction, sigma: frozenset[int]
-) -> RatVector:
-    """The unique form agreeing with psi on the rays of one maximal cone."""
-    det, adj = cone_adjugates(fan)[sigma]
-    b = [psi.values[i - 1] for i in sorted(sigma)]
-    return tuple(Fraction(sum(map(mul, row, b)), det) for row in adj)
-
-
 def _linear_parts(fan: StackyFan, values: Sequence[Rational]) -> list[tuple[int, list[Rational]]]:
     """(d_sigma, A_sigma) = (det V, adj V values|sigma) per maximal cone.
 
@@ -166,7 +157,8 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     vs = fan.rays[s - 1]
     fs = f_values.values[s - 1]
     if is_linear(fan, f_values):
-        w0 = cone_linear_part(fan, f_values, _cone_order(fan)[0])
+        d0, a0 = _linear_parts(fan, f_values.values)[0]
+        w0 = [Fraction(x, d0) for x in a0]
         return PLFunction(
             tuple(
                 f_values.values[i] - sum(w0[j] * fan.rays[i][j] for j in range(m))

@@ -11,9 +11,11 @@ Seven routes that never touch the production paths they check:
 * unpruned Fourier-Motzkin over Fractions on LinearSystem values:
   feasibility from the constant rows of a full projection, boundedness
   from recession probes, and lattice points by projecting again at every
-  prefix; system_tower hands the same systems to the integer towers, and
-  tower_feasible reads weak and strict feasibility off a tower's constant
-  rows, against the circuit masks of the Delta table;
+  prefix; system_tower hands the same systems to the integer towers,
+  tower_feasible eliminates x_0 from a tower's first level and reads weak
+  and strict feasibility off the constant rows, against the circuit masks
+  of the Delta table, and tower_bounded reads boundedness off the levels,
+  against recession probes and Stiemke's lemma;
 * the sign systems of (a, I) built directly from the rays (signed_rays,
   sign_rhs), one tower per index set, against the per-fan Delta table;
   and the integer elimination step that combines every (+, -) pair
@@ -27,11 +29,12 @@ Seven routes that never touch the production paths they check:
   with the class-space form of each circuit that conforms to an index set
   (conforming_forms), against the circuit masks of the Delta table.
 
-Two helpers that only tests call also live here: lambda_polytope, the
+Three helpers that only tests call also live here: lambda_polytope, the
 per-cone linear parts of a PL function with the rank of their integer
-differences, which the tests hold against affine_dim; and classes_equal,
-equality of canonical coordinates, which they hold against
-lattice_equivalent.
+differences, which the tests hold against affine_dim; cone_linear_part,
+the form of a PL function on one maximal cone, which they hold against
+solve_square; and classes_equal, equality of canonical coordinates,
+which they hold against lattice_equivalent.
 """
 
 from dataclasses import dataclass
@@ -40,7 +43,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, build_tower, rat_rank
+from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, rat_rank
+from stackycoh.fan import cone_adjugates
 from stackycoh.picard import class_of
 from stackycoh.plsearch import _form_differences, _linear_parts
 
@@ -270,15 +274,21 @@ def system_tower(sys):
 def tower_feasible(tower, b, strict=()):
     """Whether R x >= b has a rational solution; rows flagged in strict are >.
 
-    Read off the constant rows of the tower: each is a non-negative
-    combination mult of the original rows, so 0 >= mult . b must hold,
-    strictly when mult uses a strict row.
+    The tower stops before x_0, so one more elimination of x_0 on its first
+    level gives the constant rows: each is a non-negative combination mult
+    of the original rows, so 0 >= mult . b must hold, strictly when mult
+    uses a strict row.
     """
-    for _, mult in tower.levels[0]:
+    for _, mult in _eliminate(tower[0], 0, len(tower) + 1):
         s = sum(m * x for m, x in zip(mult, b))
         if s > 0 or (s == 0 and any(m and st for m, st in zip(mult, strict))):
             return False
     return True
+
+
+def tower_bounded(tower):
+    """Whether every level has rows of both signs on its variable: {x : R x >= 0} = {0}."""
+    return all(len({c[k] > 0 for c, _ in level if c[k]}) == 2 for k, level in enumerate(tower))
 
 
 def sign_system(fan, a, index_set, strict=False):
@@ -462,6 +472,13 @@ class LambdaPolytope:
 
     forms: tuple
     dim: int
+
+
+def cone_linear_part(fan, psi, sigma):
+    """The unique form agreeing with psi on the rays of one maximal cone."""
+    det, adj = cone_adjugates(fan)[sigma]
+    b = [psi.values[i - 1] for i in sorted(sigma)]
+    return tuple(Fraction(sum(x * y for x, y in zip(row, b)), det) for row in adj)
 
 
 def lambda_polytope(fan, psi):

@@ -612,6 +612,32 @@ class TestScanCommand:
         assert serial == threaded
 
 
+class TestCapEdges:
+    """The cap 1 on P1, where a walk has one candidate value to spend."""
+
+    def test_count_runs_past_the_cap(self, capsys):
+        # O(5) has 6 sections, so the count spends the cap on its second candidate
+        code, out, err = run(capsys, "cohomology", "@p1", "--coeffs=5,0", "--cap", "1")
+        assert (code, out) == (2, "")
+        assert err == "computation stopped: lattice point enumeration exceeded the cap 1 on index set [1, 2]\n"
+
+    def test_first_witness_within_the_cap(self, capsys):
+        code, out, err = run(capsys, "h-trivial", "@p1", "--coeffs=5,0", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"coeffs":[5,0],"fan":"371d2c3aedac3e0a",'
+            '"forbidden":{"index_set":[1,2],"witness":[-5]},"h_trivial":false}\n'
+        )
+
+    def test_scan_within_the_cap(self, capsys):
+        code, out, err = run(capsys, "scan", "@p1", "--box=-2:2", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"box":[[-2,2]],"classes":[{"canonical":{"free":[-1],"torsion":[]},"raw":[0,-1]}],'
+            '"count":1,"fan":"371d2c3aedac3e0a"}\n'
+        )
+
+
 class TestFindPsiCommand:
     def test_found(self, capsys):
         data = run_json(capsys, "find-psi", "@p1xp1")

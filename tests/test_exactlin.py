@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stackycoh.exactlin import (
     DEFAULT_CAP,
     SingularMatrixError,
+    _eliminate,
     build_tower,
     int_adjugate,
     int_kernel,
@@ -27,6 +28,7 @@ from oracles import (
     GT,
     LinearSystem,
     affine_dim,
+    constant_rows_hold,
     dense_rank,
     fm_bounded,
     fm_feasible,
@@ -37,6 +39,7 @@ from oracles import (
     sparse_rows,
     system,
     system_tower,
+    tower_bounded,
     tower_feasible,
 )
 
@@ -44,10 +47,16 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
 
+def _nonzero(sys):
+    """The system without its zero rows, which no tower takes."""
+    return LinearSystem(sys.nvars, tuple(r for r in sys.rows if any(r.coeffs)))
+
+
 def feasible(sys):
-    """Rational feasibility of a system, read off its tower."""
-    tower, b, strict = system_tower(sys)
-    return tower_feasible(tower, b, strict)
+    """Rational feasibility of a system: its zero rows directly, the rest off its tower."""
+    zero = LinearSystem(sys.nvars, tuple(r for r in sys.rows if not any(r.coeffs)))
+    tower, b, strict = system_tower(_nonzero(sys))
+    return constant_rows_hold(zero) and tower_feasible(tower, b, strict)
 
 
 def integer_points(sys, cap=DEFAULT_CAP, first_only=False):
@@ -57,9 +66,14 @@ def integer_points(sys, cap=DEFAULT_CAP, first_only=False):
 
 
 def _level_holds(sys, k, prefix):
-    """Whether the prefix satisfies every row of level k of the tower."""
-    tower, b, strict = system_tower(sys)
-    for coeffs, mult in tower.levels[k]:
+    """Whether the prefix satisfies every row of the projection onto x_0..x_{k-1}.
+
+    That is level k - 1 of the tower of the nonzero rows, or for k = 0 the
+    constant rows that one more elimination of x_0 gives.
+    """
+    tower, b, strict = system_tower(_nonzero(sys))
+    rows = tower[k - 1] if k else _eliminate(tower[0], 0, len(tower) + 1)
+    for coeffs, mult in rows:
         lhs = sum(c * x for c, x in zip(coeffs, prefix))
         rhs = sum(m * y for m, y in zip(mult, b))
         if lhs < rhs or (lhs == rhs and any(s for m, s in zip(mult, strict) if m)):
@@ -351,13 +365,15 @@ class TestFourierMotzkin:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.data())
-    def test_bounded_flag_matches_oracle(self, nvars, data):
+    def test_bounded_levels_match_oracle(self, nvars, data):
         # boundedness reads the rows R alone, {z : R z >= 0}, so the oracle
-        # sees the system with every strict row made non-strict
+        # sees the system with every strict row made non-strict; a zero row
+        # holds on every z
         rows = _random_system(data, nvars).rows + _random_system(data, nvars).rows
         sys = system(nvars, [(r.coeffs, EQ if r.rel == EQ else GE, r.rhs) for r in rows])
-        tower, _, _ = system_tower(sys)
-        assert tower.bounded == fm_bounded(sys)
+        tower, _, _ = system_tower(_nonzero(sys))
+        assert len(tower) == nvars
+        assert tower_bounded(tower) == fm_bounded(sys)
 
 
 class TestIntegerPoints:
@@ -400,12 +416,38 @@ class TestIntegerPoints:
         assert tower_points(tower, (0, -2), cap=0) is None
         assert tower_points(tower, (0, -2), cap=1, first_only=True) == ((0,),)
 
-    def test_constant_row_is_read_before_the_walk(self):
-        # the row 0 . x >= b_0 bounds no variable, so no level of the walk reads it
-        tower = build_tower(((0,), (1,), (-1,)), 1)
-        assert tower_points(tower, (0, 0, -2)) == ((0,), (1,), (2,))
-        assert tower_points(tower, (1, 0, -2)) == ()
-        assert tower_points(tower, (1, 0, -2), first_only=True) == ()
+    @pytest.mark.parametrize("rows,nvars", [
+        (((0,), (1,), (-1,)), 1),
+        (((1, 0), (0, 0), (-1, 0), (0, 1), (0, -1)), 2),
+    ])
+    def test_zero_row_refused(self, rows, nvars):
+        # the row 0 . x >= b_i bounds no variable, so no level of the walk would read it
+        with pytest.raises(ValueError, match="zero row"):
+            build_tower(rows, nvars)
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_unbounded_level_refused_before_any_cap_is_spent(self, first_only):
+        # x_0 >= 0 has no upper row: refused before the cap 0 runs out
+        tower = build_tower(((1, 0), (0, 1), (0, -1)), 2)
+        with pytest.raises(ValueError, match="unbounded"):
+            tower_points(tower, (0, 0, -5), 0, first_only)
+        # x_0 lies in [0, 5] but x_1 >= 0 has no upper row: the one candidate
+        # for x_0 reaches x_1, which is refused before it spends any
+        tower = build_tower(((1, 0), (-1, 0), (0, 1)), 2)
+        with pytest.raises(ValueError, match="unbounded"):
+            tower_points(tower, (0, -5, 0), 1, first_only)
+        # x_0 >= 1 and x_0 <= 0 leave no candidate, so the walk never reaches x_1
+        assert tower_points(tower, (1, 0, 0), 0, first_only) == ()
+
+    def test_infeasible_system_spends_cap_on_empty_fibers(self):
+        # x_1 >= 1 and x_1 <= 0 share no point, but nothing tells x_0 in
+        # [0, 5] so: the caller decides feasibility, and the walk spends a
+        # candidate on each x_0 before it finds the fiber empty
+        tower = build_tower(((1, 0), (-1, 0), (0, 1), (0, -1)), 2)
+        b = (0, -5, 1, 0)
+        assert not tower_feasible(tower, b)
+        assert tower_points(tower, b, cap=6) == ()
+        assert tower_points(tower, b, cap=5) is None
 
     def test_lex_order(self):
         sys = system(
@@ -435,6 +477,10 @@ class TestIntegerPoints:
                 for i in range(nvars)
             ],
         )
+        if not all(any(r.coeffs) for r in boxed.rows):
+            with pytest.raises(ValueError, match="zero row"):
+                integer_points(boxed)
+            return
         naive = [
             pt
             for pt in product(range(-bound, bound + 1), repeat=nvars)

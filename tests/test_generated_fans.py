@@ -29,6 +29,7 @@ from fangen import (
 from oracles import (
     brute_circuits,
     brute_cohomology,
+    cone_linear_part,
     conforming_forms,
     dot,
     eliminate_unpruned_first,
@@ -38,6 +39,7 @@ from oracles import (
     sign_rhs,
     signed_rays,
     solve_square,
+    tower_bounded,
     tower_feasible,
 )
 from stackycoh import exactlin
@@ -62,7 +64,8 @@ from stackycoh.fan import (
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import box_classes, class_from_canonical, pic_structure
 from stackycoh.plsearch import (
-    cone_linear_part,
+    _cone_order,
+    _linear_parts,
     criterion_report,
     degenerate_space,
     family_class,
@@ -151,7 +154,7 @@ def start_fan(names):
 
 def assert_delta_towers_bounded(fan):
     """Every Delta member's tower is bounded, which the point counts rely on."""
-    unbounded = [sorted(row.index_set) for row in _delta_table(fan).rows if not row.tower.bounded]
+    unbounded = [sorted(row.index_set) for row in _delta_table(fan).rows if not tower_bounded(row.tower)]
     assert unbounded == []
 
 
@@ -256,17 +259,11 @@ class TestDeltaTable:
 
     @pytest.mark.parametrize("fan", complete_fans())
     def test_towers_equal_direct_towers(self, fan):
-        # a complement's tower is a negated copy: the same rows, in another order
+        # every row builds its own tower: the same levels, rows and order
         for row in _delta_table(fan).rows:
             direct = build_tower(signed_rays(fan, row.index_set), fan.rank)
-            assert row.tower.bounded == direct.bounded
-            assert row.tower.nvars == direct.nvars
-            assert [set(level) for level in row.tower.levels] == [
-                set(level) for level in direct.levels
-            ], sorted(row.index_set)
-            assert [len(level) for level in row.tower.levels] == [
-                len(level) for level in direct.levels
-            ]
+            assert row.tower == direct, sorted(row.index_set)
+            assert len(row.tower) == fan.rank
 
     @pytest.mark.parametrize("fan", complete_fans())
     def test_dot_products_decide_feasibility(self, fan):
@@ -392,10 +389,12 @@ class TestIntegerCones:
     def test_cone_systems(self, fan):
         rng = random.Random(fan_to_json(fan))
         psi = pl_function([rng.randint(-5, 5) for _ in range(fan.nrays)])
-        for cone in fan.max_cones:
+        # the package's integer (det, adj) parts against the Fraction routes
+        for cone, (d, a) in zip(_cone_order(fan), _linear_parts(fan, psi.values)):
             rows = [fan.ray(i) for i in sorted(cone)]
             b = [psi.values[i - 1] for i in sorted(cone)]
-            assert cone_linear_part(fan, psi, cone) == solve_square(rows, b)
+            form = tuple(Fraction(x, d) for x in a)
+            assert form == solve_square(rows, b) == cone_linear_part(fan, psi, cone)
         s = rng.randint(1, fan.nrays)
         rows = []
         for cone in sorted(fan.max_cones, key=sorted):

@@ -16,7 +16,8 @@ from stackycoh.plsearch import (
     FINITELY_MANY,
     INFINITELY_MANY,
     UNDETERMINED,
-    cone_linear_part,
+    _cone_order,
+    _linear_parts,
     criterion_report,
     degenerate_space,
     family_class,
@@ -31,6 +32,13 @@ from stackycoh.plsearch import (
 from oracles import affine_dim, lambda_polytope, lattice_equivalent, sign_rhs, signed_rays, tower_feasible
 
 BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
+
+
+def cone_forms(fan, psi):
+    """The linear part of psi on each maximal cone, A_sigma / d_sigma from the package's parts."""
+    parts = _linear_parts(fan, psi.values)
+    return {cone: tuple(Fraction(x, d) for x in a) for cone, (d, a) in zip(_cone_order(fan), parts)}
+
 
 # find_degenerate_psi on the catalog and bench/fans: (ray, psi values) or None
 PINNED_PSI = {
@@ -122,17 +130,16 @@ class TestConeLinearPart:
         psi = pl_function(
             [sum(w0[j] * v[j] for j in range(3)) for v in fan.rays]
         )
-        for cone in fan.max_cones:
-            assert cone_linear_part(fan, psi, cone) == tuple(
-                Fraction(x) for x in w0
-            )
+        for form in cone_forms(fan, psi).values():
+            assert form == tuple(Fraction(x) for x in w0)
         assert lambda_polytope(fan, psi).dim == 0
 
     def test_absolute_value_function(self):
         fan = catalog_fan("p1xp1")
         psi = pl_function((1, 1, 0, 0))
-        assert cone_linear_part(fan, psi, frozenset({1, 3})) == (1, 0)
-        assert cone_linear_part(fan, psi, frozenset({2, 3})) == (-1, 0)
+        forms = cone_forms(fan, psi)
+        assert forms[frozenset({1, 3})] == (1, 0)
+        assert forms[frozenset({2, 3})] == (-1, 0)
         lp = lambda_polytope(fan, psi)
         assert lp.dim == 1
         assert set(lp.forms) == {(1, 0), (-1, 0)}
@@ -187,8 +194,7 @@ class TestDegenerateSpace:
             for vec in basis:
                 psi = pl_function(vec)
                 vs = fan.rays[s - 1]
-                for cone in fan.max_cones:
-                    form = cone_linear_part(fan, psi, cone)
+                for form in cone_forms(fan, psi).values():
                     assert sum(form[j] * vs[j] for j in range(fan.rank)) == 0
 
     def test_bad_ray_index(self):

@@ -171,3 +171,22 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert found == [], f"private names imported across modules: {found}"
+
+
+def test_table_alone_decides_feasibility_and_boundedness():
+    # a tower only walks: cohomline alone builds and walks one, and no
+    # module names a bounded flag or reads the constant rows of levels[0]
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    for name in ("build_tower", "tower_points"):
+        readers = sorted(m for m, tree in trees.items() if _readers(tree, name))
+        assert readers == ["cohomline"], f"{name} read by {readers}"
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if "bounded" in {getattr(node, a, None) for a in ("name", "id", "attr", "arg")}
+        or isinstance(node, ast.Subscript)
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) == "levels"
+        and getattr(node.slice, "value", None) == 0
+    ]
+    assert found == [], f"bounded or levels[0] at {found}"
