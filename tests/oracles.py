@@ -7,7 +7,9 @@ Seven routes that never touch the production paths they check:
   with the homology of its support complex (supp, reduced_betti);
 * the index family Delta over all 2^n ray subsets, each complex C_I's
   Betti vector from the dense fraction-free ranks of the boundary maps
-  of all its faces, against the sparse rat_rank of the package;
+  of all its faces, against the sparse rat_rank of the package; and the
+  minimal non-faces of the cone complex from every ray subset, against
+  the sets the package enumerates from rank 4 on;
 * unpruned Fourier-Motzkin over Fractions on LinearSystem values:
   feasibility from the constant rows of a full projection, boundedness
   from recession probes, and lattice points by projecting again at every
@@ -205,10 +207,12 @@ def brute_cohomology(fan, a, radius):
     return tuple(h)
 
 
+@lru_cache(maxsize=None)
 def exhaustive_delta(fan):
     """Delta by boundary ranks of C_I for every ray subset I.
 
     Members come in the production order: by size, then lexicographically.
+    Cached, since several tests hold the same fans against it.
     """
     pairs = []
     for size in range(fan.nrays + 1):
@@ -217,6 +221,25 @@ def exhaustive_delta(fan):
             if any(b):
                 pairs.append((frozenset(I), b))
     return tuple(pairs)
+
+
+def minimal_non_faces(fan):
+    """The ray subsets in no cone whose subsets one ray smaller all lie in one.
+
+    Every subset of every size is tried; no bound on their size is assumed.
+    """
+    faces = {frozenset(s) for c in fan.max_cones for k in range(len(c) + 1)
+             for s in combinations(sorted(c), k)}
+    return {
+        S for k in range(1, fan.nrays + 1)
+        for S in map(frozenset, combinations(range(1, fan.nrays + 1), k))
+        if S not in faces and all(S - {v} in faces for v in S)
+    }
+
+
+def is_union_of(I, sets):
+    """Whether I is the union of the given sets that lie inside it."""
+    return frozenset().union(*(g for g in sets if g <= I)) == I
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,30 @@ import random
 
 import pytest
 
-from fangen import PRODUCTS, assert_matches_exhaustive, named_product, stellar
+from fangen import (
+    PRODUCTS,
+    assert_matches_exhaustive,
+    complete_fans,
+    named_product,
+    product_fan,
+    stellar,
+)
 from stackycoh import homology
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.exactlin import rat_rank
 from stackycoh.fan import make_fan
 from stackycoh.homology import DeltaCapError, delta_family, delta_set
+from test_generated_fans import stellar_fans
 
-from oracles import complex_CI, reduced_betti, simplicial_complex, supp
+from oracles import (
+    complex_CI,
+    exhaustive_delta,
+    is_union_of,
+    minimal_non_faces,
+    reduced_betti,
+    simplicial_complex,
+    supp,
+)
 
 LOWDIM = [n for n in catalog_names() if catalog_fan(n).rank in (2, 3)]
 RANK4_PRODUCTS, RANK5_PRODUCTS, RANK6_PRODUCTS = (
@@ -245,3 +261,95 @@ class TestSmallerSide:
         assert charged
         assert [c for c in charged if c[0].bit_count() > c[1].bit_count()] == []
         assert {depth for _, _, depth in charged} == {1, 2}
+
+
+def p1_power(k):
+    """(P1)^k, the product of k copies of the projective line."""
+    fan = catalog_fan("p1")
+    for _ in range(k - 1):
+        fan = product_fan(fan, catalog_fan("p1"))
+    return fan
+
+
+def visited_sets(monkeypatch, fan):
+    """The index sets delta_set hands to _proper_betti, as ray bitmasks.
+
+    Only the calls of the enumerator count, not the smaller-side
+    recursion of _proper_betti into the complement.
+    """
+    proper_betti, seen, depth = homology._proper_betti, [], []
+
+    def tracked(m, I, *rest):
+        if not depth:
+            seen.append(I)
+        depth.append(I)
+        try:
+            return proper_betti(m, I, *rest)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(homology, "_proper_betti", tracked)
+    delta_set.cache_clear()
+    try:
+        delta_set(fan)
+    finally:
+        delta_set.cache_clear()
+    return seen
+
+
+class TestMinimalNonFaces:
+    """From rank 4 on Delta is enumerated over unions of minimal non-faces.
+
+    A ray of I that lies in no minimal non-face inside I is the apex of a
+    cone over C_I, so C_I is acyclic; by Alexander duality the same holds
+    for the complement. (P1)^5 is held against the exhaustive oracle with
+    the other products above.
+    """
+
+    @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
+    def test_proper_members_are_unions(self, fan):
+        minimal = minimal_non_faces(fan)
+        universe = frozenset(range(1, fan.nrays + 1))
+        assert [
+            sorted(I) for I, _ in exhaustive_delta(fan)
+            if I and I != universe
+            and not (is_union_of(I, minimal) and is_union_of(universe - I, minimal))
+        ] == []
+
+    @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
+    def test_visits_exactly_the_unions(self, monkeypatch, fan):
+        # each set once, without the last ray; every one below rank 4
+        seen, n = visited_sets(monkeypatch, fan), fan.nrays
+        expected = range(1, 1 << (n - 1))
+        if fan.rank >= 4:
+            minimal, universe = minimal_non_faces(fan), frozenset(range(1, n + 1))
+            rays = {I: frozenset(i + 1 for i in range(n) if I >> i & 1) for I in expected}
+            expected = [
+                I for I in expected
+                if is_union_of(rays[I], minimal) and is_union_of(universe - rays[I], minimal)
+            ]
+        assert sorted(seen) == list(expected)
+
+    @pytest.mark.parametrize("fan,count", [
+        pytest.param(catalog_fan("p1xp1xp1"), 31, id="p1xp1xp1"),
+        pytest.param(p1_power(6), 31, id="p1^6"),
+        pytest.param(p1_power(7), 63, id="p1^7"),
+    ])
+    def test_visit_counts(self, monkeypatch, fan, count):
+        # rank 3 visits all 2^5 - 1 sets; (P1)^k only the 2^(k-1) - 1
+        # nonempty unions of its k pairs that leave out the last pair
+        assert len(visited_sets(monkeypatch, fan)) == count
+
+    @pytest.mark.parametrize("names,seed", [
+        pytest.param(("p2", "p2"), 1, id="p2xp2"),
+        pytest.param(("p1", "p3"), 2, id="p1xp3"),
+        pytest.param(("p1", "p1xp2"), 3, id="p1xp1xp2"),
+    ])
+    def test_random_subdivisions_equal_exhaustive(self, names, seed):
+        # no product symmetry left: 10 rays after unequally weighted subdivisions
+        rng = random.Random(seed)
+        fan = named_product(names)
+        while fan.nrays < 10:
+            cone = rng.choice(sorted(fan.max_cones, key=sorted))
+            fan = stellar(fan, cone, [rng.randint(1, 3) for _ in range(fan.rank)])
+        assert_matches_exhaustive(fan)
