@@ -5,12 +5,12 @@ point number enters anywhere. The module provides the normal forms,
 kernels and the Fourier-Motzkin machinery that the rest of the package is
 built on: Smith normal form with unimodular transforms, a sparse
 fraction-free rank, one fraction-free (Bareiss) Gauss-Jordan elimination
-behind every kernel and adjugate, and integer Fourier-Motzkin towers. A
-tower is the tuple of projections of the coefficient rows of a system
-R x >= b, shared by every right-hand side b, and tower_points walks it
-for the lattice points of R x >= b. The caller decides feasibility and
-boundedness; the walk refuses a level it reaches that leaves its
-variable unbounded.
+behind every kernel, adjugate and Cramer solve, and integer
+Fourier-Motzkin towers. A tower is the tuple of projections of the
+coefficient rows of a system R x >= b, shared by every right-hand side
+b, and tower_points walks it for the lattice points of R x >= b. The
+caller decides feasibility and boundedness; the walk refuses a level it
+reaches that leaves its variable unbounded.
 """
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ class SingularMatrixError(ExactLinError):
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for ra in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,9 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
     acts on whole rows, so a block such as the I of [a | I] rides along.
     After k pivots every entry is a k x k minor, so each division by the
     previous pivot is exact, and the pivot rows end as d times the reduced
-    echelon form, d the last pivot (1 without pivots). Returns the pivot
-    columns, d and the sign of the row swaps.
+    echelon form, d the last pivot (1 without pivots). While the pivot p equals
+    the previous one, a row with a zero in its column is left alone, as
+    (p x - 0 y) / p = x. Returns the pivot columns, d and the row swap sign.
     """
     pivots: list[int] = []
     sign = prev = 1
@@ -186,8 +184,8 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
             sign = -sign
         top, p = work[r], work[r][c]
         for i in range(len(work)):
-            if i != r:
-                a = work[i][c]
+            a = work[i][c]
+            if i != r and (a or p != prev):
                 work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
         pivots.append(c)
         prev = p
@@ -293,6 +291,21 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in work)
+
+
+def int_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, IntVector]:
+    """(det a, det a * a^-1 b) for a square integer matrix; SingularMatrixError if det a = 0.
+
+    Elimination of [a | b] leaves [d I | d a^-1 b], d = det a up to the sign of the row swaps.
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError("int_solve needs a square system")
+    work = _int_rows([*row, x] for row, x in zip(a, b))
+    pivots, d, sign = _gauss_jordan(work, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return sign * d, tuple(sign * row[n] for row in work)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate, int_tuple
+from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate, int_solve, int_tuple
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
@@ -155,24 +155,12 @@ def parallel_rays(v: Sequence[int], u: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def cone_adjugates(fan: StackyFan) -> Mapping[frozenset[int], tuple[int, IntMatrix]]:
-    """det V and adj V for each maximal cone, V its rays as rows in index order.
+    """det V and adj V for each maximal cone of a valid fan, V its rays as rows in index order.
 
     Column j of adj V is the normal of the facet opposite the j-th ray, with
-    product det V with that ray. A cone of the wrong size, with an index out
-    of range or with dependent rays raises FanValidationError.
+    product det V with that ray.
     """
-    out = {}
-    for cone in fan.max_cones:
-        if len(cone) != fan.rank:
-            raise FanValidationError("maximal cone size differs from rank")
-        for i in cone:
-            if not 1 <= i <= fan.nrays:
-                raise FanValidationError(f"cone ray index {i} out of range")
-        try:
-            out[cone] = int_adjugate([fan.ray(i) for i in sorted(cone)])
-        except SingularMatrixError:
-            raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial") from None
-    return MappingProxyType(out)
+    return MappingProxyType({c: int_adjugate([fan.ray(i) for i in sorted(c)]) for c in fan.max_cones})
 
 
 def validate(fan: StackyFan) -> None:
@@ -184,11 +172,14 @@ def validate(fan: StackyFan) -> None:
     the same everywhere: it can only change across a wall, and each wall
     has one of its two cones on each side. The cones cover the space
     exactly once when the point p = sum of the rays of the first maximal
-    cone, interior to it, lies in no other closed maximal cone; p is in a
-    simplicial cone when no facet normal puts it on the outer side.
+    cone, interior to it, lies in no other closed maximal cone. One Cramer
+    solve of V^T x = p per cone, V its rays as rows in index order, gives
+    det V (zero when the cone is not simplicial) and det V x, whose entries
+    all have the sign of det V or are 0 when p is in the cone. A facet F
+    separates v_i and v_j when det V_Fi det V_Fj (-1)^t < 0, t the number
+    of rays of F between i and j (Cramer's rule for the normal of F).
     """
-    m = fan.rank
-    n = fan.nrays
+    m, n = fan.rank, fan.nrays
     if m < 1:
         raise FanValidationError("rank must be at least 1")
     if n == 0:
@@ -198,48 +189,62 @@ def validate(fan: StackyFan) -> None:
             raise FanValidationError("ray length does not match rank")
         if all(x == 0 for x in r):
             raise FanValidationError("zero ray")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if fan.rays[i] == fan.rays[j]:
-                raise FanValidationError(f"duplicate ray vector at positions {i + 1}, {j + 1}")
-            if parallel_rays(fan.rays[i], fan.rays[j]) and sum(map(mul, fan.rays[i], fan.rays[j])) > 0:
-                raise FanValidationError(f"rays {i + 1} and {j + 1} span the same 1-cone")
+    # rays on one 1-cone share a primitive vector, listed at their first ray
+    directions: dict[IntVector, list[int]] = {}
+    for i, r in enumerate(fan.rays):
+        g = math.gcd(*r)
+        directions.setdefault(tuple(x // g for x in r), []).append(i)
+    shared = next((same for same in directions.values() if len(same) > 1), None)
+    if shared:
+        i, j = shared[:2]
+        if fan.rays[i] == fan.rays[j]:
+            raise FanValidationError(f"duplicate ray vector at positions {i + 1}, {j + 1}")
+        raise FanValidationError(f"rays {i + 1} and {j + 1} span the same 1-cone")
     if not fan.max_cones:
         raise FanValidationError("fan has no maximal cones")
-    adjugates = cone_adjugates(fan)
+    solves = []
+    for cone in fan.max_cones:
+        if len(cone) != m:
+            raise FanValidationError("maximal cone size differs from rank")
+        for i in cone:
+            if not 1 <= i <= n:
+                raise FanValidationError(f"cone ray index {i} out of range")
+        rays = [fan.ray(i) for i in sorted(cone)]
+        if not solves:
+            p = [sum(xs) for xs in zip(*rays)]
+        try:
+            solves.append(int_solve(list(zip(*rays)), p))
+        except SingularMatrixError:
+            raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial") from None
     missing = sorted(set(range(1, n + 1)).difference(*fan.max_cones))
     if missing:
         raise FanValidationError(f"rays {missing} unused by maximal cones")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         raise FanValidationError("duplicate maximal cone")
 
-    facets: dict[frozenset[int], list[int]] = {}
-    for cone in fan.max_cones:
+    # facets as bitmasks of their rays, each with its opposite rays and determinants
+    facets: dict[int, list[tuple[int, int]]] = {}
+    for cone, (det, _) in zip(fan.max_cones, solves):
+        mask = sum(1 << i for i in cone)
         for i in cone:
-            facet = cone - {i}
-            facets.setdefault(facet, []).append(i)
+            facets.setdefault(mask ^ 1 << i, []).append((i, det))
     for facet, opposite in facets.items():
+        if len(opposite) == 2:
+            (i, det_i), (j, det_j) = opposite
+            t = (facet & (1 << max(i, j)) - (2 << min(i, j))).bit_count()
+            if det_i * det_j * (-1) ** t < 0:
+                continue
+        rays = [i for i in range(1, n + 1) if facet >> i & 1]
         if len(opposite) == 1:
-            raise FanValidationError(f"facet {sorted(facet)} unpaired")
+            raise FanValidationError(f"facet {rays} unpaired")
         if len(opposite) > 2:
-            raise FanValidationError(f"facet {sorted(facet)} shared by more than two cones")
-        i, j = opposite
-        det, adj = adjugates[facet | {i}]
-        k = sorted(facet | {i}).index(i)
-        # the normal has product det with v_i, so v_j must get the other sign
-        if sum(row[k] * x for row, x in zip(adj, fan.ray(j))) * det >= 0:
-            raise FanValidationError(
-                f"facet {sorted(facet)} does not separate its two opposite rays"
-            )
+            raise FanValidationError(f"facet {rays} shared by more than two cones")
+        raise FanValidationError(f"facet {rays} does not separate its two opposite rays")
 
-    first = fan.max_cones[0]
-    p = [sum(xs) for xs in zip(*(fan.ray(i) for i in first))]
-    for cone in fan.max_cones[1:]:
-        det, adj = adjugates[cone]
-        if all(sum(map(mul, col, p)) * det >= 0 for col in zip(*adj)):
-            raise FanValidationError(
-                f"maximal cones {sorted(first)} and {sorted(cone)} overlap"
-            )
+    first, *others = fan.max_cones
+    for cone, (det, x) in zip(others, solves[1:]):
+        if all(y * det >= 0 for y in x):
+            raise FanValidationError(f"maximal cones {sorted(first)} and {sorted(cone)} overlap")
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,9 @@ def delta_set(fan: StackyFan) -> DeltaMembers:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & top
-    levels = [[f for f in faces if f.bit_count() == d + 1] for d in range(m)]
+    levels: list[list[int]] = [[] for _ in range(m)]
+    for f in faces:
+        levels[f.bit_count() - 1].append(f)
     edges = levels[1] if m > 1 else []
     adj = [sum(e ^ 1 << v for e in edges if e >> v & 1) for v in range(n)]
     full, universe = (1 << n) - 1, frozenset(range(1, n + 1))

@@ -25,11 +25,16 @@ Seven routes that never touch the production paths they check:
 * linear equivalence of two classes by solving for the functional w on
   the rays of one maximal cone and checking it on every ray;
 * inverses, solutions, kernels, facet normals and affine dimensions over
-  Fractions by reduced echelon form, against the integer adjugates and
-  fraction-free kernels of the package, and the circuits of the rays from
-  every small ray subset, against the kernel solves of the Delta table,
-  with the class-space form of each circuit that conforms to an index set
-  (conforming_forms), against the circuit masks of the Delta table.
+  Fractions by reduced echelon form, against the integer adjugates,
+  Cramer solves and fraction-free kernels of the package; the fan axioms
+  checked on every ray pair and on the inverse of every maximal cone
+  (validate_oracle), against the one determinant solve per cone of
+  fan.validate; the Bareiss loop that combines every row at every
+  pivot, against the one that leaves idle rows alone; and the circuits
+  of the rays from every small ray subset, against the kernel solves of
+  the Delta table, with the class-space form of each circuit that
+  conforms to an index set (conforming_forms), against the circuit masks
+  of the Delta table.
 
 Three helpers that only tests call also live here: lambda_polytope, the
 per-cone linear parts of a PL function with the rank of their integer
@@ -46,7 +51,7 @@ from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
 from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, rat_rank
-from stackycoh.fan import cone_adjugates
+from stackycoh.fan import FanValidationError, cone_adjugates
 from stackycoh.picard import class_of
 from stackycoh.plsearch import _form_differences, _linear_parts
 
@@ -645,3 +650,90 @@ def facet_normal(fan, facet):
     if len(basis) != 1:
         raise AssertionError(f"facet {sorted(facet)} spans no hyperplane")
     return basis[0]
+
+
+def validate_oracle(fan):
+    """fan.validate over Fractions: its checks in its order, with its messages.
+
+    Every pair of rays is compared, and each maximal cone is inverted
+    (invert): column k of V^-1 is the normal of the facet opposite the
+    k-th ray, with product 1 with that ray. The point p = sum of the rays
+    of the first maximal cone is located in each other cone by solve_square.
+    """
+    m, n = fan.rank, fan.nrays
+    if m < 1:
+        raise FanValidationError("rank must be at least 1")
+    if n == 0:
+        raise FanValidationError("fan has no rays")
+    for r in fan.rays:
+        if len(r) != m:
+            raise FanValidationError("ray length does not match rank")
+        if not any(r):
+            raise FanValidationError("zero ray")
+    for i, j in combinations(range(n), 2):
+        u, v = fan.rays[i], fan.rays[j]
+        if u == v:
+            raise FanValidationError(f"duplicate ray vector at positions {i + 1}, {j + 1}")
+        parallel = all(u[a] * v[b] == u[b] * v[a] for a, b in combinations(range(m), 2))
+        if parallel and dot(u, v) > 0:
+            raise FanValidationError(f"rays {i + 1} and {j + 1} span the same 1-cone")
+    if not fan.max_cones:
+        raise FanValidationError("fan has no maximal cones")
+    inverses = {}
+    for cone in fan.max_cones:
+        if len(cone) != m:
+            raise FanValidationError("maximal cone size differs from rank")
+        for i in cone:
+            if not 1 <= i <= n:
+                raise FanValidationError(f"cone ray index {i} out of range")
+        try:
+            inverses[cone] = invert([fan.ray(i) for i in sorted(cone)])
+        except SingularMatrixError:
+            raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial") from None
+    missing = sorted(set(range(1, n + 1)).difference(*fan.max_cones))
+    if missing:
+        raise FanValidationError(f"rays {missing} unused by maximal cones")
+    if len(set(fan.max_cones)) != len(fan.max_cones):
+        raise FanValidationError("duplicate maximal cone")
+    facets = {}
+    for cone in fan.max_cones:
+        for i in cone:
+            facets.setdefault(cone - {i}, []).append(i)
+    for facet, opposite in facets.items():
+        if len(opposite) == 1:
+            raise FanValidationError(f"facet {sorted(facet)} unpaired")
+        if len(opposite) > 2:
+            raise FanValidationError(f"facet {sorted(facet)} shared by more than two cones")
+        i, j = opposite
+        k = sorted(facet | {i}).index(i)
+        normal = [row[k] for row in inverses[facet | {i}]]
+        if dot(normal, fan.ray(j)) >= 0:
+            raise FanValidationError(f"facet {sorted(facet)} does not separate its two opposite rays")
+    first = fan.max_cones[0]
+    p = [sum(xs) for xs in zip(*(fan.ray(i) for i in first))]
+    for cone in fan.max_cones[1:]:
+        columns = [list(col) for col in zip(*(fan.ray(i) for i in sorted(cone)))]
+        if all(x >= 0 for x in solve_square(columns, p)):
+            raise FanValidationError(f"maximal cones {sorted(first)} and {sorted(cone)} overlap")
+
+
+def gauss_jordan_unskipped(work, ncols):
+    """exactlin._gauss_jordan combining every row but the pivot row at every pivot."""
+    pivots = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        top, p = work[r], work[r][c]
+        for i in range(len(work)):
+            if i != r:
+                a = work[i][c]
+                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign

@@ -12,9 +12,11 @@ from stackycoh.exactlin import (
     DEFAULT_CAP,
     SingularMatrixError,
     _eliminate,
+    _gauss_jordan,
     build_tower,
     int_adjugate,
     int_kernel,
+    int_solve,
     int_tuple,
     mat_mul_int,
     rat_rank,
@@ -32,6 +34,7 @@ from oracles import (
     dense_rank,
     fm_bounded,
     fm_feasible,
+    gauss_jordan_unskipped,
     invert,
     rational_kernel,
     rref,
@@ -279,6 +282,45 @@ class TestRationalLinearAlgebra:
             tuple(det * (i == j) for j in range(n)) for i in range(n)
         )
         assert all(type(x) is int for row in adj for x in row)
+
+    def test_solve(self):
+        assert int_solve([[2, 1], [1, 1]], [3, 2]) == (1, (1, 1))
+        assert int_solve([[0, 3], [2, 0]], [1, 1]) == (-6, (-3, -2))
+        with pytest.raises(SingularMatrixError):
+            int_solve([[1, 2], [2, 4]], [1, 1])
+        with pytest.raises(ValueError):
+            int_solve([[1, 2]], [1])
+        with pytest.raises(TypeError, match="integer matrix"):
+            int_solve([[1, 0], [0, 1]], [Fraction(1, 2), 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_solve_equals_sympy(self, n, data):
+        entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        rows = data.draw(st.lists(entries, min_size=n, max_size=n))
+        b = data.draw(entries)
+        ref = sympy.Matrix(rows)
+        if ref.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                int_solve(rows, b)
+            return
+        det, x = int_solve(rows, b)
+        assert det == ref.det()
+        assert x == tuple(ref.adjugate() * sympy.Matrix(b))
+        assert all(type(y) is int for y in x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.data())
+    def test_idle_rows_left_alone_as_if_combined(self, nrows, ncols, data):
+        # mostly zeros and unit pivots, where rows are left alone most often
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows,
+        ))
+        pivot_cols = data.draw(st.integers(0, ncols))
+        skipped, combined = [list(r) for r in rows], [list(r) for r in rows]
+        assert _gauss_jordan(skipped, pivot_cols) == gauss_jordan_unskipped(combined, pivot_cols)
+        assert skipped == combined
 
     def test_affine_dim(self):
         # the affine dimension of tests/oracles.py, which checks lambda_polytope

@@ -7,6 +7,8 @@ import pkgutil
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stackycoh
 from stackycoh.catalog import catalog_fan, catalog_names
@@ -20,7 +22,9 @@ from stackycoh.fan import (
     load_fan,
     make_fan,
     neighborhood,
+    validate,
 )
+from oracles import validate_oracle
 
 P2_JSON = json.dumps(
     {
@@ -126,6 +130,26 @@ class TestValidation:
             [(1, 3), (3, 2), (2, 1)],
             "rays 1 and 2 span the same 1-cone",
         )
+
+    def test_first_pair_on_one_ray(self):
+        # the smallest ray with a later partner, then its first partner
+        rays = [(0, 1), (-1, 0), (0, 2), (-2, 0), (0, 1), (1, 0)]
+        self.refused(2, rays, [], "rays 1 and 3 span the same 1-cone")
+        self.refused(2, rays[1:], [], "rays 1 and 3 span the same 1-cone")
+        self.refused(2, [(0, 1), (1, 0), (0, 1), (0, 2)], [], "duplicate ray vector at positions 1, 3")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * m).filter(any), min_size=1, max_size=7
+    )))
+    def test_ray_pairs_match_every_pair_compared(self, rays):
+        # with no cones, both stop at the rays or at the missing cones
+        fan = StackyFan(len(rays[0]), tuple(rays), ())
+        with pytest.raises(FanValidationError) as ours:
+            validate(fan)
+        with pytest.raises(FanValidationError) as oracle:
+            validate_oracle(fan)
+        assert str(ours.value) == str(oracle.value)
 
     def test_no_maximal_cones(self):
         self.refused(2, [(1, 0), (0, 1), (-1, -1)], [], "fan has no maximal cones")

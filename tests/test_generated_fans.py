@@ -41,6 +41,7 @@ from oracles import (
     solve_square,
     tower_bounded,
     tower_feasible,
+    validate_oracle,
 )
 from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
@@ -56,10 +57,12 @@ from stackycoh.cohomline import (
 from stackycoh.exactlin import build_tower
 from stackycoh.fan import (
     FanValidationError,
+    StackyFan,
     collinear_pairs,
     cone_adjugates,
     fan_to_json,
     make_fan,
+    validate,
 )
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import box_classes, class_from_canonical, pic_structure
@@ -412,3 +415,78 @@ class TestIntegerCones:
             assert all(type(x) is int for x in vec) and gcd(*vec) == 1
             t = next(Fraction(x) / y for x, y in zip(vec, ref) if y)
             assert t > 0 and all(x == t * y for x, y in zip(vec, ref))
+
+
+def broken_variants(fan):
+    """Copies of the fan, each changed once: a ray negated, the vectors of
+    two rays swapped, a cone listed twice, a cone dropped, a third cone put
+    on a facet of a cone and, from rank 3 on, a ray of a cone moved to the
+    sum of two others of that cone.
+
+    The rays and the cone are drawn by a generator seeded with the fan.
+    """
+    rng = random.Random(fan_to_json(fan))
+    rays, cones = list(fan.rays), list(fan.max_cones)
+    i, j = rng.sample(range(fan.nrays), 2)
+    k = rng.randrange(len(cones))
+
+    def with_rays(changes):
+        new = rays.copy()
+        for at, v in changes.items():
+            new[at] = tuple(v)
+        return StackyFan(fan.rank, tuple(new), fan.max_cones)
+
+    out = [
+        with_rays({i: [-x for x in rays[i]]}),
+        with_rays({i: rays[j], j: rays[i]}),
+        StackyFan(fan.rank, fan.rays, tuple(cones + [cones[k]])),
+        StackyFan(fan.rank, fan.rays, tuple(cones[:k] + cones[k + 1:])),
+    ]
+    facet = cones[k] - {rng.choice(sorted(cones[k]))}
+    others = set(range(1, fan.nrays + 1)).difference(*(c for c in cones if facet < c))
+    if others:
+        third = facet | {rng.choice(sorted(others))}
+        out.append(StackyFan(fan.rank, fan.rays, tuple(cones + [third])))
+    if fan.rank >= 3:
+        a, b, c = rng.sample(sorted(cones[k]), 3)
+        out.append(with_rays({a - 1: [x + y for x, y in zip(fan.ray(b), fan.ray(c))]}))
+    return out
+
+
+def verdict(check, fan):
+    """None when check accepts the fan, else the text of its FanValidationError."""
+    try:
+        check(fan)
+    except FanValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationOracle:
+    """fan.validate against the Fraction adjugate route of tests/oracles.py."""
+
+    @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
+    def test_same_verdict_and_text(self, fan):
+        assert verdict(validate_oracle, fan) is None
+        for broken in broken_variants(fan):
+            assert verdict(validate, broken) == verdict(validate_oracle, broken), broken
+
+    @pytest.mark.parametrize("spec", covers())
+    def test_covers(self, spec):
+        rank, rays, cones = spec
+        fan = StackyFan(rank, tuple(map(tuple, rays)), tuple(map(frozenset, cones)))
+        text = verdict(validate, fan)
+        assert "overlap" in text and text == verdict(validate_oracle, fan)
+
+    def test_every_check_is_reached(self):
+        # the variants reach every refusal of validate after the ray
+        # lengths but overlap, which the covers reach, and some swaps of
+        # two rays keep the fan valid
+        stages = ("duplicate ray", "same 1-cone", "not simplicial", "duplicate maximal",
+                  "unused", "unpaired", "shared by more", "separate")
+        seen = set()
+        for param in complete_fans() + stellar_fans():
+            for broken in broken_variants(param.values[0]):
+                text = verdict(validate, broken)
+                seen.add(text and next(w for w in stages if w in text))
+        assert seen == set(stages) | {None}

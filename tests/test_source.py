@@ -144,10 +144,14 @@ def _readers(tree, name):
 def test_one_rank_routine():
     # exactlin.rat_rank is the one rank routine: any other function named
     # for a rank delegates to it, and the dense Gauss-Jordan loop serves
-    # only the kernels and the adjugates
+    # only the kernels, the adjugates and the Cramer solves
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
     gauss_jordan = {(m, f) for m, tree in trees.items() for f in _readers(tree, "_gauss_jordan")}
-    assert gauss_jordan == {("exactlin", "int_kernel"), ("exactlin", "int_adjugate")}
+    assert gauss_jordan == {
+        ("exactlin", "int_kernel"),
+        ("exactlin", "int_adjugate"),
+        ("exactlin", "int_solve"),
+    }
     others = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
