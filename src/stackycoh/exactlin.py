@@ -5,18 +5,19 @@ point number enters anywhere. The module provides the normal forms,
 kernels and the Fourier-Motzkin machinery that the rest of the package is
 built on: Smith normal form with unimodular transforms, a sparse
 fraction-free rank, one fraction-free (Bareiss) Gauss-Jordan elimination
-behind every kernel, adjugate and Cramer solve, and integer
-Fourier-Motzkin towers. A tower is the tuple of projections of the
-coefficient rows of a system R x >= b, shared by every right-hand side
-b, and tower_points walks it for the lattice points of R x >= b. The
-caller decides feasibility and boundedness; the walk refuses a level it
-reaches that leaves its variable unbounded.
+read by two routines, int_kernel and the square solve int_solve (an
+adjugate is the solve against I, a Cramer solve the one against a
+column), and integer Fourier-Motzkin towers. A tower is the tuple of
+projections of the coefficient rows of a system R x >= b, shared by every
+right-hand side b, and tower_points walks it for the lattice points of
+R x >= b. The caller decides feasibility and boundedness; the walk
+refuses a level it reaches that leaves its variable unbounded.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -165,7 +166,7 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
     """Fraction-free (Bareiss) Gauss-Jordan elimination of work, in place.
 
     Pivots are sought among the first ncols columns, but every operation
-    acts on whole rows, so a block such as the I of [a | I] rides along.
+    acts on whole rows, so the block b of [a | b] rides along.
     After k pivots every entry is a k x k minor, so each division by the
     previous pivot is exact, and the pivot rows end as d times the reduced
     echelon form, d the last pivot (1 without pivots). While the pivot p equals
@@ -176,8 +177,10 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
     sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
+        for piv in range(r, len(work)):  # a loop, not next(): cheaper on small matrices
+            if work[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
@@ -277,35 +280,22 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVector, ..
     return tuple(basis)
 
 
-def int_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """(det a, adj a) of a square integer matrix; SingularMatrixError if det a = 0.
+def int_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """(det a, det a * a^-1 b) for a square integer a and an n x k integer b, both by rows.
 
-    Elimination of [a | I] leaves [d I | d a^-1], with d = det a up to the
-    sign of the row swaps. Column j of adj a is orthogonal to every row but j.
+    Elimination of [a | b] leaves [d I | d a^-1 b], d = det a up to the sign
+    of the row swaps. With b = I the second entry is adj a, whose column j
+    is orthogonal to every row of a but row j; with b one column it is
+    Cramer's rule. SingularMatrixError if det a = 0.
     """
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("int_adjugate needs a square matrix")
-    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_int_rows(a))]
+    if len(b) != n or any(len(row) != n for row in a) or len(set(map(len, b))) > 1:
+        raise ValueError("int_solve needs a square matrix and right-hand sides of one length")
+    work = _int_rows([*row, *rhs] for row, rhs in zip(a, b))
     pivots, d, sign = _gauss_jordan(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in work)
-
-
-def int_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, IntVector]:
-    """(det a, det a * a^-1 b) for a square integer matrix; SingularMatrixError if det a = 0.
-
-    Elimination of [a | b] leaves [d I | d a^-1 b], d = det a up to the sign of the row swaps.
-    """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for row in a):
-        raise ValueError("int_solve needs a square system")
-    work = _int_rows([*row, x] for row, x in zip(a, b))
-    pivots, d, sign = _gauss_jordan(work, n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    return sign * d, tuple(sign * row[n] for row in work)
+    return sign * d, tuple(tuple(row[n:] if sign > 0 else map(neg, row[n:])) for row in work)
 
 
 # ---------------------------------------------------------------------------

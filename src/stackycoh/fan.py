@@ -12,11 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_adjugate, int_solve, int_tuple
+from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_solve, int_tuple
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
@@ -148,19 +146,16 @@ def fan_fingerprint(fan: StackyFan) -> str:
 # validation
 
 
-def parallel_rays(v: Sequence[int], u: Sequence[int]) -> bool:
-    n = len(v)
-    return all(v[i] * u[j] == v[j] * u[i] for i in range(n) for j in range(i + 1, n))
-
-
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def cone_adjugates(fan: StackyFan) -> Mapping[frozenset[int], tuple[int, IntMatrix]]:
-    """det V and adj V for each maximal cone of a valid fan, V its rays as rows in index order.
+def cone_adjugates(fan: StackyFan) -> tuple[tuple[int, IntMatrix], ...]:
+    """(det V, adj V) per maximal cone of a valid fan, in the order of fan.max_cones.
 
+    V is the cone's rays as rows in index order, and adj V = int_solve(V, I).
     Column j of adj V is the normal of the facet opposite the j-th ray, with
     product det V with that ray.
     """
-    return MappingProxyType({c: int_adjugate([fan.ray(i) for i in sorted(c)]) for c in fan.max_cones})
+    eye = [[int(i == j) for j in range(fan.rank)] for i in range(fan.rank)]
+    return tuple(int_solve([fan.ray(i) for i in sorted(c)], eye) for c in fan.max_cones)
 
 
 def validate(fan: StackyFan) -> None:
@@ -173,11 +168,12 @@ def validate(fan: StackyFan) -> None:
     has one of its two cones on each side. The cones cover the space
     exactly once when the point p = sum of the rays of the first maximal
     cone, interior to it, lies in no other closed maximal cone. One Cramer
-    solve of V^T x = p per cone, V its rays as rows in index order, gives
-    det V (zero when the cone is not simplicial) and det V x, whose entries
-    all have the sign of det V or are 0 when p is in the cone. A facet F
-    separates v_i and v_j when det V_Fi det V_Fj (-1)^t < 0, t the number
-    of rays of F between i and j (Cramer's rule for the normal of F).
+    solve of V^T x = p per cone, V its rays as rows in index order and p
+    one column, gives det V (zero when the cone is not simplicial) and
+    det V x, whose entries all have the sign of det V or are 0 when p is
+    in the cone. A facet F separates v_i and v_j when
+    det V_Fi det V_Fj (-1)^t < 0, t the number of rays of F between i and j
+    (Cramer's rule for the normal of F).
     """
     m, n = fan.rank, fan.nrays
     if m < 1:
@@ -211,7 +207,7 @@ def validate(fan: StackyFan) -> None:
                 raise FanValidationError(f"cone ray index {i} out of range")
         rays = [fan.ray(i) for i in sorted(cone)]
         if not solves:
-            p = [sum(xs) for xs in zip(*rays)]
+            p = [[sum(xs)] for xs in zip(*rays)]
         try:
             solves.append(int_solve(list(zip(*rays)), p))
         except SingularMatrixError:
@@ -243,7 +239,7 @@ def validate(fan: StackyFan) -> None:
 
     first, *others = fan.max_cones
     for cone, (det, x) in zip(others, solves[1:]):
-        if all(y * det >= 0 for y in x):
+        if all(y * det >= 0 for (y,) in x):
             raise FanValidationError(f"maximal cones {sorted(first)} and {sorted(cone)} overlap")
 
 
@@ -255,11 +251,15 @@ def validate(fan: StackyFan) -> None:
 def collinear_pairs(fan: StackyFan) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i < j, whose rays span the same line through 0.
 
-    In a valid fan two distinct rays on one line point in opposite
-    directions.
+    The rays are grouped in one pass by their primitive vector up to sign,
+    as validate groups them by 1-cone. In a valid fan two distinct rays on
+    one line point in opposite directions, so a line holds at most two.
     """
-    pairs = combinations(range(1, fan.nrays + 1), 2)
-    return tuple((i, j) for i, j in pairs if parallel_rays(fan.ray(i), fan.ray(j)))
+    lines: dict[IntVector, list[int]] = {}
+    for i, r in enumerate(fan.rays, 1):
+        g = math.gcd(*r) * (1 if next(x for x in r if x) > 0 else -1)
+        lines.setdefault(tuple(x // g for x in r), []).append(i)
+    return tuple(sorted(tuple(same) for same in lines.values() if len(same) > 1))
 
 
 @dataclass(frozen=True)

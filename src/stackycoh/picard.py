@@ -14,7 +14,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .exactlin import IntMatrix, IntVector, int_adjugate, int_tuple, smith_normal_form
+from .exactlin import IntMatrix, IntVector, int_solve, int_tuple, smith_normal_form
 from .fan import FAN_CACHE_SIZE, FanValidationError, StackyFan
 
 
@@ -46,8 +46,8 @@ def pic_structure(fan: StackyFan) -> PicStructure:
         raise FanValidationError("the rays do not span the space, so the fan is not complete")
     torsion = tuple(d for d in diag if d > 1)
     torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    # u is unimodular: det u = +-1 and u^-1 = det u * adj u
-    det, adj = int_adjugate(u)
+    # u is unimodular: det u = +-1, and the solve against I is adj u = det u * u^-1
+    det, adj = int_solve(u, [[int(i == j) for j in range(n)] for i in range(n)])
     return PicStructure(
         free_rank=n - m,
         torsion=torsion,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .cohomline import Limits, first_outside_interiors, h_trivial_flags
 from .exactlin import IntVector, int_kernel, rat_rank
-from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood, parallel_rays
+from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood
 from .picard import LineBundleClass, box_classes, class_of
 
 RatVector = tuple[Fraction, ...]
@@ -42,18 +42,13 @@ def pl_function(values: Sequence[Rational]) -> PLFunction:
     return PLFunction(tuple(map(Fraction, values)))
 
 
-def _cone_order(fan: StackyFan) -> list[frozenset[int]]:
-    return sorted(fan.max_cones, key=lambda c: tuple(sorted(c)))
-
-
 def _linear_parts(fan: StackyFan, values: Sequence[Rational]) -> list[tuple[int, list[Rational]]]:
     """(d_sigma, A_sigma) = (det V, adj V values|sigma) per maximal cone.
 
-    In cone order; the linear part on sigma is A_sigma / d_sigma.
+    In the order of fan.max_cones; the linear part on sigma is A_sigma / d_sigma.
     """
-    parts, adjugates = [], cone_adjugates(fan)
-    for sigma in _cone_order(fan):
-        det, adj = adjugates[sigma]
+    parts = []
+    for sigma, (det, adj) in zip(fan.max_cones, cone_adjugates(fan)):
         b = [values[i - 1] for i in sorted(sigma)]
         parts.append((det, [sum(map(mul, row, b)) for row in adj]))
     return parts
@@ -74,14 +69,13 @@ def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
 
 
 def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
-    """Per maximal cone in cone order, det V times its form at v_s, as a row.
+    """det V times the form at v_s of each maximal cone, as a row, in fan.max_cones order.
 
     The form of a value vector c on sigma is adj V c|_sigma / det V, so
     entry i is v_s times the column of adj V at ray i.
     """
     rows = []
-    for sigma in _cone_order(fan):
-        _, adj = cone_adjugates(fan)[sigma]
+    for sigma, (_, adj) in zip(fan.max_cones, cone_adjugates(fan)):
         row = [0] * fan.nrays
         for i, col in zip(sorted(sigma), zip(*adj)):
             row[i - 1] = sum(map(mul, col, fan.rays[s - 1]))
@@ -171,9 +165,8 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     # the echelon kernel of v_s: a 1 at each free column, in ascending order
     free = [j for j in range(m) if j != j0]
     kernel = [tuple(Fraction(x, k[f]) for x in k) for f, k in zip(free, int_kernel([vs], m))]
-    off_line = [
-        i for i in range(1, n + 1) if not parallel_rays(fan.rays[i - 1], vs)
-    ]
+    on_line = {s}.union(*(p for p in collinear_pairs(fan) if s in p))
+    off_line = [i for i in range(1, n + 1) if i not in on_line]
     q = 0
     while True:
         q += 1

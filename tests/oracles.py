@@ -504,7 +504,7 @@ class LambdaPolytope:
 
 def cone_linear_part(fan, psi, sigma):
     """The unique form agreeing with psi on the rays of one maximal cone."""
-    det, adj = cone_adjugates(fan)[sigma]
+    det, adj = cone_adjugates(fan)[fan.max_cones.index(sigma)]
     b = [psi.values[i - 1] for i in sorted(sigma)]
     return tuple(Fraction(sum(x * y for x, y in zip(row, b)), det) for row in adj)
 

@@ -14,7 +14,6 @@ from stackycoh.exactlin import (
     _eliminate,
     _gauss_jordan,
     build_tower,
-    int_adjugate,
     int_kernel,
     int_solve,
     int_tuple,
@@ -95,6 +94,10 @@ def _row_holds(row, x):
 
 def _satisfies(sys, x):
     return all(_row_holds(r, x) for r in sys.rows)
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class TestSmithNormalForm:
@@ -234,13 +237,14 @@ class TestRationalLinearAlgebra:
         assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
 
     def test_adjugate(self):
-        assert int_adjugate([[2, 1], [1, 1]]) == (1, ((1, -1), (-1, 2)))
-        assert int_adjugate([[0, 3], [2, 0]]) == (-6, ((0, -3), (-2, 0)))
-        assert int_adjugate([[-5]]) == (-5, ((1,),))
+        # the solve against I is the adjugate
+        assert int_solve([[2, 1], [1, 1]], eye(2)) == (1, ((1, -1), (-1, 2)))
+        assert int_solve([[0, 3], [2, 0]], eye(2)) == (-6, ((0, -3), (-2, 0)))
+        assert int_solve([[-5]], eye(1)) == (-5, ((1,),))
         with pytest.raises(SingularMatrixError):
-            int_adjugate([[1, 2], [2, 4]])
+            int_solve([[1, 2], [2, 4]], eye(2))
         with pytest.raises(ValueError):
-            int_adjugate([[1, 2]])
+            int_solve([[1, 2]], eye(1))
 
     def test_rational_entries_refused(self):
         # exact division floors a Fraction: this matrix has rank 2 and
@@ -251,7 +255,7 @@ class TestRationalLinearAlgebra:
         with pytest.raises(TypeError, match="integer matrix"):
             rat_rank([{0: 1, 1: 1.0}])
         with pytest.raises(TypeError, match="integer matrix"):
-            int_adjugate(half_third)
+            int_solve(half_third, eye(2))
         with pytest.raises(TypeError, match="integer matrix"):
             int_kernel(half_third[:1], 2)
 
@@ -273,9 +277,9 @@ class TestRationalLinearAlgebra:
         ref = sympy.Matrix(rows)
         if ref.det() == 0:
             with pytest.raises(SingularMatrixError):
-                int_adjugate(rows)
+                int_solve(rows, eye(n))
             return
-        det, adj = int_adjugate(rows)
+        det, adj = int_solve(rows, eye(n))
         assert det == ref.det()
         assert adj == tuple(tuple(row) for row in ref.adjugate().tolist())
         assert mat_mul_int(adj, rows) == tuple(
@@ -284,14 +288,17 @@ class TestRationalLinearAlgebra:
         assert all(type(x) is int for row in adj for x in row)
 
     def test_solve(self):
-        assert int_solve([[2, 1], [1, 1]], [3, 2]) == (1, (1, 1))
-        assert int_solve([[0, 3], [2, 0]], [1, 1]) == (-6, (-3, -2))
+        # a right-hand side of one column is Cramer's rule
+        assert int_solve([[2, 1], [1, 1]], [[3], [2]]) == (1, ((1,), (1,)))
+        assert int_solve([[0, 3], [2, 0]], [[1], [1]]) == (-6, ((-3,), (-2,)))
         with pytest.raises(SingularMatrixError):
-            int_solve([[1, 2], [2, 4]], [1, 1])
+            int_solve([[1, 2], [2, 4]], [[1], [1]])
         with pytest.raises(ValueError):
-            int_solve([[1, 2]], [1])
+            int_solve([[1, 2]], [[1]])
+        with pytest.raises(ValueError):
+            int_solve([[1, 0], [0, 1]], [[1, 2], [3]])
         with pytest.raises(TypeError, match="integer matrix"):
-            int_solve([[1, 0], [0, 1]], [Fraction(1, 2), 1])
+            int_solve([[1, 0], [0, 1]], [[Fraction(1, 2)], [1]])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -302,12 +309,28 @@ class TestRationalLinearAlgebra:
         ref = sympy.Matrix(rows)
         if ref.det() == 0:
             with pytest.raises(SingularMatrixError):
+                int_solve(rows, [[y] for y in b])
+            return
+        det, x = int_solve(rows, [[y] for y in b])
+        assert det == ref.det()
+        assert x == tuple((y,) for y in ref.adjugate() * sympy.Matrix(b))
+        assert all(type(y) is int for (y,) in x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 3), st.data())
+    def test_matrix_solve_equals_sympy(self, n, k, data):
+        # k columns at once give the k one-column solves side by side
+        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+        b = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=n, max_size=n))
+        ref = sympy.Matrix(rows)
+        if ref.det() == 0:
+            with pytest.raises(SingularMatrixError):
                 int_solve(rows, b)
             return
         det, x = int_solve(rows, b)
         assert det == ref.det()
-        assert x == tuple(ref.adjugate() * sympy.Matrix(b))
-        assert all(type(y) is int for y in x)
+        assert x == tuple(map(tuple, (ref.adjugate() * sympy.Matrix(n, k, sum(b, []))).tolist()))
+        assert all(type(y) is int for row in x for y in row)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.data())

@@ -10,13 +10,12 @@ from stackycoh import plsearch
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
 from stackycoh.exactlin import build_tower
-from stackycoh.fan import collinear_pairs, load_fan, make_fan, parallel_rays
+from stackycoh.fan import collinear_pairs, load_fan, make_fan
 from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.plsearch import (
     FINITELY_MANY,
     INFINITELY_MANY,
     UNDETERMINED,
-    _cone_order,
     _linear_parts,
     criterion_report,
     degenerate_space,
@@ -37,7 +36,7 @@ BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
 def cone_forms(fan, psi):
     """The linear part of psi on each maximal cone, A_sigma / d_sigma from the package's parts."""
     parts = _linear_parts(fan, psi.values)
-    return {cone: tuple(Fraction(x, d) for x in a) for cone, (d, a) in zip(_cone_order(fan), parts)}
+    return {cone: tuple(Fraction(x, d) for x in a) for cone, (d, a) in zip(fan.max_cones, parts)}
 
 
 # find_degenerate_psi on the catalog and bench/fans: (ray, psi values) or None
@@ -380,9 +379,10 @@ class TestNormalizeAtRay:
                 assert g.values[s - 1] == 0
                 if all(v == 0 for v in g.values):
                     continue  # linear input
-                for i in range(1, fan.nrays + 1):
-                    if not parallel_rays(fan.rays[i - 1], fan.rays[s - 1]):
-                        assert g.values[i - 1] != 0
+                # off the line of v_s: neither s nor its collinear partner
+                on_line = {s}.union(*(p for p in collinear_pairs(fan) if s in p))
+                for i in set(range(1, fan.nrays + 1)) - on_line:
+                    assert g.values[i - 1] != 0
 
 
 class TestSignChanges:

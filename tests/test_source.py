@@ -144,14 +144,11 @@ def _readers(tree, name):
 def test_one_rank_routine():
     # exactlin.rat_rank is the one rank routine: any other function named
     # for a rank delegates to it, and the dense Gauss-Jordan loop serves
-    # only the kernels, the adjugates and the Cramer solves
+    # only the kernels and the one square solve, whose right-hand side I
+    # gives the adjugates and a column the Cramer solves
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
     gauss_jordan = {(m, f) for m, tree in trees.items() for f in _readers(tree, "_gauss_jordan")}
-    assert gauss_jordan == {
-        ("exactlin", "int_kernel"),
-        ("exactlin", "int_adjugate"),
-        ("exactlin", "int_solve"),
-    }
+    assert gauss_jordan == {("exactlin", "int_kernel"), ("exactlin", "int_solve")}
     others = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
