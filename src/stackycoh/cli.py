@@ -28,8 +28,6 @@ from .cohomline import (
 )
 from .fan import (
     FanError,
-    FanFormatError,
-    FanValidationError,
     StackyFan,
     fan_fingerprint,
     load_fan,
@@ -410,9 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if takes_fan:
             payload["fan"] = fan_fingerprint(fan)
         _emit(cfg, payload, lines)
-    except (FanFormatError, FanValidationError) as exc:
-        sys.stderr.write(f"invalid fan: {exc}\n")
-        return 1
     except (CapExceededError, PropernessError, DeltaCapError) as exc:
         sys.stderr.write(f"computation stopped: {exc}\n")
         return 2

@@ -25,11 +25,7 @@ IntMatrix = tuple[IntVector, ...]
 DEFAULT_CAP = 10**6
 
 
-class ExactLinError(Exception):
-    pass
-
-
-class SingularMatrixError(ExactLinError):
+class SingularMatrixError(Exception):
     pass
 
 

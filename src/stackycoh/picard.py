@@ -3,7 +3,7 @@
 A class is a ray-indexed integer vector a, taken modulo the sublattice of
 vectors (w . v_i)_i for integer w. Smith normal form of the ray matrix
 gives canonical coordinates: torsion residues plus a free part. A box is
-checked once, and its classes come from the U^-1 product of class_from_canonical.
+checked once, and its classes come from the u_inv product of class_from_canonical.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ class PicStructure:
     """Canonical coordinates on the class group of a fan.
 
     The group is Z^free_rank plus cyclic factors of the orders in
-    ``torsion``. ``u`` maps raw vectors to canonical coordinates y = U a;
-    entries of y at ``torsion_positions`` are read modulo the matching
-    order, entries from ``free_offset`` on are free integers.
+    ``torsion``. With U the Smith transform of the ray matrix, ``u`` is the
+    rows of U that carry coordinates: y = u a is the torsion entries, each
+    read modulo its order, then the free ones. ``u_inv`` is the matching
+    columns of U^-1, so u * u_inv = I and a class is u_inv y.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    torsion_positions: tuple[int, ...]
-    free_offset: int
     u: IntMatrix
     u_inv: IntMatrix
 
@@ -45,15 +44,18 @@ def pic_structure(fan: StackyFan) -> PicStructure:
     if not all(diag):
         raise FanValidationError("the rays do not span the space, so the fan is not complete")
     torsion = tuple(d for d in diag if d > 1)
-    torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    # u is unimodular: det u = +-1, and the solve against I is adj u = det u * u^-1
-    det, adj = int_solve(u, [[int(i == j) for j in range(n)] for i in range(n)])
+    # d_1 | d_2 | ... puts the orders last: rows k.. of U are the coordinates
+    k = m - len(torsion)
+    if any(d != 1 for d in diag[:k]):
+        raise AssertionError("smith normal form diagonal is not a divisibility chain")
+    # the solve against columns k.. of I is those columns of adj u = det u * u^-1
+    det, adj = int_solve(u, [[int(i == j) for j in range(k, n)] for i in range(n)])
+    if det not in (1, -1):
+        raise AssertionError("smith normal form transform is not unimodular")
     return PicStructure(
         free_rank=n - m,
         torsion=torsion,
-        torsion_positions=torsion_positions,
-        free_offset=m,
-        u=u,
+        u=u[k:],
         u_inv=tuple(tuple(det * x for x in row) for row in adj),
     )
 
@@ -81,16 +83,13 @@ def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
     raw = coefficient_vector(fan, a)
     st = pic_structure(fan)
     y = [sum(map(mul, row, raw)) for row in st.u]
-    torsion = tuple(y[p] % st.torsion[k] for k, p in enumerate(st.torsion_positions))
-    free = tuple(y[st.free_offset :])
-    return LineBundleClass(raw=raw, free=free, torsion=torsion)
+    torsion = tuple(x % d for x, d in zip(y, st.torsion))
+    return LineBundleClass(raw=raw, free=tuple(y[len(torsion) :]), torsion=torsion)
 
 
 def _from_coordinates(st: PicStructure, free: IntVector, residues: IntVector) -> LineBundleClass:
-    """The class U^-1 y of checked free coordinates and reduced torsion residues."""
-    y = [0] * st.free_offset + list(free)
-    for p, t in zip(st.torsion_positions, residues):
-        y[p] = t
+    """The class u_inv y of checked free coordinates and reduced torsion residues."""
+    y = (*residues, *free)
     return LineBundleClass(tuple(sum(map(mul, row, y)) for row in st.u_inv), free, residues)
 
 
@@ -99,7 +98,7 @@ def class_from_canonical(
 ) -> LineBundleClass:
     """A raw representative with the given canonical coordinates.
 
-    The raw vector is U^-1 y, y the coordinates with torsion reduced.
+    The raw vector is u_inv y, y the coordinates with torsion reduced.
     TypeError on a coordinate that is not an int, which int() would truncate.
     """
     st = pic_structure(fan)

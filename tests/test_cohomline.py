@@ -30,6 +30,7 @@ from stackycoh.cohomline import (
 from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_points
 from stackycoh.fan import StackyFan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
+from stackycoh.picard import pic_structure
 
 from fangen import BENCH_FANS
 from oracles import (
@@ -68,6 +69,13 @@ WIDE_MASKS = {
     p.id: p.values[0] for p in stellar_fans()
     if p.id in {"stellar-p1xp1xp1xp1", "stellar-cyclic5xp1xp1", "stellar-p1xp1xp1xp1xp1"}
 }
+
+
+def parallel_scan_fans():
+    """p1xp1, the two torsion catalog fans, and three torsion stellar subdivisions."""
+    torsion = [p for p in stellar_fans() if pic_structure(p.values[0]).torsion]
+    names = ("p1xp1", "p1_22", "p2_221")
+    return [pytest.param(catalog_fan(n), id=n) for n in names] + torsion[:2] + torsion[-1:]
 
 
 def _shifted(fan, a, w):
@@ -465,11 +473,12 @@ class TestScans:
         for c in found:
             assert not any(cohomology(fan, c.raw))
 
-    def test_parallel_scan_matches_serial(self):
-        fan = catalog_fan("p1xp1")
-        serial = scan_h_trivial(fan, (-4, 4))
-        parallel = scan_h_trivial(fan, (-4, 4), workers=3)
-        assert serial == parallel
+    @pytest.mark.parametrize("fan", parallel_scan_fans())
+    def test_parallel_scan_matches_serial(self, fan):
+        box = (-4, 4) if fan.rank <= 2 else (-2, 2)
+        serial = scan_h_trivial(fan, box)
+        assert serial
+        assert scan_h_trivial(fan, box, workers=2) == serial
 
     @pytest.mark.parametrize("cores", [None, 1, 3, 64])
     def test_workers_clamped_to_cores_and_classes(self, monkeypatch, cores):

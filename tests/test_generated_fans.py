@@ -387,7 +387,23 @@ class TestIntegerCones:
     @pytest.mark.parametrize("fan", oracle_fans())
     def test_pic_inverse(self, fan):
         st = pic_structure(fan)
-        assert st.u_inv == invert(st.u)
+        # the coordinates are rows k.. of the Smith U: the torsion rows, then the free ones
+        u = exactlin.smith_normal_form(fan.rays)[1]
+        k = fan.rank - len(st.torsion)
+        assert st.u == u[k:]
+        assert st.u_inv == tuple(row[k:] for row in invert(u))
+        size = len(st.torsion) + st.free_rank
+        assert len(st.u) == len(st.u_inv[0]) == size
+        assert exactlin.mat_mul_int(st.u, st.u_inv) == tuple(
+            tuple(int(i == j) for j in range(size)) for i in range(size)
+        )
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_smith_diagonal_is_a_divisibility_chain(self, fan):
+        s = exactlin.smith_normal_form(fan.rays)[0]
+        diag = [s[i][i] for i in range(fan.rank)]
+        assert all(d > 0 for d in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
     @pytest.mark.parametrize("fan", oracle_fans())
     def test_cone_systems(self, fan):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fangen import complete_fans
 from oracles import classes_equal, lattice_equivalent
 from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh import picard
 from stackycoh.fan import FanValidationError, StackyFan
 from stackycoh.picard import (
     class_from_canonical,
@@ -68,6 +69,25 @@ class TestStructure:
         )
         with pytest.raises(FanValidationError, match="not complete"):
             pic_structure(fan)
+
+    @pytest.mark.parametrize(
+        "name,snf,message",
+        [
+            # U = diag(1, 2) has det 2, so its inverse is not integral
+            ("p1", (((1,), (0,)), ((1, 0), (0, 2)), ((1,),)), "not unimodular"),
+            # the order 2 comes before a 1
+            (
+                "p2",
+                (((2, 0), (0, 1), (0, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0), (0, 1))),
+                "divisibility chain",
+            ),
+        ],
+    )
+    def test_broken_smith_transform_is_refused(self, monkeypatch, name, snf, message):
+        monkeypatch.setattr(picard, "smith_normal_form", lambda rays: snf)
+        # the uncached function, so no structure of the catalog fan is stored or read
+        with pytest.raises(AssertionError, match=message):
+            pic_structure.__wrapped__(catalog_fan(name))
 
 
 class TestClassesEqual:
