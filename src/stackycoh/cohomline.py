@@ -21,12 +21,12 @@ Each fan has one table of the circuits and of a row per member I of
 Delta, holding the bitmask of the signed circuits that conform to I. One
 dot product per circuit gives the mask of those a class fails, and a row
 is feasible exactly when the two masks are disjoint. The table is the one
-place that decides feasibility and boundedness: a row builds its own
-tower the first time it is walked for lattice points, and the walk only
-lists them. The strict test lives here alone. A batch of raw vectors,
-such as a box of classes built by picard, is decided against one table:
-the lengths and the Delta cap are checked and the table fetched once per
-batch, and not at all for an empty batch.
+place that decides feasibility and boundedness; a row builds its tower
+when first reached feasible. A feasible row with unit pivots has a point
+(_DeltaRow), so the one flag loop answers it within a cap of m without a
+walk; counts, witnesses and other rows walk. The strict test lives here
+alone. A batch is decided against one table, and a scan decides its box
+in canonical coordinates y, as lambda . a = (lambda u_inv) . y.
 """
 
 from __future__ import annotations
@@ -34,15 +34,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import mul, neg
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, tower_points
+from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, mat_mul_int, tower_points
+from .exactlin import unit_pivots
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
-from .picard import LineBundleClass, box_classes, coefficient_vector
+from .picard import LineBundleClass, PicStructure, class_from_canonical, coefficient_vector, normalize_box, pic_structure
+from .picard import box_classes  # re-exported: callers import it from here
 
 
 class PropernessError(Exception):
@@ -79,6 +81,13 @@ class _DeltaRow:
     conforming says that signed circuit k of the table conforms to I. The
     table has decided that the system is bounded, and a row is walked only
     when the table finds its weak system rationally feasible.
+
+    unit says that the tower has unit pivots (exactlin.unit_pivots); then a
+    feasible row has a lattice point, which the first-point walk finds with
+    m candidates. Proof: level k is the exact projection of level k + 1, so
+    over a prefix that solves level k - 1 (at k = 0, as the row is feasible)
+    the fiber of x_k is a nonempty interval, and over an integer prefix its
+    endpoint on the unit side is an integer: the walk's first candidate.
     """
 
     index_set: frozenset[int]
@@ -92,6 +101,10 @@ class _DeltaRow:
         """The tower of the rows v_i on I and -v_i off I, on first use."""
         rows = tuple(tuple(-s * x for x in v) for s, v in zip(self.sign, self.fan.rays))
         return build_tower(rows, self.fan.rank)
+
+    @cached_property
+    def unit(self) -> bool:
+        return unit_pivots(self.tower)
 
     def points(self, a: IntVector, cap: int, first_only: bool = False) -> tuple[IntVector, ...]:
         """Lattice points of the weak system of a, or only the first one."""
@@ -274,12 +287,30 @@ def outside_all_interiors(fan: StackyFan, a: Sequence[int], limits: Limits = Lim
     return first_outside_interiors(fan, [coefficient_vector(fan, a)], limits) == 0
 
 
+def _flags(fan: StackyFan, vectors: Sequence, limits: Limits, st: Optional[PicStructure] = None) -> list[bool]:
+    """Whether no weak system of each class has a lattice point: the one flag loop.
+
+    With st, vectors are canonical points y against circuits composed with st.u_inv.
+    """
+    table, t = _delta_table(fan), len(st.torsion) if st else 0
+    if st:
+        table = table._replace(circuits=tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
+    return [
+        not any(
+            limits.cap >= row.fan.rank and row.unit
+            or row.points(class_from_canonical(fan, x[t:], x[:t]).raw if st else x, limits.cap, first_only=True)
+            for row in _feasible(table, x)
+        )
+        for x in vectors
+    ]
+
+
 def h_trivial_flags(fan: StackyFan, raws: Sequence[IntVector], limits: Limits = Limits()) -> list[bool]:
     """Whether each raw vector is H-trivial: no weak system has a lattice point."""
     if not raws:
         return []
-    table = _batch_table(fan, raws, limits)
-    return [not any(row.points(a, limits.cap, first_only=True) for row in _feasible(table, a)) for a in raws]
+    _batch_table(fan, raws, limits)
+    return _flags(fan, raws, limits)
 
 
 def scan_h_trivial(
@@ -291,21 +322,24 @@ def scan_h_trivial(
     a single pair applied to all); every torsion residue combination is
     included. Order is lexicographic in (free, torsion).
     """
-    classes = box_classes(fan, box)
-    raws = [c.raw for c in classes]
+    st = pic_structure(fan)
+    frees = product(*(range(lo, hi + 1) for lo, hi in normalize_box(fan, box)))
+    residues = list(product(*map(range, st.torsion)))
+    points = [(*r, *free) for free in frees for r in residues]  # y, in box_classes order
     # the table is built here, so its errors come before any worker and forked workers inherit it
     _table(fan, limits)
     # a pool starts every worker at once, so never more than cores or classes
-    workers = min(workers, os.cpu_count() or 1, len(classes))
-    if workers <= 1 or len(classes) < 4:
-        flags = h_trivial_flags(fan, raws, limits)
+    workers = min(workers, os.cpu_count() or 1, len(points))
+    if workers <= 1 or len(points) < 4:
+        flags = _flags(fan, points, limits, st)
     else:
         from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
 
-        chunks = [raws[w::workers] for w in range(workers)]
+        chunks = [points[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(h_trivial_flags, fan, limits=limits), chunks))
-        flags = [False] * len(raws)
+            results = list(pool.map(partial(_flags, fan, limits=limits, st=st), chunks))
+        flags = [False] * len(points)
         for w, chunk in enumerate(results):
             flags[w::workers] = chunk
-    return tuple(c for c, ok in zip(classes, flags) if ok)
+    t = len(st.torsion)
+    return tuple(class_from_canonical(fan, y[t:], y[:t]) for y, ok in zip(points, flags) if ok)

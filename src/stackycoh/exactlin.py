@@ -17,6 +17,7 @@ refuses a level it reaches that leaves its variable unbounded.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -211,11 +212,11 @@ def int_tuple(values: Iterable, what: str) -> IntVector:
 
 
 def _int_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    """The rows copied as lists; TypeError on an entry that is not an int.
+    """The rows copied once as lists; TypeError on an entry that is not an int.
 
     The exact divisions of _gauss_jordan floor any other number silently.
     """
-    return [list(int_tuple(row, "integer matrix")) for row in rows]
+    return [r if _INT.issuperset(map(type, r)) else list(int_tuple(r, "integer matrix")) for r in map(list, rows)]
 
 
 def rat_rank(rows: Iterable[Mapping[int, int]]) -> int:
@@ -287,7 +288,7 @@ def int_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[i
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a) or len(set(map(len, b))) > 1:
         raise ValueError("int_solve needs a square matrix and right-hand sides of one length")
-    work = _int_rows([*row, *rhs] for row, rhs in zip(a, b))
+    work = _int_rows(chain(row, rhs) for row, rhs in zip(a, b))
     pivots, d, sign = _gauss_jordan(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
@@ -356,6 +357,11 @@ def build_tower(rows: IntMatrix, nvars: int) -> tuple[TowerLevel, ...]:
     for k in range(nvars - 1, 0, -1):
         levels.append(tuple(_eliminate(levels[-1], k, nvars - k + 1)))
     return tuple(reversed(levels))
+
+
+def unit_pivots(tower: Sequence[TowerLevel]) -> bool:
+    """Whether every level k bounds x_k from below by +1 rows only or from above by -1 rows only."""
+    return all(max(c[k] for c, _ in lv) <= 1 or min(c[k] for c, _ in lv) >= -1 for k, lv in enumerate(tower))
 
 
 class _CapHit(Exception):

@@ -28,9 +28,9 @@ from stackycoh.cohomline import (
     scan_h_trivial,
 )
 from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_points
-from stackycoh.fan import StackyFan
+from stackycoh.fan import StackyFan, load_fan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
-from stackycoh.picard import pic_structure
+from stackycoh.picard import class_of, pic_structure
 
 from fangen import BENCH_FANS
 from oracles import (
@@ -416,6 +416,26 @@ class TestDeltaTable:
             assert list(_feasible(_delta_table(fan), a, strict=True)) == interior, a
             assert outside_all_interiors(fan, a) == (interior == []), a
 
+    @pytest.mark.parametrize("fan,a,I", [
+        ("p1_22", (0, -2), ()),
+        ("p2_221", (-1, 1, 0), (1, 2, 3)),
+        ("antiprism", (0, 0, -1, -2, 0, 0, 0, 0), (1, 2, 6, 7)),
+    ])
+    def test_shortcut_skips_rows_without_unit_pivots(self, fan, a, I):
+        # weakly feasible rows whose towers lack unit pivots and hold no
+        # lattice point: answering them from the masks would call the
+        # class not H-trivial
+        fan = load_fan((BENCH_FANS / "antiprism.json").read_text()) if fan == "antiprism" else catalog_fan(fan)
+        row = _row(fan, frozenset(I))
+        assert _feasible_row(fan, row.index_set, a)
+        assert not row.unit
+        assert tower_points(row.tower, sign_rhs(a, row.index_set)) == ()
+        assert is_h_trivial(fan, a)
+        assert h_trivial_flags(fan, [a]) == [True]
+        cls = class_of(fan, a)
+        found = scan_h_trivial(fan, [(x, x) for x in cls.free])
+        assert (cls.free, cls.torsion) in {(c.free, c.torsion) for c in found}
+
     def test_rows_follow_delta(self):
         fan = antiprism_fan()
         assert [(row.index_set, row.betti) for row in _delta_table(fan).rows] == list(
@@ -520,6 +540,16 @@ class TestScans:
         with pytest.raises(DeltaCapError):
             scan_h_trivial(catalog_fan("p1xp1"), (-1, 1), Limits(delta_cap=1), workers=2)
         assert sizes == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cap_edges_on_p1xp1xp1(self, workers):
+        # a rank-3 walk spends one candidate per level on a unit row: the
+        # shortcut needs a cap of 3, and below it the walk raises as before
+        fan = catalog_fan("p1xp1xp1")
+        with pytest.raises(CapExceededError, match="cap 2 "):
+            scan_h_trivial(fan, (-1, 1), Limits(cap=2), workers=workers)
+        found = scan_h_trivial(fan, (-1, 1), Limits(cap=3), workers=workers)
+        assert found and found == scan_h_trivial(fan, (-1, 1))
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

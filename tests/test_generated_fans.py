@@ -55,6 +55,7 @@ from stackycoh.cohomline import (
     cohomology,
     is_h_trivial,
     outside_all_interiors,
+    scan_h_trivial,
 )
 from stackycoh.exactlin import build_tower
 from stackycoh.fan import (
@@ -252,6 +253,16 @@ class TestStellarSubdivisions:
             assert cohomology(fan, a) == brute_cohomology(fan, a, 8), a
 
 
+def oracle_fans():
+    """Catalog fans, products of them, and a stellar subdivision of each."""
+    return catalog_and_products() + stellar_fans()
+
+
+def catalog_and_stellar_fans():
+    """Catalog fans, the torsion fans among them, and their stellar subdivisions."""
+    return [pytest.param(catalog_fan(n), id=n) for n in catalog_names()] + stellar_fans()
+
+
 class TestBoundedSignSystems:
     @pytest.mark.parametrize("fan", complete_fans())
     def test_delta_towers_bounded(self, fan):
@@ -305,6 +316,21 @@ class TestDeltaTable:
         pairs = {tuple(i + 1 for i, x in enumerate(c) if x) for c in circuits}
         assert {p for p in pairs if len(p) == 2} == set(collinear_pairs(fan))
 
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_unit_rows_have_a_point_at_m_candidates(self, fan):
+        # the lemma of _DeltaRow against the walk: on a feasible row with
+        # unit pivots the first-point walk finds a point with m candidates
+        # and no fewer, so the flag loop may answer it from the masks
+        rng = random.Random(fan_to_json(fan))
+        m = fan.rank
+        for _ in range(24):
+            a = tuple(rng.randint(-4, 4) for _ in range(fan.nrays))
+            for row in _feasible(_delta_table(fan), a):
+                if row.unit:
+                    b = sign_rhs(a, row.index_set)
+                    assert exactlin.tower_points(row.tower, b, m, first_only=True), (a, sorted(row.index_set))
+                    assert exactlin.tower_points(row.tower, b, m - 1, first_only=True) is None
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(complete_fans()), st.data())
     def test_support_check_keeps_every_row_in_order(self, param, data):
@@ -318,16 +344,6 @@ class TestDeltaTable:
             expected = eliminate_unpruned_first(level, k, fan.rank - k + 1)
             level = exactlin._eliminate(level, k, fan.rank - k + 1)
             assert level == expected, (sorted(I), k)
-
-
-def oracle_fans():
-    """Catalog fans, products of them, and a stellar subdivision of each."""
-    return catalog_and_products() + stellar_fans()
-
-
-def catalog_and_stellar_fans():
-    """Catalog fans, the torsion fans among them, and their stellar subdivisions."""
-    return [pytest.param(catalog_fan(n), id=n) for n in catalog_names()] + stellar_fans()
 
 
 def canonical_box(fan, lo, hi):
@@ -357,6 +373,15 @@ class TestBatchRoutes:
         assert family_classes(fan, s, psi, (-3, 3)) == [family_class(fan, s, psi, r) for r in range(-3, 4)]
         singles = tuple((r, is_h_trivial(fan, family_class(fan, s, psi, r).raw)) for r in range(-3, 4))
         assert report.sampled_family_checks == singles
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_scan_matches_single_class_decisions(self, fan, workers):
+        # the box route (canonical points, composed circuits, unit rows
+        # answered from the masks) against one walk per class of box_classes
+        box = (-2, 1) if fan.rank <= 3 else (-1, 1)
+        expected = tuple(c for c in box_classes(fan, box) if is_h_trivial(fan, c.raw))
+        assert scan_h_trivial(fan, box, workers=workers) == expected
 
     def test_witnesses_found_and_missed(self):
         # the report test above sees both outcomes of the witness search
