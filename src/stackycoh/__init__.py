@@ -41,6 +41,8 @@ from .picard import (
     LineBundleClass,
     PicStructure,
     box_classes,
+    box_points,
+    class_at,
     class_from_canonical,
     class_of,
     class_to_json,

@@ -219,7 +219,7 @@ def _cmd_family(cfg: RunConfig, fan: StackyFan) -> tuple[dict, list[str]]:
     s, psi = found
     lo, hi = cfg.r_range
     classes = family_classes(fan, s, psi, cfg.r_range)
-    flags = h_trivial_flags(fan, [c.raw for c in classes], cfg.limits)
+    flags = h_trivial_flags(fan, [c.point for c in classes], cfg.limits)
     rows, lines = [], [f"ray {s}, psi ({_psi_text(psi)})"]
     for r, cls, trivial in zip(range(lo, hi + 1), classes, flags):
         rows.append({"r": r, "class": class_to_json(cls), "h_trivial": trivial})

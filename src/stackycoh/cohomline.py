@@ -25,8 +25,9 @@ place that decides feasibility and boundedness; a row builds its tower
 when first reached feasible. A feasible row with unit pivots has a point
 (_DeltaRow), so the one flag loop answers it within a cap of m without a
 walk; counts, witnesses and other rows walk. The strict test lives here
-alone. A batch is decided against one table, and a scan decides its box
-in canonical coordinates y, as lambda . a = (lambda u_inv) . y.
+alone. A batch is a list of canonical points y (picard), decided against
+one table whose circuits are composed once as lambda u_inv, since
+lambda . a = (lambda u_inv) . y; u_inv y is built only for a walked row.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import mul, neg
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, mat_mul_int, tower_points
-from .exactlin import unit_pivots
+from .exactlin import int_tuple, unit_pivots
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
-from .picard import LineBundleClass, PicStructure, class_from_canonical, coefficient_vector, normalize_box, pic_structure
+from .picard import LineBundleClass, box_points, class_at, class_of, coefficient_vector, pic_structure
 from .picard import box_classes  # re-exported: callers import it from here
 
 
@@ -69,7 +70,7 @@ class Limits:
 
     def __post_init__(self) -> None:
         for name in ("cap", "delta_cap"):
-            if getattr(self, name) <= 0:
+            if int_tuple([getattr(self, name)], f"integer {name}")[0] <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -202,12 +203,15 @@ def _table(fan: StackyFan, limits: Limits) -> _DeltaTable:
     return _delta_table(fan)
 
 
-def _batch_table(fan: StackyFan, raws: Sequence[IntVector], limits: Limits) -> _DeltaTable:
-    # the entries come from picard as ints, so only the lengths are checked, once per batch
-    for a in raws:
-        if len(a) != fan.nrays:
-            coefficient_vector(fan, a)  # raises its length error
-    return _table(fan, limits)
+def _canonical_table(fan: StackyFan, points: Sequence[IntVector], limits: Limits) -> _DeltaTable:
+    """The table of a batch of canonical points, its circuits composed once as lambda u_inv."""
+    st = pic_structure(fan)
+    # the points come from picard as ints, so only their lengths are checked, once per batch
+    for y in points:
+        if len(y) != len(st.u):
+            raise ValueError(f"canonical point length must be {len(st.u)}, got {len(y)}")
+    table = _table(fan, limits)
+    return table._replace(circuits=tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
 
 
 def _feasible(table: _DeltaTable, a: IntVector, strict: bool = False) -> Iterator[_DeltaRow]:
@@ -273,44 +277,35 @@ def is_h_trivial(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) ->
 
 
 def first_outside_interiors(
-    fan: StackyFan, raws: Sequence[IntVector], limits: Limits = Limits()
+    fan: StackyFan, points: Sequence[IntVector], limits: Limits = Limits()
 ) -> Optional[int]:
-    """Position of the first raw vector that no member's open cone holds, or None."""
-    if not raws:
+    """Position of the first canonical point that no member's open cone holds, or None."""
+    if not points:
         return None
-    table = _batch_table(fan, raws, limits)
-    return next((k for k, a in enumerate(raws) if next(_feasible(table, a, strict=True), None) is None), None)
+    table = _canonical_table(fan, points, limits)
+    return next((k for k, y in enumerate(points) if next(_feasible(table, y, strict=True), None) is None), None)
 
 
 def outside_all_interiors(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> bool:
     """Whether no member's open cone holds the class: no strictly feasible row."""
-    return first_outside_interiors(fan, [coefficient_vector(fan, a)], limits) == 0
+    a = coefficient_vector(fan, a)
+    _table(fan, limits)
+    return first_outside_interiors(fan, [class_of(fan, a).point], limits) == 0
 
 
-def _flags(fan: StackyFan, vectors: Sequence, limits: Limits, st: Optional[PicStructure] = None) -> list[bool]:
-    """Whether no weak system of each class has a lattice point: the one flag loop.
-
-    With st, vectors are canonical points y against circuits composed with st.u_inv.
-    """
-    table, t = _delta_table(fan), len(st.torsion) if st else 0
-    if st:
-        table = table._replace(circuits=tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
+def h_trivial_flags(fan: StackyFan, points: Sequence[IntVector], limits: Limits = Limits()) -> list[bool]:
+    """Whether no weak system of each canonical point's class has a lattice point: the one flag loop."""
+    if not points:
+        return []
+    table, st = _canonical_table(fan, points, limits), pic_structure(fan)
     return [
         not any(
-            limits.cap >= row.fan.rank and row.unit
-            or row.points(class_from_canonical(fan, x[t:], x[:t]).raw if st else x, limits.cap, first_only=True)
-            for row in _feasible(table, x)
+            limits.cap >= fan.rank and row.unit
+            or row.points(class_at(st, y).raw, limits.cap, first_only=True)
+            for row in _feasible(table, y)
         )
-        for x in vectors
+        for y in points
     ]
-
-
-def h_trivial_flags(fan: StackyFan, raws: Sequence[IntVector], limits: Limits = Limits()) -> list[bool]:
-    """Whether each raw vector is H-trivial: no weak system has a lattice point."""
-    if not raws:
-        return []
-    _batch_table(fan, raws, limits)
-    return _flags(fan, raws, limits)
 
 
 def scan_h_trivial(
@@ -322,24 +317,21 @@ def scan_h_trivial(
     a single pair applied to all); every torsion residue combination is
     included. Order is lexicographic in (free, torsion).
     """
-    st = pic_structure(fan)
-    frees = product(*(range(lo, hi + 1) for lo, hi in normalize_box(fan, box)))
-    residues = list(product(*map(range, st.torsion)))
-    points = [(*r, *free) for free in frees for r in residues]  # y, in box_classes order
+    points = box_points(fan, box)
     # the table is built here, so its errors come before any worker and forked workers inherit it
     _table(fan, limits)
     # a pool starts every worker at once, so never more than cores or classes
     workers = min(workers, os.cpu_count() or 1, len(points))
     if workers <= 1 or len(points) < 4:
-        flags = _flags(fan, points, limits, st)
+        flags = h_trivial_flags(fan, points, limits)
     else:
         from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
 
         chunks = [points[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_flags, fan, limits=limits, st=st), chunks))
+            results = list(pool.map(partial(h_trivial_flags, fan, limits=limits), chunks))
         flags = [False] * len(points)
         for w, chunk in enumerate(results):
             flags[w::workers] = chunk
-    t = len(st.torsion)
-    return tuple(class_from_canonical(fan, y[t:], y[:t]) for y, ok in zip(points, flags) if ok)
+    st = pic_structure(fan)
+    return tuple(class_at(st, y) for y, ok in zip(points, flags) if ok)

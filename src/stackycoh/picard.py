@@ -2,8 +2,8 @@
 
 A class is a ray-indexed integer vector a, taken modulo the sublattice of
 vectors (w . v_i)_i for integer w. Smith normal form of the ray matrix
-gives canonical coordinates: torsion residues plus a free part. A box is
-checked once, and its classes come from the u_inv product of class_from_canonical.
+gives a class its canonical point y, torsion residues then free part, and
+u_inv y is a raw representative. Only box_points, class_at and .point know y.
 """
 
 from __future__ import annotations
@@ -62,11 +62,15 @@ def pic_structure(fan: StackyFan) -> PicStructure:
 
 @dataclass(frozen=True)
 class LineBundleClass:
-    """A class in canonical coordinates, with one raw representative kept."""
+    """A class in canonical coordinates, with one raw representative kept; point is y."""
 
     raw: IntVector
     free: IntVector
     torsion: IntVector
+
+    @property
+    def point(self) -> IntVector:
+        return (*self.torsion, *self.free)
 
 
 def coefficient_vector(fan: StackyFan, a: Sequence[int]) -> IntVector:
@@ -87,10 +91,10 @@ def class_of(fan: StackyFan, a: Sequence[int]) -> LineBundleClass:
     return LineBundleClass(raw=raw, free=tuple(y[len(torsion) :]), torsion=torsion)
 
 
-def _from_coordinates(st: PicStructure, free: IntVector, residues: IntVector) -> LineBundleClass:
-    """The class u_inv y of checked free coordinates and reduced torsion residues."""
-    y = (*residues, *free)
-    return LineBundleClass(tuple(sum(map(mul, row, y)) for row in st.u_inv), free, residues)
+def class_at(st: PicStructure, y: IntVector) -> LineBundleClass:
+    """The class u_inv y of a canonical point y, which is not checked or reduced."""
+    t = len(st.torsion)
+    return LineBundleClass(tuple(sum(map(mul, row, y)) for row in st.u_inv), tuple(y[t:]), tuple(y[:t]))
 
 
 def class_from_canonical(
@@ -108,7 +112,7 @@ def class_from_canonical(
         raise ValueError(f"expected {len(st.torsion)} torsion residues")
     coords = int_tuple((*free, *torsion), "integer coordinates")
     residues = tuple(t % d for t, d in zip(coords[st.free_rank :], st.torsion))
-    return _from_coordinates(st, coords[: st.free_rank], residues)
+    return class_at(st, (*residues, *coords[: st.free_rank]))
 
 
 def normalize_box(fan: StackyFan, box: Sequence) -> tuple[tuple[int, int], ...]:
@@ -137,15 +141,17 @@ def normalize_box(fan: StackyFan, box: Sequence) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
-    """Canonical classes in a free-coordinate box, lexicographic order.
-
-    Every torsion residue combination is paired with every free point.
-    """
-    st = pic_structure(fan)
+def box_points(fan: StackyFan, box: Sequence) -> list[IntVector]:
+    """The canonical points of a free-coordinate box, each free point with every residue in turn."""
+    residues = list(product(*map(range, pic_structure(fan).torsion)))
     frees = product(*(range(lo, hi + 1) for lo, hi in normalize_box(fan, box)))
-    residues = list(product(*(range(d) for d in st.torsion)))
-    return [_from_coordinates(st, free, t) for free in frees for t in residues]
+    return [(*t, *free) for free in frees for t in residues]
+
+
+def box_classes(fan: StackyFan, box: Sequence) -> list[LineBundleClass]:
+    """The classes of box_points, in its order."""
+    st = pic_structure(fan)
+    return [class_at(st, y) for y in box_points(fan, box)]
 
 
 def class_to_json(cls: LineBundleClass) -> dict:

@@ -15,9 +15,9 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cohomline import Limits, first_outside_interiors, h_trivial_flags
-from .exactlin import IntVector, int_kernel, rat_rank
+from .exactlin import IntVector, int_kernel, int_tuple, rat_rank
 from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood
-from .picard import LineBundleClass, box_classes, class_of
+from .picard import LineBundleClass, box_points, class_at, class_of, pic_structure
 
 RatVector = tuple[Fraction, ...]
 Rational = Union[int, Fraction]
@@ -129,8 +129,8 @@ def family_classes(
     values = [int(v) for v in psi.values]
     if any(sum(map(mul, row, values)) for row in _forms_at_ray(fan, s)):
         raise ValueError("psi must vanish at the chosen ray on every cone")
-    lo, hi = r_range
-    family = ([-1 if i == s else r * v for i, v in enumerate(values, 1)] for r in range(int(lo), int(hi) + 1))
+    lo, hi = int_tuple(r_range, "integer family bounds")
+    family = ([-1 if i == s else r * v for i, v in enumerate(values, 1)] for r in range(lo, hi + 1))
     return [class_of(fan, a) for a in family]
 
 
@@ -224,15 +224,15 @@ def criterion_report(
     pairs = collinear_pairs(fan)
     found = find_degenerate_psi(fan)
 
-    classes = [c for c in box_classes(fan, search_box) if any(c.free) or any(c.torsion)]
-    k = first_outside_interiors(fan, [c.raw for c in classes], limits)
-    witness = None if k is None else classes[k]
+    points = [y for y in box_points(fan, search_box) if any(y)]
+    k = first_outside_interiors(fan, points, limits)
+    witness = None if k is None else class_at(pic_structure(fan), points[k])
 
     checks: tuple[tuple[int, bool], ...] = ()
     if found is not None:
         lo, hi = r_range
-        raws = [c.raw for c in family_classes(fan, *found, r_range)]
-        checks = tuple(zip(range(lo, hi + 1), h_trivial_flags(fan, raws, limits)))
+        points = [c.point for c in family_classes(fan, *found, r_range)]
+        checks = tuple(zip(range(lo, hi + 1), h_trivial_flags(fan, points, limits)))
         verdict = INFINITELY_MANY
     elif fan.rank == 3 and len(pairs) <= 1:
         verdict = FINITELY_MANY

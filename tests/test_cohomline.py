@@ -203,6 +203,17 @@ class TestLimits:
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             Limits(**{field: value})
 
+    @pytest.mark.parametrize("field", ["cap", "delta_cap"])
+    @pytest.mark.parametrize("value,entry", [
+        (2.5, "2.5"), (-0.5, "-0.5"), (Fraction(3, 1), r"Fraction\(3, 1\)"), ("3", "'3'"), (None, "None"),
+    ])
+    def test_non_integer_value_refused(self, field, value, entry):
+        # Limits(cap=2.5) acted as a cap of 2, delta_cap=1.5 was accepted,
+        # and cap="3" failed on a bare comparison of str and int; the type
+        # is checked before the sign
+        with pytest.raises(TypeError, match=rf"^integer {field} expected, got the entry {entry}$"):
+            Limits(**{field: value})
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Limits().cap = 5
@@ -326,13 +337,13 @@ class TestIntegerCoefficients:
 
 
 class TestBatches:
-    # zip truncated a raw vector of the wrong length: h_trivial_flags(p2,
-    # [(0, 0)]) gave [False] and first_outside_interiors(p2, [(5,)]) None
+    # zip would truncate a canonical point of the wrong length: the points
+    # of P2 have one coordinate, and a batch is checked before its table
     @pytest.mark.parametrize("call", [h_trivial_flags, first_outside_interiors])
-    @pytest.mark.parametrize("raws", [[(0, 0)], [(5,)], [(0, 0, 0), (1, 2, 3, 4)]])
-    def test_wrong_length_refused(self, call, raws):
-        with pytest.raises(ValueError, match="^coefficient vector length must equal the ray count$"):
-            call(catalog_fan("p2"), raws)
+    @pytest.mark.parametrize("points,got", [([(0, 0)], 2), ([()], 0), ([(0,), (1, 2, 3)], 3)])
+    def test_wrong_length_refused(self, call, points, got):
+        with pytest.raises(ValueError, match=f"^canonical point length must be 1, got {got}$"):
+            call(catalog_fan("p2"), points, Limits(delta_cap=1))
 
     @pytest.mark.parametrize("call,expected", [(h_trivial_flags, []), (first_outside_interiors, None)])
     def test_empty_batch_touches_no_table(self, call, expected):
@@ -431,8 +442,8 @@ class TestDeltaTable:
         assert not row.unit
         assert tower_points(row.tower, sign_rhs(a, row.index_set)) == ()
         assert is_h_trivial(fan, a)
-        assert h_trivial_flags(fan, [a]) == [True]
         cls = class_of(fan, a)
+        assert h_trivial_flags(fan, [cls.point]) == [True]
         found = scan_h_trivial(fan, [(x, x) for x in cls.free])
         assert (cls.free, cls.torsion) in {(c.free, c.torsion) for c in found}
 

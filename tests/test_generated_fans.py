@@ -11,7 +11,7 @@ Delta member is bounded, so its lattice points are finite in number.
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
 from math import cos, gcd, pi, sin
 
 import pytest
@@ -49,10 +49,13 @@ from stackycoh import exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import (
+    Limits,
+    _canonical_table,
     _circuits,
     _delta_table,
     _feasible,
     cohomology,
+    h_trivial_flags,
     is_h_trivial,
     outside_all_interiors,
     scan_h_trivial,
@@ -68,7 +71,7 @@ from stackycoh.fan import (
     validate,
 )
 from stackycoh.homology import delta_family, delta_set
-from stackycoh.picard import box_classes, class_from_canonical, pic_structure
+from stackycoh.picard import box_classes, box_points, class_at, class_from_canonical, pic_structure
 from stackycoh.plsearch import (
     _linear_parts,
     criterion_report,
@@ -359,6 +362,32 @@ class TestBatchRoutes:
     @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
     def test_box_classes_are_canonical_points(self, fan):
         assert box_classes(fan, (-2, 1)) == canonical_box(fan, -2, 1)
+
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_box_points_are_the_points_of_the_classes(self, fan):
+        classes = canonical_box(fan, -2, 1)
+        assert box_points(fan, (-2, 1)) == [c.point for c in classes]
+        st = pic_structure(fan)
+        assert all(class_at(st, c.point) == c for c in classes)
+
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_composed_circuits_vanish_on_torsion(self, fan):
+        # d_t u_inv e_t is a relation (w . v_i)_i, which every circuit kills,
+        # so a torsion residue moves only the walks, never the masks
+        t = len(pic_structure(fan).torsion)
+        for c, _, _ in _canonical_table(fan, [], Limits()).circuits:
+            assert c[:t] == (0,) * t, c
+
+    @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
+    def test_flags_ignore_how_residues_are_reduced(self, fan):
+        # an unreduced residue is another raw representative of the class
+        torsion = pic_structure(fan).torsion
+        points = box_points(fan, (-1, 1))
+        shifted = [
+            (*(r + d * k for r, d, k in zip(y, torsion, cycle((1, -2, 3)))), *y[len(torsion):])
+            for y in points
+        ]
+        assert h_trivial_flags(fan, shifted) == h_trivial_flags(fan, points)
 
     @pytest.mark.parametrize("fan", catalog_and_stellar_fans())
     def test_report_matches_single_class_decisions(self, fan):

@@ -330,6 +330,24 @@ class TestFamilyClass:
         with pytest.raises(ValueError, match="vanish"):
             family_class(catalog_fan("p2"), 1, pl_function((1, 0, 0)), 1)
 
+    @pytest.mark.parametrize("r,entry", [
+        (1.9, "1.9"), (-0.5, "-0.5"), (Fraction(3, 2), r"Fraction\(3, 2\)"), (Fraction(2, 1), r"Fraction\(2, 1\)"),
+    ])
+    def test_family_class_refuses_non_integer_r(self, r, entry):
+        # int() truncated it: family_class(p1xp1, 3, psi, 1.9) gave the class of r = 1
+        fan = catalog_fan("p1xp1")
+        with pytest.raises(TypeError, match=rf"^integer family bounds expected, got the entry {entry}$"):
+            family_class(fan, 3, pl_function((1, 1, 0, 0)), r)
+
+    @pytest.mark.parametrize("r_range,entry", [
+        ((0.5, 2.9), "0.5"), ((0, 2.9), "2.9"), ((Fraction(1, 2), 2), r"Fraction\(1, 2\)"),
+    ])
+    def test_family_classes_refuses_non_integer_bounds(self, r_range, entry):
+        # (0.5, 2.9) gave the classes of r = 0, 1, 2
+        fan = catalog_fan("p1xp1")
+        with pytest.raises(TypeError, match=rf"^integer family bounds expected, got the entry {entry}$"):
+            family_classes(fan, 3, pl_function((1, 1, 0, 0)), r_range)
+
     def test_rejects_fractional_psi(self):
         fan = catalog_fan("p1xp1")
         with pytest.raises(ValueError, match="integer"):

@@ -223,10 +223,10 @@ def _reachable(calls, start):
 def test_one_flag_loop():
     # a unit row is answered without a walk in one place: only the flag
     # loop of cohomline reads a row's unit flag, only _DeltaRow reads the
-    # predicate, and the raw-vector and the box route both reach that loop
+    # predicate, and the box route reaches that loop
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
     tree = trees["cohomline"]
-    assert _readers(tree, "unit") == {"_flags"}
+    assert _readers(tree, "unit") == {"h_trivial_flags"}
     readers = {m: _readers(t, "unit_pivots") for m, t in trees.items() if _readers(t, "unit_pivots")}
     assert readers == {"cohomline": {None}}
     owners = [
@@ -238,7 +238,30 @@ def test_one_flag_loop():
     # every loop over the feasible rows of a class: counts, witnesses,
     # interiors and the one flag loop; a second flag loop would be a fifth
     loops = _readers(tree, "_feasible")
-    assert loops == {"cohomology", "forbidden_cone", "first_outside_interiors", "_flags"}
-    calls = _calls(tree)
-    for route in ("h_trivial_flags", "scan_h_trivial"):
-        assert "_flags" in _reachable(calls, route), f"{route} does not reach the flag loop"
+    assert loops == {"cohomology", "forbidden_cone", "first_outside_interiors", "h_trivial_flags"}
+    assert "h_trivial_flags" in _reachable(_calls(tree), "scan_h_trivial")
+
+
+def test_one_box_enumeration():
+    # picard.box_points alone enumerates a box: every other route reads its
+    # canonical points, so no other function reads itertools.product
+    readers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for a in node.names
+            if a.name == "product"
+        }
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Name) and sub.id in aliases and isinstance(sub.ctx, ast.Load)
+                    or isinstance(sub, ast.Attribute) and sub.attr == "product"
+                    and getattr(sub.value, "id", None) == "itertools"
+                ):
+                    readers.add((path.stem, owner))
+    assert readers == {("picard", "box_points")}
