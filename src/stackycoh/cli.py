@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .catalog import catalog_fan, catalog_names
@@ -35,14 +33,14 @@ from .fan import (
 from .homology import DeltaCapError, delta_family
 from .picard import class_of, class_to_json, normalize_box, pic_structure
 from .plsearch import criterion_report, family_classes, find_degenerate_psi
+from .record import Record
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     command: str
     fan_source: Optional[str]
     fmt: str
@@ -83,10 +81,14 @@ def _load(cfg: RunConfig) -> StackyFan:
                 f"unknown catalog fan {name!r}; try the catalog subcommand"
             )
         return catalog_fan(name)
-    path = Path(src)
-    if not path.is_file():
-        raise UsageError(f"fan file {src!r} not found")
-    return load_fan(path.read_bytes())
+    try:
+        with open(src, "rb") as file:
+            text = file.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        raise UsageError(f"fan file {src!r} not found") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read fan file {src!r}: {exc.strerror or exc}") from None
+    return load_fan(text)
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: Sequence[str]) -> None:

@@ -33,12 +33,11 @@ lambda . a = (lambda u_inv) . y; u_inv y is built only for a walked row.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import gcd
 from operator import mul, neg
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, mat_mul_int, tower_points
 from .exactlin import int_tuple, unit_pivots
@@ -46,6 +45,7 @@ from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
 from .picard import LineBundleClass, box_points, class_at, class_of, coefficient_vector, pic_structure
 from .picard import box_classes  # re-exported: callers import it from here
+from .record import Record
 
 
 class PropernessError(Exception):
@@ -56,8 +56,7 @@ class CapExceededError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     """The enumeration budgets of one computation.
 
     cap bounds the candidate values spent on the lattice points of each
@@ -65,17 +64,17 @@ class Limits:
     family Delta is enumerated. Both must be positive.
     """
 
-    cap: int = DEFAULT_CAP
-    delta_cap: int = DEFAULT_DELTA_CAP
+    cap: int
+    delta_cap: int
 
-    def __post_init__(self) -> None:
-        for name in ("cap", "delta_cap"):
-            if int_tuple([getattr(self, name)], f"integer {name}")[0] <= 0:
+    def __init__(self, cap: int = DEFAULT_CAP, delta_cap: int = DEFAULT_DELTA_CAP) -> None:
+        for name, value in (("cap", cap), ("delta_cap", delta_cap)):
+            if int_tuple([value], f"integer {name}")[0] <= 0:
                 raise ValueError(f"{name} must be positive")
+        super().__init__(cap, delta_cap)
 
 
-@dataclass(frozen=True)
-class _DeltaRow:
+class _DeltaRow(Record):
     """One member I of Delta, with everything a class is tested against.
 
     sign is s of the weak right-hand side b(a) = s*a + o, and bit k of
@@ -94,8 +93,11 @@ class _DeltaRow:
     index_set: frozenset[int]
     betti: BettiVector
     sign: IntVector
-    conforming: int
-    fan: StackyFan = field(compare=False, repr=False)
+    conforming: int  # and the fan, kept for the tower but not a field
+
+    def __init__(self, index_set, betti, sign, conforming, fan: StackyFan) -> None:
+        d = self.__dict__
+        d["index_set"], d["betti"], d["sign"], d["conforming"], d["fan"] = index_set, betti, sign, conforming, fan
 
     @cached_property
     def tower(self) -> tuple[TowerLevel, ...]:
@@ -118,7 +120,7 @@ class _DeltaRow:
         return points
 
 
-class _DeltaTable(NamedTuple):
+class _DeltaTable(Record):
     """A fan's rows in Delta's order, and (lambda, c+, -c-) per circuit lambda.
 
     c+ (c-) sums the absolute values of lambda's negative (positive) entries.
@@ -211,7 +213,7 @@ def _canonical_table(fan: StackyFan, points: Sequence[IntVector], limits: Limits
         if len(y) != len(st.u):
             raise ValueError(f"canonical point length must be {len(st.u)}, got {len(y)}")
     table = _table(fan, limits)
-    return table._replace(circuits=tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
+    return _DeltaTable(table.rows, tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
 
 
 def _feasible(table: _DeltaTable, a: IntVector, strict: bool = False) -> Iterator[_DeltaRow]:
@@ -247,8 +249,7 @@ def cohomology(fan: StackyFan, a: Sequence[int], limits: Limits = Limits()) -> t
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class ForbiddenCone:
+class ForbiddenCone(Record):
     """A witness that a class has cohomology: an index set plus a point."""
 
     index_set: frozenset[int]

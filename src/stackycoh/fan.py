@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_solve, int_tuple
+from .record import Record
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
@@ -32,15 +32,14 @@ class FanValidationError(FanError):
     """Raised when a well-typed fan fails a completeness or fan axiom."""
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Record):
     rank: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[frozenset[int], ...]
 
     @cached_property
     def _hash(self) -> int:
-        # the dataclass hash, computed once: every fan-keyed cache asks for it
+        # the field tuple's hash, computed once: every fan-keyed cache asks for it
         return hash((self.rank, self.rays, self.max_cones))
 
     def __hash__(self) -> int:
@@ -93,9 +92,7 @@ def load_fan(text: bytes | str) -> StackyFan:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except FanFormatError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the conversion limit
         raise FanFormatError(f"invalid fan JSON: {exc}") from exc
     except RecursionError as exc:
         raise FanFormatError("invalid fan JSON: nested too deeply") from exc
@@ -262,8 +259,7 @@ def collinear_pairs(fan: StackyFan) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(same) for same in lines.values() if len(same) > 1))
 
 
-@dataclass(frozen=True)
-class RayNeighborhood:
+class RayNeighborhood(Record):
     center: int
     members: frozenset[int]
     cycle: Optional[tuple[int, ...]]

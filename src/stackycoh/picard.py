@@ -8,7 +8,6 @@ u_inv y is a raw representative. Only box_points, class_at and .point know y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -16,10 +15,10 @@ from typing import Sequence
 
 from .exactlin import IntMatrix, IntVector, int_solve, int_tuple, smith_normal_form
 from .fan import FAN_CACHE_SIZE, FanValidationError, StackyFan
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PicStructure:
+class PicStructure(Record):
     """Canonical coordinates on the class group of a fan.
 
     The group is Z^free_rank plus cyclic factors of the orders in
@@ -60,13 +59,16 @@ def pic_structure(fan: StackyFan) -> PicStructure:
     )
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
+class LineBundleClass(Record):
     """A class in canonical coordinates, with one raw representative kept; point is y."""
 
     raw: IntVector
     free: IntVector
     torsion: IntVector
+
+    def __init__(self, raw: IntVector, free: IntVector, torsion: IntVector) -> None:
+        d = self.__dict__
+        d["raw"], d["free"], d["torsion"] = raw, free, torsion
 
     @property
     def point(self) -> IntVector:

@@ -9,26 +9,24 @@ A family r*psi - e_s checks psi once for all its r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cohomline import Limits, first_outside_interiors, h_trivial_flags
 from .exactlin import IntVector, int_kernel, int_tuple, rat_rank
 from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood
 from .picard import LineBundleClass, box_points, class_at, class_of, pic_structure
+from .record import Record
 
-RatVector = tuple[Fraction, ...]
-Rational = Union[int, Fraction]
+RatVector = "tuple[Fraction, ...]"  # fractions is imported only where psi values are built
+Rational = "int | Fraction"
 
 INFINITELY_MANY = "InfinitelyMany"
 FINITELY_MANY = "FinitelyMany"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(Record):
     """A function determined by its values on the rays, linear per cone."""
 
     values: RatVector
@@ -39,6 +37,7 @@ class PLFunction:
 
 
 def pl_function(values: Sequence[Rational]) -> PLFunction:
+    from fractions import Fraction
     return PLFunction(tuple(map(Fraction, values)))
 
 
@@ -145,6 +144,7 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     The result g vanishes at v_s and is nonzero at every ray off the line
     through v_s; a globally linear input collapses to the zero function.
     """
+    from fractions import Fraction
     if not 1 <= s <= fan.nrays:
         raise ValueError(f"ray index {s} out of range")
     m, n = fan.rank, fan.nrays
@@ -204,8 +204,7 @@ def sign_changes(fan: StackyFan, g: PLFunction, s: int) -> int:
     return sum(1 for t in range(k) if classes[t] != classes[(t + 1) % k])
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Evidence bundle for the finite-or-infinite classification."""
 
     collinear_pair_count: int

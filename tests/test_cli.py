@@ -105,6 +105,20 @@ class TestValidateCommand:
         assert proc.stderr.startswith("invalid fan: invalid fan JSON: 'utf-8' codec")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    def test_integer_over_the_conversion_limit_rejected(self, tmp_path):
+        # json.loads refuses an integer literal of more than 4300 digits
+        # with a plain ValueError, which must end as an invalid fan
+        path = tmp_path / "big.json"
+        path.write_text(P2_FILE.replace("[1, 0]", "[1%s, 0]" % ("0" * 5000)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stackycoh.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("invalid fan: invalid fan JSON: Exceeds the limit (4300 digits)")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("extra", [False, True], ids=["bare", "inside_a_fan"])
     def test_deeply_nested_json_rejected(self, tmp_path, extra):
         deep = "[" * 100000 + "]" * 100000
@@ -155,6 +169,29 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no/such/file.json")
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["", "nul\0byte"], ids=["directory", "nul_byte"])
+    def test_path_to_no_file_is_not_found(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out, err) == (3, "", f"usage error: fan file {path!r} not found\n")
+
+    @pytest.mark.parametrize("error", [
+        PermissionError(13, "Permission denied"), OSError(5, "Input/output error"),
+    ], ids=["permission", "eio"])
+    def test_unreadable_file(self, capsys, monkeypatch, tmp_path, error):
+        # a file that exists but cannot be read, such as a chmod 000 file or
+        # /proc/self/mem, is a usage error that names the file, not a traceback
+        path = tmp_path / "p2.json"
+        path.write_text(P2_FILE)
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"usage error: cannot read fan file {str(path)!r}: {error.strerror}\n"
 
     def test_bad_coeffs(self, capsys):
         code, _, err = run(
@@ -610,6 +647,17 @@ class TestScanCommand:
         )
         assert code == 0
         assert serial == threaded
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("name", ["p1_22", "p2_221"])
+    def test_threads_match_serial_on_torsion_fans(self, capsys, name, fmt):
+        # the pool pickles the fan and the limits to its workers, and each
+        # H-trivial class comes back with its torsion residue
+        argv = ["scan", f"@{name}", "--box=-3:3", f"--format={fmt}"]
+        serial = run(capsys, *argv, "--threads=1")
+        assert serial[0] == 0 and serial[2] == ""
+        assert json.loads(serial[1])["count"] > 0 if fmt == "json" else int(serial[1].split()[0]) > 0
+        assert run(capsys, *argv, "--threads=2") == serial
 
 
 class TestCapEdges:

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -39,6 +41,31 @@ def test_no_fractions_on_the_cold_path(path):
         elif isinstance(node, ast.Name) and node.id == "Fraction":
             found.append("Fraction")
     assert found == [], f"{path.name} uses {found}"
+
+
+def test_cold_start_leaves_class_factories_out():
+    # every CLI call pays for its imports: dataclasses brings inspect, ast
+    # and dis, and fractions brings decimal, so a fresh start leaves them
+    # out (-S keeps the modules that site preloads out of the check)
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    probe = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import stackycoh.cli; " \
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_factories(path):
+    # value classes derive from record.Record, written once, instead of a
+    # factory that builds each class at import time
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module == "dataclasses" or any(a.name == "NamedTuple" for a in node.names))
+    ]
+    assert found == [], f"{path.name} imports dataclasses or NamedTuple on lines {found}"
 
 
 # bench/record.py imports box_classes from cohomline, which decides its
