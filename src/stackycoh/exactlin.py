@@ -286,13 +286,17 @@ def int_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[i
     Cramer's rule. SingularMatrixError if det a = 0.
     """
     n = len(a)
-    if len(b) != n or any(len(row) != n for row in a) or len(set(map(len, b))) > 1:
+    if len(b) != n or not {n}.issuperset(map(len, a)) or len(set(map(len, b))) > 1:
         raise ValueError("int_solve needs a square matrix and right-hand sides of one length")
-    work = _int_rows(chain(row, rhs) for row, rhs in zip(a, b))
+    work = [[*row, *rhs] for row, rhs in zip(a, b)]
+    if not _INT.issuperset(map(type, chain.from_iterable(work))):
+        work = _int_rows(work)
     pivots, d, sign = _gauss_jordan(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return sign * d, tuple(tuple(row[n:] if sign > 0 else map(neg, row[n:])) for row in work)
+    if sign < 0:
+        return -d, tuple([tuple(map(neg, row[n:])) for row in work])
+    return d, tuple([tuple(row[n:]) for row in work])
 
 
 # ---------------------------------------------------------------------------

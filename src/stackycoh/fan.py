@@ -7,11 +7,20 @@ each ray, and the maximal cones as sets of ray indices. Ray indices are
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
+
+# CPython's own SHA-256 gives hashlib's digest without loading OpenSSL,
+# which hashlib maps into every process that imports it
+try:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_solve, int_tuple
 from .record import Record
@@ -136,7 +145,7 @@ def fan_to_json(fan: StackyFan) -> str:
 
 def fan_fingerprint(fan: StackyFan) -> str:
     """Stable hex fingerprint of the canonical serialization."""
-    return hashlib.sha256(fan_to_json(fan).encode("utf-8")).hexdigest()[:16]
+    return sha256(fan_to_json(fan).encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +189,13 @@ def validate(fan: StackyFan) -> None:
     for r in fan.rays:
         if len(r) != m:
             raise FanValidationError("ray length does not match rank")
-        if all(x == 0 for x in r):
+        if not any(r):
             raise FanValidationError("zero ray")
     # rays on one 1-cone share a primitive vector, listed at their first ray
     directions: dict[IntVector, list[int]] = {}
     for i, r in enumerate(fan.rays):
         g = math.gcd(*r)
-        directions.setdefault(tuple(x // g for x in r), []).append(i)
+        directions.setdefault(tuple([x // g for x in r]), []).append(i)
     shared = next((same for same in directions.values() if len(same) > 1), None)
     if shared:
         i, j = shared[:2]
@@ -196,20 +205,21 @@ def validate(fan: StackyFan) -> None:
     if not fan.max_cones:
         raise FanValidationError("fan has no maximal cones")
     solves = []
+    indices = frozenset(range(1, n + 1))
     for cone in fan.max_cones:
         if len(cone) != m:
             raise FanValidationError("maximal cone size differs from rank")
-        for i in cone:
-            if not 1 <= i <= n:
-                raise FanValidationError(f"cone ray index {i} out of range")
-        rays = [fan.ray(i) for i in sorted(cone)]
+        if not cone <= indices:
+            i = next(i for i in cone if not 1 <= i <= n)
+            raise FanValidationError(f"cone ray index {i} out of range")
+        rays = [fan.rays[i - 1] for i in sorted(cone)]
         if not solves:
             p = [[sum(xs)] for xs in zip(*rays)]
         try:
             solves.append(int_solve(list(zip(*rays)), p))
         except SingularMatrixError:
             raise FanValidationError(f"maximal cone {sorted(cone)} not simplicial") from None
-    missing = sorted(set(range(1, n + 1)).difference(*fan.max_cones))
+    missing = sorted(indices.difference(*fan.max_cones))
     if missing:
         raise FanValidationError(f"rays {missing} unused by maximal cones")
     if len(set(fan.max_cones)) != len(fan.max_cones):

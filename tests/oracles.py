@@ -631,6 +631,24 @@ def solve_square(a, b):
     return tuple(work[i][n] for i in range(n))
 
 
+def determinant(a):
+    """Exact determinant of a square matrix, by Gaussian elimination over Q."""
+    work = [list(map(Fraction, row)) for row in a]
+    det = Fraction(1)
+    for c in range(len(work)):
+        piv = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return det
+
+
 def invert(a):
     """Exact inverse of a square nonsingular matrix over Q."""
     n = len(a)

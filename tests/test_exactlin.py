@@ -1,6 +1,7 @@
 """Exact linear algebra: normal forms, elimination, lattice points."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -258,6 +259,34 @@ class TestRationalLinearAlgebra:
             int_solve(half_third, eye(2))
         with pytest.raises(TypeError, match="integer matrix"):
             int_kernel(half_third[:1], 2)
+
+    @pytest.mark.parametrize(
+        "a, b, entry",
+        [
+            ([[1, 2.0], [0, 1]], [[1], [1]], "2.0"),
+            ([[1, 0], [0, 1]], [[1], [Fraction(1, 2)]], "Fraction(1, 2)"),
+            # row-major in [a | b]: the right-hand side of row 1 comes before row 2 of a
+            ([[1, 0], [0.5, 1]], [[Fraction(1, 3)], [1]], "Fraction(1, 3)"),
+            ([[1, 0], [Fraction(1, 2), 1.5]], [[1], [2]], "Fraction(1, 2)"),
+            ([[True, 0], [0, 1]], [[1.0], [1]], "1.0"),
+        ],
+    )
+    def test_solve_names_the_first_entry_that_is_not_an_int(self, a, b, entry):
+        with pytest.raises(TypeError, match=rf"^integer matrix expected, got the entry {re.escape(entry)}$"):
+            int_solve(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, solved",
+        [
+            ([[True]], [[True]], (1, ((1,),))),
+            ([[1, 0], [0, True]], [[False, 2], [True, 0]], (1, ((0, 2), (1, 0)))),
+        ],
+    )
+    def test_solve_converts_bools(self, a, b, solved):
+        # a bool entry that no elimination step touches comes back as an int
+        det, x = int_solve(a, b)
+        assert (det, x) == solved
+        assert type(det) is int and all(type(y) is int for row in x for y in row)
 
     def test_int_tuple_converts_int_subclasses(self):
         # exact ints come back as they are, a bool as the int it equals

@@ -1,10 +1,14 @@
 """Fan loading, validation, completeness, and ray combinatorics."""
 
+import hashlib
 import importlib
 import json
 import pickle
 import pkgutil
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from stackycoh.fan import (
     neighborhood,
     validate,
 )
+from fangen import BENCH_FANS
 from oracles import validate_oracle
 
 P2_JSON = json.dumps(
@@ -45,6 +50,24 @@ class TestLoading:
     def test_fingerprint_is_stable(self):
         assert fan_fingerprint(load_fan(P2_JSON)) == "e693bb08f469b217"
         assert fan_fingerprint(catalog_fan("p2")) == "e693bb08f469b217"
+
+    def test_fingerprint_falls_back_to_hashlib(self):
+        # without CPython's own SHA-256 module fan.py takes hashlib's, and
+        # the digests stay those of hashlib
+        probe = (
+            "import hashlib, json, sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+            f"sys.path.insert(0, {str(Path(stackycoh.__file__).parents[1])!r}); "
+            "from stackycoh.fan import fan_fingerprint, load_fan, sha256; "
+            "print(json.dumps([sha256 is hashlib.sha256, "
+            "[fan_fingerprint(load_fan(text)) for text in json.loads(sys.stdin.read())]]))"
+        )
+        texts = [fan_to_json(catalog_fan(n)) for n in catalog_names()]
+        texts += [fan_to_json(load_fan(p.read_text())) for p in sorted(BENCH_FANS.glob("*.json"))]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], input=json.dumps(texts), capture_output=True, text=True, check=True
+        )
+        expected = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts]
+        assert json.loads(proc.stdout) == [True, expected]
 
     @pytest.mark.parametrize(
         "snippet",

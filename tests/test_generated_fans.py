@@ -8,6 +8,7 @@ exhaustive routes. On every such complete fan the sign system of each
 Delta member is bounded, so its lattice points are finite in number.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from oracles import (
     brute_cohomology,
     cone_linear_part,
     conforming_forms,
+    determinant,
     dot,
     eliminate_unpruned_first,
     facet_normal,
@@ -55,6 +57,7 @@ from stackycoh.cohomline import (
     _delta_table,
     _feasible,
     cohomology,
+    first_outside_interiors,
     h_trivial_flags,
     is_h_trivial,
     outside_all_interiors,
@@ -66,12 +69,13 @@ from stackycoh.fan import (
     StackyFan,
     collinear_pairs,
     cone_adjugates,
+    fan_fingerprint,
     fan_to_json,
     make_fan,
     validate,
 )
 from stackycoh.homology import delta_family, delta_set
-from stackycoh.picard import box_classes, box_points, class_at, class_from_canonical, pic_structure
+from stackycoh.picard import box_classes, box_points, class_at, class_from_canonical, class_of, pic_structure
 from stackycoh.plsearch import (
     _linear_parts,
     criterion_report,
@@ -439,6 +443,15 @@ class TestIntegerCones:
                 assert dot(h, fan.ray(i)) == det
 
     @pytest.mark.parametrize("fan", oracle_fans())
+    def test_adjugates_equal_the_fraction_inverse(self, fan):
+        # (det V, adj V) exactly, not only up to a multiple of each column
+        for cone, (det, adj) in zip(fan.max_cones, cone_adjugates(fan)):
+            rows = [fan.ray(i) for i in sorted(cone)]
+            assert det == determinant(rows)
+            assert adj == tuple(tuple(det * x for x in row) for row in invert(rows))
+            assert all(type(x) is int for row in adj for x in row)
+
+    @pytest.mark.parametrize("fan", oracle_fans())
     def test_pic_inverse(self, fan):
         st = pic_structure(fan)
         # the coordinates are rows k.. of the Smith U: the torsion rows, then the free ones
@@ -617,3 +630,53 @@ class TestDualities:
         x, y = pair
         a, b = data.draw(classes(x)), data.draw(classes(y))
         assert cohomology(product_fan(x, y), a + b) == h_product(cohomology(x, a), cohomology(y, b)), (a, b)
+
+
+def hashlib_fingerprint(fan):
+    return hashlib.sha256(fan_to_json(fan).encode()).hexdigest()[:16]
+
+
+class TestFingerprint:
+    """fan_fingerprint, from CPython's own SHA-256 module, against hashlib's digest."""
+
+    @pytest.mark.parametrize("fan", complete_fans())
+    def test_equals_hashlib_digest(self, fan):
+        assert fan_fingerprint(fan) == hashlib_fingerprint(fan)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(stellar_fans()))
+    def test_equals_hashlib_digest_on_stellar_fans(self, param):
+        fan = param.values[0]
+        assert fan_fingerprint(fan) == hashlib_fingerprint(fan)
+
+
+def assert_psi_outside_open_cones(fan):
+    """On a fan with a psi, the classes of psi and -psi lie outside every open cone.
+
+    The classes r psi - e_s are H-trivial for every integer r, and their
+    direction tends to +-psi. A direction inside the open cone of a Delta
+    row would put balls of growing radius, and so lattice points, into that
+    row's weak polytopes, which an H-trivial class does not have.
+    """
+    found = find_degenerate_psi(fan)
+    if found is None:
+        return
+    psi = found[1]
+    assert psi.is_integral
+    for sign in (1, -1):
+        point = class_of(fan, [sign * x.numerator for x in psi.values]).point
+        assert first_outside_interiors(fan, [point]) == 0, (sign, psi.values)
+
+
+class TestPsiDirections:
+    """The psi search of plsearch against the strict test of cohomline."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(stellar_fans()))
+    def test_on_stellar_fans(self, param):
+        assert_psi_outside_open_cones(param.values[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(subdivided_pairs())
+    def test_on_products(self, pair):
+        assert_psi_outside_open_cones(product_fan(*pair))

@@ -3,7 +3,6 @@
 import ast
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -45,9 +44,10 @@ def test_no_fractions_on_the_cold_path(path):
 
 def test_cold_start_leaves_class_factories_out():
     # every CLI call pays for its imports: dataclasses brings inspect, ast
-    # and dis, and fractions brings decimal, so a fresh start leaves them
-    # out (-S keeps the modules that site preloads out of the check)
-    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    # and dis, fractions brings decimal, and hashlib maps OpenSSL through
+    # _hashlib, so a fresh start leaves them out (-S keeps the modules that
+    # site preloads out of the check)
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib")
     probe = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import stackycoh.cli; " \
         f"print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
@@ -118,6 +118,8 @@ def _is_property(node):
 
 def _script_entry_points():
     """(module, name) of each console script the project declares."""
+    # tomllib is new in Python 3.11, and the project admits 3.10
+    tomllib = pytest.importorskip("tomllib")
     pyproject = PACKAGE.parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
     return {tuple(target.split(":")) for target in scripts.values()}
