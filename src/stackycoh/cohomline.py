@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import mul, neg
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, mat_mul_int, tower_points
-from .exactlin import int_tuple, unit_pivots
+from .exactlin import int_det, int_tuple, unit_pivots
 from .fan import FAN_CACHE_SIZE, StackyFan
 from .homology import DEFAULT_DELTA_CAP, BettiVector, delta_family, delta_set
 from .picard import LineBundleClass, box_points, class_at, class_of, coefficient_vector, pic_structure
@@ -71,7 +71,7 @@ class Limits(Record):
         for name, value in (("cap", cap), ("delta_cap", delta_cap)):
             if int_tuple([value], f"integer {name}")[0] <= 0:
                 raise ValueError(f"{name} must be positive")
-        super().__init__(cap, delta_cap)
+        super().__init__(int(cap), int(delta_cap))
 
 
 class _DeltaRow(Record):
@@ -135,32 +135,56 @@ def _circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
     """The dimension d of the relations lambda with sum lambda_i v_i = 0, and their circuits.
 
     A circuit is a primitive relation of minimal support, given with one of
-    its two signs. With B a kernel basis, the relations that vanish on a set
-    Z of d - 1 rays are y B for y orthogonal to the columns of B at Z; when
-    those y form a line, y B is a circuit, and every circuit arises so. A Z
-    inside the zero set of a circuit already found can only give that
-    circuit again, so it is skipped.
+    its two signs. The rows of the kernel basis B are fundamental circuits,
+    whose supports, merged where they meet, are the components of the rays'
+    matroid (Oxley, Matroid Theory, 2011, ch. 4): a circuit lies in one, and
+    one with a single relation has no other. In one of rank r, where the
+    relations on r + 1 of its rays S, zero on the rest Z, form a line, it is
+    a circuit's, and every circuit arises so. Its entry at j is +-det of the
+    rays at S but j if r is the fan's rank (Cramer), else of B's columns at
+    Z and j (y B for y . x = det(B_Z, x)); all are 0 where there is no line.
+    An S that holds a circuit found before gives only it and is skipped.
     """
-    n = fan.nrays
+    n, bit = fan.nrays, (1).__lshift__
     basis = int_kernel(tuple(zip(*fan.rays)), n)
-    d = len(basis)
-    if d == 0:
-        return 0, ()
-    columns = tuple(zip(*basis))
+    components: list[tuple[int, list[IntVector]]] = []  # ray masks, with their rows of B
+    for b in basis:
+        mask, rows, rest = sum(map(bit, compress(range(n), b))), [b], []
+        for other in components:
+            if other[0] & mask:
+                mask, rows = mask | other[0], rows + other[1]
+            else:
+                rest.append(other)
+        components = rest + [(mask, rows)]
     found: list[IntVector] = []
-    zero_sets: list[int] = []
-    for Z in combinations(range(n), d - 1):
-        mask = sum(1 << j for j in Z)
-        if any(mask & z == mask for z in zero_sets):
+    for _, rows in components:
+        if len(rows) == 1:
+            found += rows
             continue
-        y = int_kernel(tuple(columns[j] for j in Z), d)
-        if len(y) != 1:
-            continue
-        relation = [sum(map(mul, y[0], col)) for col in columns]
-        g = gcd(*relation)
-        found.append(tuple(x // g for x in relation))
-        zero_sets.append(sum(1 << j for j, x in enumerate(relation) if not x))
-    return d, tuple(found)
+        E = [*compress(range(n), map(any, zip(*rows)))]
+        r = len(E) - len(rows)
+        primal = len(E) < 2 * len(rows) and r == fan.rank
+        vectors = fan.rays if primal else list(zip(*rows))
+        dets, small = {}, []  # small: the supports of the circuits on at most r rays
+        # T is S on the primal side and Z on the Gale side; c counts its rays before t
+        for T in combinations(E, r + 1 if primal else len(rows) - 1):
+            bits = sum(map(bit, T))
+            if 0 in map((~bits if primal else bits).__and__, small):
+                continue
+            relation, c = [0] * n, 0
+            for t in E:
+                inside = bits >> t & 1
+                if inside == primal:
+                    key = T[:c] + T[c + 1 :] if primal else T[:c] + (t,) + T[c:]
+                    if key not in dets:
+                        dets[key] = int_det([*map(vectors.__getitem__, key)])
+                    relation[t] = -dets[key] if c & 1 else dets[key]
+                c += inside
+            if g := gcd(*relation):
+                found.append(tuple(map(g.__rfloordiv__, relation)))
+                if relation.count(0) >= n - r:
+                    small.append(sum(map(bit, compress(range(n), relation))))
+    return len(basis), tuple(found)
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)

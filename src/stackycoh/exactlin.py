@@ -7,7 +7,8 @@ built on: Smith normal form with unimodular transforms, a sparse
 fraction-free rank, one fraction-free (Bareiss) Gauss-Jordan elimination
 read by two routines, int_kernel and the square solve int_solve (an
 adjugate is the solve against I, a Cramer solve the one against a
-column), and integer Fourier-Motzkin towers. A tower is the tuple of
+column, and int_det, except at 2 x 2 and 3 x 3, the one against
+nothing), and integer Fourier-Motzkin towers. A tower is the tuple of
 projections of the coefficient rows of a system R x >= b, shared by every
 right-hand side b, and tower_points walks it for the lattice points of
 R x >= b. The caller decides feasibility and boundedness; the walk
@@ -297,6 +298,20 @@ def int_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[i
     if sign < 0:
         return -d, tuple([tuple(map(neg, row[n:])) for row in work])
     return d, tuple([tuple(row[n:]) for row in work])
+
+
+def int_det(a: Sequence[Sequence[int]]) -> int:
+    """det a of a square integer matrix a by rows: int_solve's, in closed form at 2 x 2 and 3 x 3."""
+    if len(a) in (2, 3) and _INT.issuperset(map(type, chain.from_iterable(a))):
+        if len(a) == 2:
+            (p, q), (s, t) = a
+            return p * t - q * s
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return p * (t * x - u * w) + q * (u * v - s * x) + r * (s * w - t * v)
+    try:
+        return int_solve(a, [()] * len(a))[0]
+    except SingularMatrixError:
+        return 0
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ Seven routes that never touch the production paths they check:
   (validate_oracle), against the one determinant solve per cone of
   fan.validate; the Bareiss loop that combines every row at every
   pivot, against the one that leaves idle rows alone; and the circuits
-  of the rays from every small ray subset, against the kernel solves of
+  of the rays from every small ray subset (brute_circuits), or on fans
+  too large for that from one kernel solve per (d - 1)-subset of the Gale
+  columns (subset_circuits), against the per-component determinants of
   the Delta table, with the class-space form of each circuit that
   conforms to an index set (conforming_forms), against the circuit masks
   of the Delta table.
@@ -50,7 +52,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, rat_rank
+from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, int_kernel, rat_rank
 from stackycoh.fan import FanValidationError, cone_adjugates
 from stackycoh.picard import class_of
 from stackycoh.plsearch import _form_differences, _linear_parts
@@ -585,6 +587,35 @@ def brute_circuits(fan):
             for i, x in zip(S, ints):
                 full[i] = x // g
             out.add(tuple(full))
+    return frozenset(out)
+
+
+def subset_circuits(fan):
+    """The circuits of the rays from one kernel solve per (d - 1)-subset Z of the Gale columns.
+
+    With B a kernel basis of the relations (d of them), the relations that
+    vanish on Z are y B for y orthogonal to the columns of B at Z; when
+    those y form a line, y B is a circuit, and every circuit arises so. A Z
+    inside the zero set of a circuit already found can only give it again,
+    so it is skipped. Polynomial in n for a fixed d, so it serves fans too
+    large for brute_circuits; each circuit has its first entry positive.
+    """
+    n = fan.nrays
+    basis = int_kernel(tuple(zip(*fan.rays)), n)
+    d = len(basis)
+    columns = tuple(zip(*basis))
+    out, zero_sets = set(), []
+    for Z in combinations(range(n), d - 1) if d else ():
+        mask = sum(1 << j for j in Z)
+        if any(mask & z == mask for z in zero_sets):
+            continue
+        y = int_kernel(tuple(columns[j] for j in Z), d)
+        if len(y) != 1:
+            continue
+        relation = [sum(a * b for a, b in zip(y[0], col)) for col in columns]
+        g = gcd(*relation) * (1 if next(x for x in relation if x) > 0 else -1)
+        out.add(tuple(x // g for x in relation))
+        zero_sets.append(sum(1 << j for j, x in enumerate(relation) if not x))
     return frozenset(out)
 
 

@@ -218,6 +218,16 @@ class TestLimits:
         with pytest.raises(AttributeError):
             Limits().cap = 5
 
+    def test_bools_stored_as_ints(self):
+        # Limits(cap=True) kept True, and its repr read cap=True
+        limits = Limits(cap=True, delta_cap=True)
+        assert (limits.cap, limits.delta_cap) == (1, 1)
+        assert type(limits.cap) is int and type(limits.delta_cap) is int
+        assert repr(limits) == "Limits(cap=1, delta_cap=1)"
+        assert repr(Limits(cap=True)) == f"Limits(cap=1, delta_cap={DEFAULT_DELTA_CAP})"
+        with pytest.raises(ValueError, match="^delta_cap must be positive$"):
+            Limits(delta_cap=False)
+
     @pytest.mark.parametrize("call", [
         lambda fan, lim: cohomology(fan, (0,) * fan.nrays, lim),
         lambda fan, lim: is_h_trivial(fan, (0,) * fan.nrays, lim),

@@ -15,6 +15,7 @@ from stackycoh.exactlin import (
     _eliminate,
     _gauss_jordan,
     build_tower,
+    int_det,
     int_kernel,
     int_solve,
     int_tuple,
@@ -32,6 +33,7 @@ from oracles import (
     affine_dim,
     constant_rows_hold,
     dense_rank,
+    determinant,
     fm_bounded,
     fm_feasible,
     gauss_jordan_unskipped,
@@ -344,6 +346,44 @@ class TestRationalLinearAlgebra:
         assert det == ref.det()
         assert x == tuple((y,) for y in ref.adjugate() * sympy.Matrix(b))
         assert all(type(y) is int for (y,) in x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_det_equals_the_fraction_determinant(self, n, data):
+        # closed forms up to 3 x 3, the solve above; a singular matrix
+        # (drawn, or made so by a row that is a multiple of another) is 0
+        rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i] = [data.draw(st.integers(-3, 3)) * x for x in rows[j]] if i != j else [0] * n
+        det = int_det(rows)
+        assert det == determinant(rows) and type(det) is int
+
+    def test_det_edges(self):
+        assert int_det([]) == 1
+        assert int_det([[-7]]) == -7
+        assert int_det([[1, 2], [3, 4]]) == -2
+        assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+        assert int_det([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == -1
+        assert int_det([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]]) == 0
+        for rows in ([[True]], [[True, False], [False, True]], [[True, 0, 0], [0, 1, 0], [0, 0, 1]]):
+            assert int_det(rows) == 1 and type(int_det(rows)) is int
+        for rows in ([[1, 2]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]):
+            with pytest.raises(ValueError):
+                int_det(rows)
+        # a float beside an int too large for a float overflows in the closed form
+        with pytest.raises(TypeError, match=r"^integer matrix expected, got the entry 0\.5$"):
+            int_det([[0.5, 10**400], [1, 1]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("entry", [2.0, 0.0, Fraction(1, 2), Fraction(3, 1), "x"])
+    def test_det_refuses_entries_that_are_not_ints(self, n, entry):
+        # as int_solve does, naming the entry, on every route and position
+        for i, j in product(range(n), repeat=2):
+            rows = [[int(r == c) for c in range(n)] for r in range(n)]
+            rows[i][j] = entry
+            with pytest.raises(TypeError, match=rf"^integer matrix expected, got the entry {re.escape(repr(entry))}$"):
+                int_det(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 3), st.data())

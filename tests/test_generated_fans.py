@@ -11,15 +11,17 @@ Delta member is bounded, so its lattice points are finite in number.
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import cycle, product
-from math import cos, gcd, pi, sin
+from math import comb, cos, gcd, pi, sin
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fangen import (
+    BENCH_FANS,
     PRODUCTS,
     assert_matches_exhaustive,
     catalog_and_products,
@@ -43,11 +45,12 @@ from oracles import (
     sign_rhs,
     signed_rays,
     solve_square,
+    subset_circuits,
     tower_bounded,
     tower_feasible,
     validate_oracle,
 )
-from stackycoh import exactlin
+from stackycoh import cohomline, exactlin
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import (
@@ -71,6 +74,7 @@ from stackycoh.fan import (
     cone_adjugates,
     fan_fingerprint,
     fan_to_json,
+    load_fan,
     make_fan,
     validate,
 )
@@ -316,7 +320,7 @@ class TestDeltaTable:
     def test_circuits_match_every_small_subset(self, fan):
         d, circuits = _circuits(fan)
         assert d == fan.nrays - fan.rank
-        signed = [c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in circuits]
+        signed = signed_circuits(circuits)
         assert len(set(signed)) == len(signed)
         assert set(signed) == brute_circuits(fan)
         # a collinear pair, which the 3-fold criterion counts, is a circuit of two rays
@@ -351,6 +355,99 @@ class TestDeltaTable:
             expected = eliminate_unpruned_first(level, k, fan.rank - k + 1)
             level = exactlin._eliminate(level, k, fan.rank - k + 1)
             assert level == expected, (sorted(I), k)
+
+
+def signed_circuits(circuits):
+    """Each circuit with its first nonzero entry positive."""
+    return [c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in circuits]
+
+
+def subdivided(fan, seed, count, weighted):
+    """fan after count stellar subdivisions at cones random.Random(seed) draws from the sorted cone list.
+
+    A weighted subdivision draws a weight from 1 to 3 for each ray of its cone.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        cone = rng.choice(sorted(sorted(c) for c in fan.max_cones))
+        weights = [rng.randint(1, 3) for _ in cone] if weighted else None
+        fan = stellar(fan, frozenset(cone), weights)
+    return fan
+
+
+def p1_power(k):
+    """(P1)^k as a product fan."""
+    fan = catalog_fan("p1")
+    for _ in range(k - 1):
+        fan = product_fan(fan, catalog_fan("p1"))
+    return fan
+
+
+def antiprism():
+    return load_fan((BENCH_FANS / "antiprism.json").read_text())
+
+
+def product_factors():
+    """Factor pairs of products: the catalog products, (P1)^10, and components of lower rank than their fan."""
+    pairs = [(catalog_fan(a), catalog_fan(b), f"{a}x{b}") for rank in sorted(PRODUCTS) for a, b in PRODUCTS[rank]]
+    pairs += [
+        (p1_power(4), p1_power(6), "p1^4xp1^6"),
+        (antiprism(), catalog_fan("p1"), "antiprismxp1"),
+        (catalog_fan("p1"), antiprism(), "p1xantiprism"),
+        (catalog_fan("blp3_123"), catalog_fan("hirzebruch1"), "blp3_123xhirzebruch1"),
+    ]
+    return [pytest.param(left, right, id=name) for left, right, name in pairs]
+
+
+class TestCircuitComponents:
+    """The circuits per matroid component against the subset scan, products and the work counts."""
+
+    @pytest.mark.parametrize("make,count", [
+        # the 16-ray rank-3 fan, and P2 x P2 after 8 weighted subdivisions
+        pytest.param(lambda: subdivided(catalog_fan("p3"), 5, 12, False), 1184, id="p3-12-stellar"),
+        pytest.param(lambda: subdivided(named_product(("p2", "p2")), 7, 8, True), 1490, id="p2xp2-8-weighted"),
+    ])
+    def test_large_fans_match_the_subset_scan(self, make, count):
+        fan = make()
+        d, circuits = _circuits(fan)
+        signed = signed_circuits(circuits)
+        assert d == fan.nrays - fan.rank
+        assert len(set(signed)) == len(signed) == count
+        assert set(signed) == subset_circuits(fan)
+
+    @pytest.mark.parametrize("left,right", product_factors())
+    def test_product_circuits_are_padded_factor_circuits(self, left, right):
+        d, circuits = _circuits(product_fan(left, right))
+        (dl, cl), (dr, cr) = _circuits(left), _circuits(right)
+        padded = [c + (0,) * right.nrays for c in cl] + [(0,) * left.nrays + c for c in cr]
+        assert d == dl + dr
+        assert sorted(signed_circuits(circuits)) == sorted(signed_circuits(padded))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("int_kernel", "int_det"):
+            def counted(*args, _name=name, _real=getattr(cohomline, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(cohomline, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("make,kernels,most_dets", [
+        # one-relation components need no determinant; the antiprism reads
+        # 3 x 3 minors of its own rays, at most one per 3 of its 8 rays
+        pytest.param(lambda: p1_power(10), 1, 0, id="p1^10"),
+        pytest.param(antiprism, 1, comb(8, 3), id="antiprism"),
+        # a component of lower rank than its fan reads minors of B's columns:
+        # at most one per d_c of its rays, and no second kernel
+        pytest.param(lambda: product_fan(antiprism(), catalog_fan("p1")), 1, comb(8, 5), id="antiprismxp1"),
+        pytest.param(lambda: named_product(("cyclic5", "p1xp1")), 1, comb(5, 3), id="cyclic5xp1xp1"),
+    ])
+    def test_one_kernel_and_memoized_determinants(self, calls, make, kernels, most_dets):
+        fan = make()
+        _circuits(fan)
+        assert calls["int_kernel"] == kernels
+        assert calls["int_det"] <= most_dets
 
 
 def canonical_box(fan, lo, hi):
