@@ -17,10 +17,12 @@ sigma . a >= c, c the sum of the absolute values of its negative entries
 the system is bounded exactly when the rays span and the conforming
 circuits cover every ray, as on a complete fan.
 
-Each fan has one table of the circuits and of a row per member I of
-Delta, holding the bitmask of the signed circuits that conform to I. One
-dot product per circuit gives the mask of those a class fails, and a row
-is feasible exactly when the two masks are disjoint. The table is the one
+The circuits of a fan are computed once (circuits), for this table and
+for the psi search of plsearch. Each fan has one table of the circuits
+and of a row per member I of Delta, holding the bitmask of the signed
+circuits that conform to I. One dot product per circuit gives the mask
+of those a class fails, and a row is feasible exactly when the two masks
+are disjoint. The table is the one
 place that decides feasibility and boundedness; a row builds its tower
 when first reached feasible. A feasible row with unit pivots has a point
 (_DeltaRow), so the one flag loop answers it within a cap of m without a
@@ -131,7 +133,8 @@ class _DeltaTable(Record):
     circuits: tuple[tuple[IntVector, int, int], ...]
 
 
-def _circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def circuits(fan: StackyFan) -> tuple[int, tuple[IntVector, ...]]:
     """The dimension d of the relations lambda with sum lambda_i v_i = 0, and their circuits.
 
     A circuit is a primitive relation of minimal support, given with one of
@@ -198,8 +201,8 @@ def _delta_table(fan: StackyFan) -> _DeltaTable:
     every class.
     """
     n = fan.nrays
-    d, circuits = _circuits(fan)
-    signed = circuits + tuple(tuple(map(neg, c)) for c in circuits)
+    d, relations = circuits(fan)
+    signed = relations + tuple(tuple(map(neg, c)) for c in relations)
     positive, negative = [0] * n, [0] * n
     for k, relation in enumerate(signed):
         for i, x in enumerate(relation):
@@ -219,7 +222,7 @@ def _delta_table(fan: StackyFan) -> _DeltaTable:
             raise PropernessError(f"infinite-dimensional contribution from index set {sorted(I)}")
         sign = tuple(-1 if i in I else 1 for i in range(1, n + 1))
         rows.append(_DeltaRow(I, betti, sign, conforming, fan))
-    bounds = tuple((c, -sum(x for x in c if x < 0), -sum(x for x in c if x > 0)) for c in circuits)
+    bounds = tuple((c, -sum(x for x in c if x < 0), -sum(x for x in c if x > 0)) for c in relations)
     return _DeltaTable(tuple(rows), bounds)
 
 

@@ -22,7 +22,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .exactlin import IntMatrix, IntVector, SingularMatrixError, int_solve, int_tuple
+from .exactlin import IntVector, SingularMatrixError, int_solve, int_tuple
 from .record import Record
 
 # bound of every fan-keyed cache, so a process that sees many fans stays small
@@ -152,18 +152,6 @@ def fan_fingerprint(fan: StackyFan) -> str:
 # validation
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def cone_adjugates(fan: StackyFan) -> tuple[tuple[int, IntMatrix], ...]:
-    """(det V, adj V) per maximal cone of a valid fan, in the order of fan.max_cones.
-
-    V is the cone's rays as rows in index order, and adj V = int_solve(V, I).
-    Column j of adj V is the normal of the facet opposite the j-th ray, with
-    product det V with that ray.
-    """
-    eye = [[int(i == j) for j in range(fan.rank)] for i in range(fan.rank)]
-    return tuple(int_solve([fan.ray(i) for i in sorted(c)], eye) for c in fan.max_cones)
-
-
 def validate(fan: StackyFan) -> None:
     """Check the fan axioms, naming the violated invariant on failure.
 
@@ -275,7 +263,16 @@ class RayNeighborhood(Record):
     cycle: Optional[tuple[int, ...]]
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+def ray_index(fan: StackyFan, s: int) -> int:
+    """s as an int ray index of the fan (1-based): TypeError on 2.0, which would share 2's cache entry."""
+    (s,) = int_tuple((s,), "an integer ray index")
+    if not 1 <= s <= fan.nrays:
+        raise ValueError(f"ray index {s} out of range")
+    return s
+
+
+# typed, so an index that ray_index refuses never reads the entry of an equal int
+@lru_cache(maxsize=FAN_CACHE_SIZE, typed=True)
 def neighborhood(fan: StackyFan, s: int) -> RayNeighborhood:
     """Rays sharing a two-dimensional cone with ray s.
 
@@ -284,8 +281,7 @@ def neighborhood(fan: StackyFan, s: int) -> RayNeighborhood:
     smallest member toward its smaller neighbor, so the result is fixed up
     to the rotation/reflection that canonicalization removes.
     """
-    if not 1 <= s <= fan.nrays:
-        raise ValueError(f"ray index {s} out of range")
+    s = ray_index(fan, s)
     # every two rays of a maximal cone span a two-dimensional cone
     members = frozenset().union(*(c for c in fan.max_cones if s in c)) - {s}
     if fan.rank != 3:

@@ -4,17 +4,22 @@ A function linear on every maximal cone is stored by its ray values. The
 search looks for a non-linear such function vanishing at one ray on every
 cone; when it exists, translating it sweeps out infinitely many classes
 with no cohomology at all, and the report classifies the fan accordingly.
-A family r*psi - e_s checks psi once for all its r.
+A family r*psi - e_s checks psi once for all its r. The relations come
+from the circuits of cohomline, the ones its table decides classes by: a
+function is linear when every circuit kills it, and it vanishes at v_s on
+every cone when e_s and the circuits through s whose other rays form a
+face kill it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 from typing import Optional, Sequence
 
-from .cohomline import Limits, first_outside_interiors, h_trivial_flags
-from .exactlin import IntVector, int_kernel, int_tuple, rat_rank
-from .fan import StackyFan, collinear_pairs, cone_adjugates, neighborhood
+from .cohomline import Limits, circuits, first_outside_interiors, h_trivial_flags
+from .exactlin import IntVector, int_kernel, int_tuple
+from .fan import StackyFan, collinear_pairs, neighborhood, ray_index
 from .picard import LineBundleClass, box_points, class_at, class_of, pic_structure
 from .record import Record
 
@@ -41,57 +46,47 @@ def pl_function(values: Sequence[Rational]) -> PLFunction:
     return PLFunction(tuple(map(Fraction, values)))
 
 
-def _linear_parts(fan: StackyFan, values: Sequence[Rational]) -> list[tuple[int, list[Rational]]]:
-    """(d_sigma, A_sigma) = (det V, adj V values|sigma) per maximal cone.
-
-    In the order of fan.max_cones; the linear part on sigma is A_sigma / d_sigma.
-    """
-    parts = []
-    for sigma, (det, adj) in zip(fan.max_cones, cone_adjugates(fan)):
-        b = [values[i - 1] for i in sorted(sigma)]
-        parts.append((det, [sum(map(mul, row, b)) for row in adj]))
-    return parts
-
-
-def _form_differences(parts: Sequence[tuple[int, list[Rational]]]) -> list[dict[int, Rational]]:
-    """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
-
-    The rows are sparse, {column: nonzero entry}, so they are empty exactly
-    when all linear parts agree. They span the affine hull of the parts.
-    """
-    (d0, a0), *rest = parts
-    return [{j: v for j, (x, y) in enumerate(zip(a, a0)) if (v := d0 * x - d * y)} for d, a in rest]
+def _dot(x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
+    return sum(map(mul, x, y))
 
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
-    return not any(_form_differences(_linear_parts(fan, psi.values)))
+    """Whether psi is one linear form on the whole fan."""
+    return not any(_dot(row, psi.values) for row in _rows(fan))
 
 
-def _forms_at_ray(fan: StackyFan, s: int) -> list[list[int]]:
-    """det V times the form at v_s of each maximal cone, as a row, in fan.max_cones order.
+def _rows(fan: StackyFan, s: Optional[int] = None) -> Sequence[IntVector]:
+    """The circuits, or at a ray s, e_s and the circuits through s whose other rays form a face.
 
-    The form of a value vector c on sigma is adj V c|_sigma / det V, so
-    entry i is v_s times the column of adj V at ray i.
+    A value vector is linear when every circuit kills it, since the circuits
+    span the relations. Its linear part on a maximal cone sigma kills v_s
+    when e_s kills it if s is in sigma; else v_s = sum u_i v_i over sigma,
+    and e_s - u, the one relation on sigma and s, is a circuit through s
+    with its other rays in sigma. Each such circuit arises so, as such a
+    sigma cannot hold s, and where e_s kills c, e_s - u kills c exactly
+    when u does: the rows at s span the forms of the cones at v_s.
     """
-    rows = []
-    for sigma, (_, adj) in zip(fan.max_cones, cone_adjugates(fan)):
-        row = [0] * fan.nrays
-        for i, col in zip(sorted(sigma), zip(*adj)):
-            row[i - 1] = sum(map(mul, col, fan.rays[s - 1]))
-        rows.append(row)
+    relations = circuits(fan)[1]
+    if s is None:
+        return relations
+    n = fan.nrays
+    bits = [1 << i for i in range(n)]  # ray i is bit i - 1
+    outside = [~sum(bits[i - 1] for i in c) for c in fan.max_cones if s not in c]  # the complements
+    rows = [tuple(int(i == s) for i in range(1, n + 1))]
+    for c in relations:
+        if c[s - 1] and 0 in map((sum(compress(bits, c)) ^ bits[s - 1]).__and__, outside):
+            rows.append(c)
     return rows
 
 
 def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[IntVector, ...], int]:
     """Basis and dimension of the value vectors whose linear parts kill v_s.
 
-    Each maximal cone contributes one linear constraint on the value
-    vector c: the cone's form, evaluated at v_s, must vanish. The basis
-    vectors are primitive integer vectors (exactlin.int_kernel).
+    Each maximal cone asks that its form at v_s kill the value vector c;
+    the rows at s span these forms. The basis vectors are primitive integer
+    vectors (exactlin.int_kernel), which depend only on that span.
     """
-    if not 1 <= s <= fan.nrays:
-        raise ValueError(f"ray index {s} out of range")
-    basis = int_kernel(_forms_at_ray(fan, s), fan.nrays)
+    basis = int_kernel(_rows(fan, ray_index(fan, s)), fan.nrays)
     return basis, len(basis)
 
 
@@ -100,17 +95,19 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
 
     Rays are tried in ascending order; psi takes the coprime integer
     values of the first kernel basis vector outside the linear subspace.
+    Every row at s kills psi, so every linear part of psi lies in v_s^perp,
+    of dimension m - 1, and the linear parts span less than the rank.
     """
     m = fan.rank
     for s in range(1, fan.nrays + 1):
-        basis, dim = degenerate_space(fan, s)
-        if dim <= m - 1:
+        rows = _rows(fan, s)
+        basis = int_kernel(rows, fan.nrays)
+        if len(basis) <= m - 1:
             continue
         for vec in basis:
-            diffs = _form_differences(_linear_parts(fan, vec))
-            if any(diffs):
-                if rat_rank(diffs) >= m:
-                    raise AssertionError("the linear parts of psi must span less than the rank")
+            if any(_dot(c, vec) for c in _rows(fan)):
+                if any(_dot(row, vec) for row in rows):
+                    raise AssertionError("every row at the ray must kill psi")
                 return s, pl_function(vec)
         raise AssertionError("kernel above the linear dimension must leave it")
     return None
@@ -123,10 +120,11 @@ def family_classes(
 
     psi is checked once: integer values that vanish at v_s on every cone.
     """
+    s = ray_index(fan, s)
     if not psi.is_integral:
         raise ValueError("family construction needs integer psi values")
     values = [int(v) for v in psi.values]
-    if any(sum(map(mul, row, values)) for row in _forms_at_ray(fan, s)):
+    if any(_dot(row, values) for row in _rows(fan, s)):
         raise ValueError("psi must vanish at the chosen ray on every cone")
     lo, hi = int_tuple(r_range, "integer family bounds")
     family = ([-1 if i == s else r * v for i, v in enumerate(values, 1)] for r in range(lo, hi + 1))
@@ -145,20 +143,13 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     through v_s; a globally linear input collapses to the zero function.
     """
     from fractions import Fraction
-    if not 1 <= s <= fan.nrays:
-        raise ValueError(f"ray index {s} out of range")
+    s = ray_index(fan, s)
     m, n = fan.rank, fan.nrays
-    vs = fan.rays[s - 1]
-    fs = f_values.values[s - 1]
     if is_linear(fan, f_values):
-        d0, a0 = _linear_parts(fan, f_values.values)[0]
-        w0 = [Fraction(x, d0) for x in a0]
-        return PLFunction(
-            tuple(
-                f_values.values[i] - sum(w0[j] * fan.rays[i][j] for j in range(m))
-                for i in range(n)
-            )
-        )
+        # the one form of a linear f agrees with it at every ray
+        return pl_function([0] * n)
+    vs = fan.ray(s)
+    fs = f_values.values[s - 1]
     j0 = next(j for j in range(m) if vs[j] != 0)
     m0 = [Fraction(0)] * m
     m0[j0] = Fraction(fs, vs[j0])
@@ -189,6 +180,7 @@ def sign_changes(fan: StackyFan, g: PLFunction, s: int) -> int:
     Signs partition values into non-negative and negative. Requires rank 3,
     a vanishing value at s, and nonzero values on the cycle.
     """
+    s = ray_index(fan, s)
     if fan.rank != 3:
         raise ValueError("sign counting needs a rank 3 fan")
     nb = neighborhood(fan, s)

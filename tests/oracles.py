@@ -1,6 +1,6 @@
 """Independent reference computations used to cross-check the library.
 
-Seven routes that never touch the production paths they check:
+Eight routes that never touch the production paths they check:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
@@ -36,7 +36,12 @@ Seven routes that never touch the production paths they check:
   columns (subset_circuits), against the per-component determinants of
   the Delta table, with the class-space form of each circuit that
   conforms to an index set (conforming_forms), against the circuit masks
-  of the Delta table.
+  of the Delta table;
+* the integer adjugate of each maximal cone (cone_adjugates), the
+  linear part of a PL function on every cone (linear_parts) and their
+  differences (form_differences), with the kernel of the cones' forms at
+  a ray (degenerate_space) and agreement of all linear parts
+  (is_linear_by_parts), against the circuit rows of plsearch.
 
 Three helpers that only tests call also live here: lambda_polytope, the
 per-cone linear parts of a PL function with the rank of their integer
@@ -52,10 +57,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, int_kernel, rat_rank
-from stackycoh.fan import FanValidationError, cone_adjugates
+from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, int_kernel, int_solve, rat_rank
+from stackycoh.fan import FanValidationError
 from stackycoh.picard import class_of
-from stackycoh.plsearch import _form_differences, _linear_parts
 
 GE = ">="
 GT = ">"
@@ -496,6 +500,61 @@ def classes_equal(fan, a, b):
     return (ca.free, ca.torsion) == (cb.free, cb.torsion)
 
 
+@lru_cache(maxsize=None)
+def cone_adjugates(fan):
+    """(det V, adj V) per maximal cone, in the order of fan.max_cones.
+
+    V is the cone's rays as rows in index order, and adj V = int_solve(V, I).
+    Column j of adj V is the normal of the facet opposite the j-th ray, with
+    product det V with that ray.
+    """
+    eye = [[int(i == j) for j in range(fan.rank)] for i in range(fan.rank)]
+    return tuple(int_solve([fan.ray(i) for i in sorted(c)], eye) for c in fan.max_cones)
+
+
+def linear_parts(fan, values):
+    """(d_sigma, A_sigma) = (det V, adj V values|sigma) per maximal cone.
+
+    In the order of fan.max_cones; the linear part on sigma is A_sigma / d_sigma.
+    """
+    parts = []
+    for sigma, (det, adj) in zip(fan.max_cones, cone_adjugates(fan)):
+        b = [values[i - 1] for i in sorted(sigma)]
+        parts.append((det, [sum(x * y for x, y in zip(row, b)) for row in adj]))
+    return parts
+
+
+def form_differences(parts):
+    """d_0 A_sigma - d_sigma A_0 for each maximal cone after the first.
+
+    The rows are sparse, {column: nonzero entry}, so they are empty exactly
+    when all linear parts agree. They span the affine hull of the parts.
+    """
+    (d0, a0), *rest = parts
+    return [{j: v for j, (x, y) in enumerate(zip(a, a0)) if (v := d0 * x - d * y)} for d, a in rest]
+
+
+def is_linear_by_parts(fan, values):
+    """Whether the linear parts of every maximal cone agree."""
+    return not any(form_differences(linear_parts(fan, values)))
+
+
+def degenerate_space(fan, s):
+    """The integer kernel of det V times the form at v_s of each maximal cone.
+
+    The form of a value vector c on sigma is adj V c|_sigma / det V, so
+    entry i of sigma's row is v_s times the column of adj V at ray i.
+    """
+    rows = []
+    for sigma, (_, adj) in zip(fan.max_cones, cone_adjugates(fan)):
+        row = [0] * fan.nrays
+        for i, col in zip(sorted(sigma), zip(*adj)):
+            row[i - 1] = sum(x * y for x, y in zip(col, fan.ray(s)))
+        rows.append(row)
+    basis = int_kernel(rows, fan.nrays)
+    return basis, len(basis)
+
+
 @dataclass(frozen=True)
 class LambdaPolytope:
     """The per-cone linear parts of a function, with their affine span."""
@@ -515,9 +574,9 @@ def lambda_polytope(fan, psi):
     # scale * psi has integer values and multiplies every A_sigma and every
     # difference row by scale > 0, which keeps the rank
     scale = lcm(*(v.denominator for v in psi.values))
-    parts = _linear_parts(fan, [v.numerator * (scale // v.denominator) for v in psi.values])
+    parts = linear_parts(fan, [v.numerator * (scale // v.denominator) for v in psi.values])
     forms = tuple(tuple(Fraction(x, d * scale) for x in a) for d, a in parts)
-    return LambdaPolytope(forms=forms, dim=rat_rank(_form_differences(parts)))
+    return LambdaPolytope(forms=forms, dim=rat_rank(form_differences(parts)))
 
 
 def rref(rows, ncols=None):

@@ -338,8 +338,8 @@ class TestCaches:
         assert set(found) == {
             "catalog.catalog_fan",
             "cohomline._delta_table",
+            "cohomline.circuits",
             "fan.collinear_pairs",
-            "fan.cone_adjugates",
             "fan.neighborhood",
             "homology.delta_fast_lowdim",
             "homology.delta_set",

@@ -14,7 +14,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import cycle, product
-from math import comb, cos, gcd, pi, sin
+from math import comb, cos, gcd, lcm, pi, sin
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +34,18 @@ from fangen import (
 from oracles import (
     brute_circuits,
     brute_cohomology,
+    cone_adjugates,
     cone_linear_part,
     conforming_forms,
+    degenerate_space as adjugate_degenerate_space,
     determinant,
     dot,
     eliminate_unpruned_first,
     facet_normal,
     h_product,
     invert,
+    is_linear_by_parts,
+    linear_parts,
     rational_kernel,
     sign_rhs,
     signed_rays,
@@ -56,9 +61,9 @@ from stackycoh.cli import main
 from stackycoh.cohomline import (
     Limits,
     _canonical_table,
-    _circuits,
     _delta_table,
     _feasible,
+    circuits,
     cohomology,
     first_outside_interiors,
     h_trivial_flags,
@@ -66,12 +71,11 @@ from stackycoh.cohomline import (
     outside_all_interiors,
     scan_h_trivial,
 )
-from stackycoh.exactlin import build_tower
+from stackycoh.exactlin import build_tower, int_det
 from stackycoh.fan import (
     FanValidationError,
     StackyFan,
     collinear_pairs,
-    cone_adjugates,
     fan_fingerprint,
     fan_to_json,
     load_fan,
@@ -81,12 +85,12 @@ from stackycoh.fan import (
 from stackycoh.homology import delta_family, delta_set
 from stackycoh.picard import box_classes, box_points, class_at, class_from_canonical, class_of, pic_structure
 from stackycoh.plsearch import (
-    _linear_parts,
     criterion_report,
     degenerate_space,
     family_class,
     family_classes,
     find_degenerate_psi,
+    is_linear,
     pl_function,
 )
 
@@ -318,13 +322,13 @@ class TestDeltaTable:
 
     @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
     def test_circuits_match_every_small_subset(self, fan):
-        d, circuits = _circuits(fan)
+        d, found = circuits(fan)
         assert d == fan.nrays - fan.rank
-        signed = signed_circuits(circuits)
+        signed = signed_circuits(found)
         assert len(set(signed)) == len(signed)
         assert set(signed) == brute_circuits(fan)
         # a collinear pair, which the 3-fold criterion counts, is a circuit of two rays
-        pairs = {tuple(i + 1 for i, x in enumerate(c) if x) for c in circuits}
+        pairs = {tuple(i + 1 for i, x in enumerate(c) if x) for c in found}
         assert {p for p in pairs if len(p) == 2} == set(collinear_pairs(fan))
 
     @pytest.mark.parametrize("fan", oracle_fans())
@@ -409,22 +413,23 @@ class TestCircuitComponents:
     ])
     def test_large_fans_match_the_subset_scan(self, make, count):
         fan = make()
-        d, circuits = _circuits(fan)
-        signed = signed_circuits(circuits)
+        d, found = circuits(fan)
+        signed = signed_circuits(found)
         assert d == fan.nrays - fan.rank
         assert len(set(signed)) == len(signed) == count
         assert set(signed) == subset_circuits(fan)
 
     @pytest.mark.parametrize("left,right", product_factors())
     def test_product_circuits_are_padded_factor_circuits(self, left, right):
-        d, circuits = _circuits(product_fan(left, right))
-        (dl, cl), (dr, cr) = _circuits(left), _circuits(right)
+        d, found = circuits(product_fan(left, right))
+        (dl, cl), (dr, cr) = circuits(left), circuits(right)
         padded = [c + (0,) * right.nrays for c in cl] + [(0,) * left.nrays + c for c in cr]
         assert d == dl + dr
-        assert sorted(signed_circuits(circuits)) == sorted(signed_circuits(padded))
+        assert sorted(signed_circuits(found)) == sorted(signed_circuits(padded))
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        circuits.cache_clear()
         calls = Counter()
         for name in ("int_kernel", "int_det"):
             def counted(*args, _name=name, _real=getattr(cohomline, name)):
@@ -445,7 +450,7 @@ class TestCircuitComponents:
     ])
     def test_one_kernel_and_memoized_determinants(self, calls, make, kernels, most_dets):
         fan = make()
-        _circuits(fan)
+        circuits(fan)
         assert calls["int_kernel"] == kernels
         assert calls["int_det"] <= most_dets
 
@@ -574,7 +579,7 @@ class TestIntegerCones:
         rng = random.Random(fan_to_json(fan))
         psi = pl_function([rng.randint(-5, 5) for _ in range(fan.nrays)])
         # the package's integer (det, adj) parts against the Fraction routes
-        for cone, (d, a) in zip(fan.max_cones, _linear_parts(fan, psi.values)):
+        for cone, (d, a) in zip(fan.max_cones, linear_parts(fan, psi.values)):
             rows = [fan.ray(i) for i in sorted(cone)]
             b = [psi.values[i - 1] for i in sorted(cone)]
             form = tuple(Fraction(x, d) for x in a)
@@ -596,6 +601,25 @@ class TestIntegerCones:
             assert all(type(x) is int for x in vec) and gcd(*vec) == 1
             t = next(Fraction(x) / y for x, y in zip(vec, ref) if y)
             assert t > 0 and all(x == t * y for x, y in zip(vec, ref))
+
+
+class TestCircuitForms:
+    """The circuit rows of plsearch against the per-cone adjugates of tests/oracles.py."""
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_degenerate_space_at_every_ray(self, fan):
+        for s in range(1, fan.nrays + 1):
+            assert degenerate_space(fan, s) == adjugate_degenerate_space(fan, s), s
+
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_is_linear_agrees_with_the_linear_parts(self, fan):
+        rng = random.Random(fan_to_json(fan))
+        for _ in range(5):
+            values = [rng.randint(-3, 3) for _ in range(fan.nrays)]
+            assert is_linear(fan, pl_function(values)) == is_linear_by_parts(fan, values), values
+        w = [rng.randint(-3, 3) for _ in range(fan.rank)]
+        values = [sum(map(mul, w, v)) for v in fan.rays]
+        assert is_linear(fan, pl_function(values)) and is_linear_by_parts(fan, values)
 
 
 def broken_variants(fan):
@@ -777,3 +801,30 @@ class TestPsiDirections:
     @given(subdivided_pairs())
     def test_on_products(self, pair):
         assert_psi_outside_open_cones(product_fan(*pair))
+
+
+def ehrhart_period(fan):
+    """N = lcm |det V_sigma| over the maximal cones."""
+    return lcm(*(abs(int_det([fan.ray(i) for i in sorted(c)])) for c in fan.max_cones))
+
+
+def small_period_fans():
+    """The complete and stellar fans with N <= 6, rank <= 5 and at most 12 rays."""
+    fans = [p.values[0] for p in complete_fans() + stellar_fans()]
+    return [fan for fan in fans if fan.rank <= 5 and fan.nrays <= 12 and ehrhart_period(fan) <= 6]
+
+
+class TestEulerQuasiPolynomial:
+    """chi(a + t N e_i) is a polynomial of degree <= m in t (Ehrhart), checked by its differences."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(small_period_fans()), st.data())
+    def test_difference_of_order_m_plus_one_vanishes(self, fan, data):
+        a = data.draw(st.lists(st.integers(-2, 2), min_size=fan.nrays, max_size=fan.nrays))
+        i = data.draw(st.integers(0, fan.nrays - 1))
+        m, step = fan.rank, ehrhart_period(fan)
+        chis = []
+        for t in range(m + 2):
+            h = cohomology(fan, [x + t * step * (j == i) for j, x in enumerate(a)])
+            chis.append(sum((-1) ** j * x for j, x in enumerate(h)))
+        assert sum((-1) ** k * comb(m + 1, k) * x for k, x in enumerate(chis)) == 0, (a, i, chis)

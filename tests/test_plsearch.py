@@ -8,15 +8,15 @@ import pytest
 
 from stackycoh import plsearch
 from stackycoh.catalog import catalog_fan, catalog_names
-from stackycoh.cohomline import Limits, is_h_trivial, outside_all_interiors
+from stackycoh.cli import main
+from stackycoh.cohomline import Limits, _delta_table, circuits, is_h_trivial, outside_all_interiors
 from stackycoh.exactlin import build_tower
-from stackycoh.fan import collinear_pairs, load_fan, make_fan
+from stackycoh.fan import collinear_pairs, load_fan, make_fan, neighborhood
 from stackycoh.homology import DeltaCapError, delta_family
 from stackycoh.plsearch import (
     FINITELY_MANY,
     INFINITELY_MANY,
     UNDETERMINED,
-    _linear_parts,
     criterion_report,
     degenerate_space,
     family_class,
@@ -28,14 +28,14 @@ from stackycoh.plsearch import (
     sign_changes,
 )
 
-from oracles import affine_dim, lambda_polytope, lattice_equivalent, sign_rhs, signed_rays, tower_feasible
+from oracles import affine_dim, lambda_polytope, lattice_equivalent, linear_parts, sign_rhs, signed_rays, tower_feasible
 
 BENCH_FANS = Path(__file__).resolve().parent.parent / "bench" / "fans"
 
 
 def cone_forms(fan, psi):
-    """The linear part of psi on each maximal cone, A_sigma / d_sigma from the package's parts."""
-    parts = _linear_parts(fan, psi.values)
+    """The linear part of psi on each maximal cone, A_sigma / d_sigma from the adjugate parts."""
+    parts = linear_parts(fan, psi.values)
     return {cone: tuple(Fraction(x, d) for x in a) for cone, (d, a) in zip(fan.max_cones, parts)}
 
 
@@ -201,6 +201,52 @@ class TestDegenerateSpace:
             degenerate_space(catalog_fan("p2"), 9)
 
 
+class TestRayIndices:
+    """A ray index is an int, checked before any cache stores a result."""
+
+    @pytest.mark.parametrize("index,entry", [(2.0, "2.0"), (Fraction(2), r"Fraction\(2, 1\)")])
+    def test_every_ray_route_refuses_a_non_int(self, index, entry):
+        # 2.0 == 2 and hash(2.0) == hash(2): neighborhood cached RayNeighborhood(center=2.0)
+        # and handed it to later calls with 2, and the plsearch routes failed on tuple indices
+        fan = catalog_fan("p1xp2")
+        _, psi = find_degenerate_psi(fan)
+        g = normalize_at_ray(fan, pl_function((1, 2, 0, 0, 5)), 3)
+        neighborhood(fan, 2)
+        calls = [
+            lambda: neighborhood(fan, index),
+            lambda: degenerate_space(fan, index),
+            lambda: family_classes(fan, index, psi, (0, 1)),
+            lambda: normalize_at_ray(fan, pl_function((1, 2, 0, 0, 5)), index),
+            lambda: sign_changes(fan, g, index),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=rf"^an integer ray index expected, got the entry {entry}$"):
+                call()
+        assert type(neighborhood(fan, 2).center) is int
+
+    def test_a_bool_is_read_as_its_int(self):
+        # as everywhere in the package (exactlin.int_tuple), and it never reaches a cache entry as a bool
+        fan = catalog_fan("p3")
+        assert type(neighborhood(fan, True).center) is int
+        assert neighborhood(fan, True) == neighborhood(fan, 1)
+        assert degenerate_space(fan, True) == degenerate_space(fan, 1)
+
+
+class TestOneRelationSet:
+    """The psi search reads the circuits of the Delta table."""
+
+    @pytest.mark.parametrize("command", ["report", "family"])
+    @pytest.mark.parametrize("fan", ["@p1xp2", str(BENCH_FANS / "antiprism.json")])
+    def test_circuits_computed_once_per_fan(self, fan, command, capsys):
+        # report and family search psi and build the table: one computation of the circuits serves both
+        circuits.cache_clear()
+        _delta_table.cache_clear()
+        box = ["--box=-1:1"] if command == "report" else []
+        assert main([command, fan, *box]) == 0
+        capsys.readouterr()
+        assert circuits.cache_info().misses == 1
+
+
 class TestFindDegeneratePsi:
     def test_p1xp1_frozen(self):
         s, psi = find_degenerate_psi(catalog_fan("p1xp1"))
@@ -312,12 +358,12 @@ class TestFamilyClass:
 
     @pytest.mark.parametrize("name", WITH_PSI)
     def test_psi_checked_once_per_family(self, name, monkeypatch):
-        # _forms_at_ray is the psi check: once per family, not once per r
+        # _rows is the psi check: once per family, not once per r
         fan = catalog_fan(name)
         s, psi = find_degenerate_psi(fan)
         calls = []
-        forms_at_ray = plsearch._forms_at_ray
-        monkeypatch.setattr(plsearch, "_forms_at_ray", lambda *a: calls.append(a) or forms_at_ray(*a))
+        rows = plsearch._rows
+        monkeypatch.setattr(plsearch, "_rows", lambda *a: calls.append(a) or rows(*a))
         assert len(family_classes(fan, s, psi, (-5, 5))) == 11
         assert calls == [(fan, s)]
         find_degenerate_psi(fan)

@@ -294,3 +294,34 @@ def test_one_box_enumeration():
                 ):
                     readers.add((path.stem, owner))
     assert readers == {("picard", "box_points")}
+
+
+def _solves_per_cone(tree):
+    """The top-level functions that call int_solve inside a loop or comprehension over max_cones."""
+    def names(node):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    owners = set()
+    for node in tree.body:
+        for loop in ast.walk(node):
+            iters = [loop.iter] if isinstance(loop, ast.For) else [g.iter for g in getattr(loop, "generators", ())]
+            if any("max_cones" in names(it) for it in iters) and "int_solve" in names(loop):
+                owners.add(node.name)
+    return owners
+
+
+def test_one_relation_set():
+    # the circuits of cohomline are the one copy of the rays' relations: the
+    # Delta table and the rows of plsearch read them, and apart from the
+    # validation of a fan no route solves a linear system per maximal cone
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    readers = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "circuits" and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+    }
+    assert readers == {("cohomline", "_delta_table"), ("plsearch", "_rows")}
+    solves = {(module, name) for module, tree in trees.items() for name in _solves_per_cone(tree)}
+    assert solves == {("fan", "validate")}
