@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invalid fan input, 2 computation gave up
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ from .cohomline import (
 from .fan import (
     FanError,
     StackyFan,
+    canonical_json,
     fan_fingerprint,
     load_fan,
 )
@@ -93,9 +93,7 @@ def _load(cfg: RunConfig) -> StackyFan:
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: Sequence[str]) -> None:
     if cfg.fmt == "json":
-        sys.stdout.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        sys.stdout.write(canonical_json(payload) + "\n")
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")

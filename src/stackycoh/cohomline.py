@@ -240,7 +240,8 @@ def _canonical_table(fan: StackyFan, points: Sequence[IntVector], limits: Limits
         if len(y) != len(st.u):
             raise ValueError(f"canonical point length must be {len(st.u)}, got {len(y)}")
     table = _table(fan, limits)
-    return _DeltaTable(table.rows, tuple((mat_mul_int([c], st.u_inv)[0], p, q) for c, p, q in table.circuits))
+    composed = mat_mul_int([c for c, _, _ in table.circuits], st.u_inv)
+    return _DeltaTable(table.rows, tuple((c, p, q) for c, (_, p, q) in zip(composed, table.circuits)))
 
 
 def _feasible(table: _DeltaTable, a: IntVector, strict: bool = False) -> Iterator[_DeltaRow]:

@@ -44,10 +44,6 @@ def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMa
 # Smith normal form
 
 
-def _swap_rows(m, t, i):
-    m[t], m[i] = m[i], m[t]
-
-
 def _add_row(m, dst, src, k):
     row_s = m[src]
     row_d = m[dst]
@@ -70,66 +66,62 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     S is diagonal with non-negative entries d_1 | d_2 | ... and U, V are
     unimodular (every operation used is a swap, a negation or an integer
-    shear, so det U, det V are +-1). The identity U*a*V == S is re-checked
-    on every call before returning.
+    shear, so det U, det V are +-1). All three live in one working matrix
+    w: its first rows are [S | U] and its last rows are V, so every row
+    operation on S carries U along and every column operation on S carries
+    V along. The identity U*a*V == S is re-checked on every call before
+    returning.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    s = [list(row) for row in a]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    w = [[*row, *(int(i == j) for j in range(nrows))] for i, row in enumerate(a)]
+    w += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     t = 0
     while t < min(nrows, ncols):
         piv = None
         for i in range(t, nrows):
             for j in range(t, ncols):
-                e = s[i][j]
-                if e != 0 and (piv is None or abs(e) < abs(s[piv[0]][piv[1]])):
+                e = w[i][j]
+                if e != 0 and (piv is None or abs(e) < abs(w[piv[0]][piv[1]])):
                     piv = (i, j)
         if piv is None:
             break
-        if piv[0] != t:
-            _swap_rows(s, t, piv[0])
-            _swap_rows(u, t, piv[0])
-        if piv[1] != t:
-            _swap_cols(s, t, piv[1])
-            _swap_cols(v, t, piv[1])
+        i, j = piv
+        w[t], w[i] = w[i], w[t]
+        if j != t:
+            _swap_cols(w, t, j)
         while True:
             dirty = False
             for i in range(nrows):
-                if i == t or s[i][t] == 0:
+                if i == t or w[i][t] == 0:
                     continue
-                q = s[i][t] // s[t][t]
-                _add_row(s, i, t, -q)
-                _add_row(u, i, t, -q)
-                if s[i][t] != 0:
+                q = w[i][t] // w[t][t]
+                _add_row(w, i, t, -q)
+                if w[i][t] != 0:
                     # remainder is smaller than the pivot; promote it
-                    _swap_rows(s, t, i)
-                    _swap_rows(u, t, i)
+                    w[t], w[i] = w[i], w[t]
                     dirty = True
                     break
             if dirty:
                 continue
+            # column t is now zero off the pivot, and no column operation
+            # below changes it
             for j in range(ncols):
-                if j == t or s[t][j] == 0:
+                if j == t or w[t][j] == 0:
                     continue
-                q = s[t][j] // s[t][t]
-                _add_col(s, j, t, -q)
-                _add_col(v, j, t, -q)
-                if s[t][j] != 0:
-                    _swap_cols(s, t, j)
-                    _swap_cols(v, t, j)
+                q = w[t][j] // w[t][t]
+                _add_col(w, j, t, -q)
+                if w[t][j] != 0:
+                    _swap_cols(w, t, j)
                     dirty = True
                     break
             if dirty:
-                continue
-            if any(s[i][t] != 0 for i in range(nrows) if i != t):
                 continue
             bad = None
             for i in range(t + 1, nrows):
                 for j in range(t + 1, ncols):
-                    if s[i][j] % s[t][t] != 0:
+                    if w[i][j] % w[t][t] != 0:
                         bad = i
                         break
                 if bad is not None:
@@ -137,23 +129,19 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if bad is None:
                 break
             # pull the offending row up so the pivot can shrink to the gcd
-            _add_row(s, t, bad, 1)
-            _add_row(u, t, bad, 1)
+            _add_row(w, t, bad, 1)
         t += 1
 
     for i in range(min(nrows, ncols)):
-        if s[i][i] < 0:
-            for j in range(ncols):
-                s[i][j] = -s[i][j]
-            for j in range(nrows):
-                u[i][j] = -u[i][j]
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
-    s_t = tuple(tuple(row) for row in s)
-    u_t = tuple(tuple(row) for row in u)
-    v_t = tuple(tuple(row) for row in v)
-    if mat_mul_int(mat_mul_int(u_t, a), v_t) != s_t:
+    s = tuple(tuple(row[:ncols]) for row in w[:nrows])
+    u = tuple(tuple(row[ncols:]) for row in w[:nrows])
+    v = tuple(tuple(row) for row in w[nrows:])
+    if mat_mul_int(mat_mul_int(u, a), v) != s:
         raise AssertionError("smith normal form transform identity failed")
-    return s_t, u_t, v_t
+    return s, u, v
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ from .record import Record
 # bound of every fan-keyed cache, so a process that sees many fans stays small
 FAN_CACHE_SIZE = 256
 
+# the package's one JSON format, for fans and for every printed result:
+# sorted keys and compact separators, the encoder json.dumps builds for them
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class FanError(Exception):
     pass
@@ -140,7 +144,7 @@ def fan_to_json(fan: StackyFan) -> str:
         "rays": [list(r) for r in fan.rays],
         "max_cones": [sorted(i - 1 for i in cone) for cone in fan.max_cones],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def fan_fingerprint(fan: StackyFan) -> str:

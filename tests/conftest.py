@@ -1,8 +1,18 @@
 """Shared fixtures."""
 
-import pytest
+import os
+import sys
+from pathlib import Path
 
-from stackycoh import cohomline, homology
+# the suite runs from a fresh checkout without an install: src/ goes on the
+# import path, and on PYTHONPATH for the tests that start python in a child
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+import pytest  # noqa: E402
+
+from stackycoh import cohomline, homology  # noqa: E402
 
 
 def _no_rank(*args, **kwargs):

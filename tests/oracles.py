@@ -36,7 +36,10 @@ Eight routes that never touch the production paths they check:
   columns (subset_circuits), against the per-component determinants of
   the Delta table, with the class-space form of each circuit that
   conforms to an index set (conforming_forms), against the circuit masks
-  of the Delta table;
+  of the Delta table; and the Smith normal form that applies every
+  elementary operation twice, once to S and once to U or V
+  (paired_smith_normal_form), against the one working matrix of
+  exactlin.smith_normal_form;
 * the integer adjugate of each maximal cone (cone_adjugates), the
   linear part of a PL function on every cone (linear_parts) and their
   differences (form_differences), with the kernel of the cones' forms at
@@ -57,7 +60,15 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd, lcm
 
-from stackycoh.exactlin import SingularMatrixError, _eliminate, build_tower, int_kernel, int_solve, rat_rank
+from stackycoh.exactlin import (
+    SingularMatrixError,
+    _eliminate,
+    build_tower,
+    int_kernel,
+    int_solve,
+    mat_mul_int,
+    rat_rank,
+)
 from stackycoh.fan import FanValidationError
 from stackycoh.picard import class_of
 
@@ -845,3 +856,114 @@ def gauss_jordan_unskipped(work, ncols):
         pivots.append(c)
         prev = p
     return pivots, prev, sign
+
+
+def _swap_rows(m, t, i):
+    m[t], m[i] = m[i], m[t]
+
+
+def _add_row(m, dst, src, k):
+    row_s = m[src]
+    row_d = m[dst]
+    for j in range(len(row_d)):
+        row_d[j] += k * row_s[j]
+
+
+def _swap_cols(m, t, j):
+    for row in m:
+        row[t], row[j] = row[j], row[t]
+
+
+def _add_col(m, dst, src, k):
+    for row in m:
+        row[dst] += k * row[src]
+
+
+def paired_smith_normal_form(a):
+    """exactlin.smith_normal_form on three separate matrices S, U and V.
+
+    Each elementary operation is applied to S and then, in a second call,
+    to U (rows) or V (columns); the pivot rule and the order of operations
+    are those of the package, so (S, U, V) must come out the same.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    s = [list(row) for row in a]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                e = s[i][j]
+                if e != 0 and (piv is None or abs(e) < abs(s[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            _swap_rows(s, t, piv[0])
+            _swap_rows(u, t, piv[0])
+        if piv[1] != t:
+            _swap_cols(s, t, piv[1])
+            _swap_cols(v, t, piv[1])
+        while True:
+            dirty = False
+            for i in range(nrows):
+                if i == t or s[i][t] == 0:
+                    continue
+                q = s[i][t] // s[t][t]
+                _add_row(s, i, t, -q)
+                _add_row(u, i, t, -q)
+                if s[i][t] != 0:
+                    # remainder is smaller than the pivot; promote it
+                    _swap_rows(s, t, i)
+                    _swap_rows(u, t, i)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(ncols):
+                if j == t or s[t][j] == 0:
+                    continue
+                q = s[t][j] // s[t][t]
+                _add_col(s, j, t, -q)
+                _add_col(v, j, t, -q)
+                if s[t][j] != 0:
+                    _swap_cols(s, t, j)
+                    _swap_cols(v, t, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            if any(s[i][t] != 0 for i in range(nrows) if i != t):
+                continue
+            bad = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if s[i][j] % s[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            # pull the offending row up so the pivot can shrink to the gcd
+            _add_row(s, t, bad, 1)
+            _add_row(u, t, bad, 1)
+        t += 1
+
+    for i in range(min(nrows, ncols)):
+        if s[i][i] < 0:
+            for j in range(ncols):
+                s[i][j] = -s[i][j]
+            for j in range(nrows):
+                u[i][j] = -u[i][j]
+
+    s_t = tuple(tuple(row) for row in s)
+    u_t = tuple(tuple(row) for row in u)
+    v_t = tuple(tuple(row) for row in v)
+    if mat_mul_int(mat_mul_int(u_t, a), v_t) != s_t:
+        raise AssertionError("smith normal form transform identity failed")
+    return s_t, u_t, v_t

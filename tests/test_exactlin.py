@@ -25,6 +25,7 @@ from stackycoh.exactlin import (
     tower_points,
 )
 
+from fangen import complete_fans
 from oracles import (
     EQ,
     GE,
@@ -38,6 +39,7 @@ from oracles import (
     fm_feasible,
     gauss_jordan_unskipped,
     invert,
+    paired_smith_normal_form,
     rational_kernel,
     rref,
     solve_square,
@@ -47,6 +49,7 @@ from oracles import (
     tower_bounded,
     tower_feasible,
 )
+from test_generated_fans import stellar_fans
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -152,6 +155,18 @@ class TestSmithNormalForm:
             if ref[i, i] != 0
         ]
         assert ours == theirs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 6), st.data())
+    def test_same_as_paired_oracle(self, nrows, ncols, data):
+        # the one working matrix performs the oracle's operations in its order
+        row = st.tuples(*[st.integers(-9, 9)] * ncols)
+        a = tuple(data.draw(st.lists(row, min_size=nrows, max_size=nrows)))
+        assert smith_normal_form(a) == paired_smith_normal_form(a)
+
+    @pytest.mark.parametrize("fan", complete_fans() + stellar_fans())
+    def test_fan_rays_same_as_paired_oracle(self, fan):
+        assert smith_normal_form(fan.rays) == paired_smith_normal_form(fan.rays)
 
 
 class TestRationalLinearAlgebra:

@@ -325,3 +325,18 @@ def test_one_relation_set():
     assert readers == {("cohomline", "_delta_table"), ("plsearch", "_rows")}
     solves = {(module, name) for module, tree in trees.items() for name in _solves_per_cone(tree)}
     assert solves == {("fan", "validate")}
+
+
+def test_one_json_format():
+    # fan.canonical_json is the package's one JSON format: no other module
+    # serializes with json.dumps or builds a JSONEncoder of its own
+    writers = ("dumps", "JSONEncoder")
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in MODULES
+        if path.name != "fan.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in writers
+        or isinstance(node, ast.ImportFrom) and node.module == "json" and any(a.name in writers for a in node.names)
+    ]
+    assert found == [], f"JSON written outside fan: {found}"
