@@ -302,14 +302,15 @@ def neighborhood(fan: StackyFan, s: int) -> RayNeighborhood:
     start = min(members)
     second = min(adj[start])
     cycle = [start, second]
+    # every member has two distinct neighbours among the members, so the
+    # walk closes at its start within len(members) steps; a shorter cycle
+    # leaves members on another one
     while True:
         prev, cur = cycle[-2], cycle[-1]
         nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
         if nxt == start:
             break
         cycle.append(nxt)
-        if len(cycle) > len(members):
-            raise FanValidationError(f"link of ray {s} is not a single cycle")
     if len(cycle) != len(members):
         raise FanValidationError(f"link of ray {s} is not a single cycle")
     return RayNeighborhood(s, members, tuple(cycle))

@@ -5,21 +5,22 @@ search looks for a non-linear such function vanishing at one ray on every
 cone; when it exists, translating it sweeps out infinitely many classes
 with no cohomology at all, and the report classifies the fan accordingly.
 A family r*psi - e_s checks psi once for all its r. The relations come
-from the circuits of cohomline, the ones its table decides classes by: a
-function is linear when every circuit kills it, and it vanishes at v_s on
-every cone when e_s and the circuits through s whose other rays form a
-face kill it.
+from the circuits of cohomline, the ones its table decides classes by,
+through one row table per fan (_rows): a function is linear when every
+circuit kills it, and it vanishes at v_s on every cone when e_s and the
+circuits through s whose other rays lie in a maximal cone kill it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from operator import mul
 from typing import Optional, Sequence
 
 from .cohomline import Limits, circuits, first_outside_interiors, h_trivial_flags
 from .exactlin import IntVector, int_kernel, int_tuple
-from .fan import StackyFan, collinear_pairs, neighborhood, ray_index
+from .fan import FAN_CACHE_SIZE, StackyFan, collinear_pairs, neighborhood, ray_index
 from .picard import LineBundleClass, box_points, class_at, class_of, pic_structure
 from .record import Record
 
@@ -52,31 +53,35 @@ def _dot(x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
 
 def is_linear(fan: StackyFan, psi: PLFunction) -> bool:
     """Whether psi is one linear form on the whole fan."""
-    return not any(_dot(row, psi.values) for row in _rows(fan))
+    return not any(_dot(row, psi.values) for row in _rows(fan)[0])
 
 
-def _rows(fan: StackyFan, s: Optional[int] = None) -> Sequence[IntVector]:
-    """The circuits, or at a ray s, e_s and the circuits through s whose other rays form a face.
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _rows(fan: StackyFan) -> tuple[tuple[IntVector, ...], ...]:
+    """One table per fan: entry 0 holds the circuits, entry s (1-based) the rows at ray s.
 
-    A value vector is linear when every circuit kills it, since the circuits
-    span the relations. Its linear part on a maximal cone sigma kills v_s
-    when e_s kills it if s is in sigma; else v_s = sum u_i v_i over sigma,
-    and e_s - u, the one relation on sigma and s, is a circuit through s
-    with its other rays in sigma. Each such circuit arises so, as such a
-    sigma cannot hold s, and where e_s kills c, e_s - u kills c exactly
-    when u does: the rows at s span the forms of the cones at v_s.
+    The rows at s are e_s and the circuits through s whose other rays lie in
+    a maximal cone without s. A value vector is linear when every circuit
+    kills it, since the circuits span the relations. Its linear part on a
+    maximal cone sigma kills v_s when e_s kills it if s is in sigma; else
+    v_s = sum u_i v_i over sigma, and e_s - u, the one relation on sigma
+    and s, is a circuit through s with its other rays in sigma. Each such
+    circuit arises so, as such a sigma cannot hold s, and where e_s kills
+    c, e_s - u kills c exactly when u does: the rows at s span the forms
+    of the cones at v_s.
     """
     relations = circuits(fan)[1]
-    if s is None:
-        return relations
     n = fan.nrays
     bits = [1 << i for i in range(n)]  # ray i is bit i - 1
-    outside = [~sum(bits[i - 1] for i in c) for c in fan.max_cones if s not in c]  # the complements
-    rows = [tuple(int(i == s) for i in range(1, n + 1))]
+    outside = [~sum(bits[i - 1] for i in c) for c in fan.max_cones]  # the complements
+    table = [relations] + [[(0,) * (s - 1) + (1,) + (0,) * (n - s)] for s in range(1, n + 1)]
     for c in relations:
-        if c[s - 1] and 0 in map((sum(compress(bits, c)) ^ bits[s - 1]).__and__, outside):
-            rows.append(c)
-    return rows
+        mask = sum(compress(bits, c))
+        for s, bit in compress(enumerate(bits, 1), c):
+            # a cone's rays are independent, so a cone that holds the other rays of c lacks s
+            if 0 in map((mask ^ bit).__and__, outside):
+                table[s].append(c)
+    return tuple(map(tuple, table))
 
 
 def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[IntVector, ...], int]:
@@ -86,7 +91,7 @@ def degenerate_space(fan: StackyFan, s: int) -> tuple[tuple[IntVector, ...], int
     the rows at s span these forms. The basis vectors are primitive integer
     vectors (exactlin.int_kernel), which depend only on that span.
     """
-    basis = int_kernel(_rows(fan, ray_index(fan, s)), fan.nrays)
+    basis = int_kernel(_rows(fan)[ray_index(fan, s)], fan.nrays)
     return basis, len(basis)
 
 
@@ -100,13 +105,12 @@ def find_degenerate_psi(fan: StackyFan) -> Optional[tuple[int, PLFunction]]:
     """
     m = fan.rank
     for s in range(1, fan.nrays + 1):
-        rows = _rows(fan, s)
-        basis = int_kernel(rows, fan.nrays)
-        if len(basis) <= m - 1:
+        basis, dim = degenerate_space(fan, s)
+        if dim <= m - 1:
             continue
         for vec in basis:
-            if any(_dot(c, vec) for c in _rows(fan)):
-                if any(_dot(row, vec) for row in rows):
+            if any(_dot(c, vec) for c in _rows(fan)[0]):
+                if any(_dot(row, vec) for row in _rows(fan)[s]):
                     raise AssertionError("every row at the ray must kill psi")
                 return s, pl_function(vec)
         raise AssertionError("kernel above the linear dimension must leave it")
@@ -124,7 +128,7 @@ def family_classes(
     if not psi.is_integral:
         raise ValueError("family construction needs integer psi values")
     values = [int(v) for v in psi.values]
-    if any(_dot(row, values) for row in _rows(fan, s)):
+    if any(_dot(row, values) for row in _rows(fan)[s]):
         raise ValueError("psi must vanish at the chosen ray on every cone")
     lo, hi = int_tuple(r_range, "integer family bounds")
     family = ([-1 if i == s else r * v for i, v in enumerate(values, 1)] for r in range(lo, hi + 1))
@@ -151,25 +155,18 @@ def normalize_at_ray(fan: StackyFan, f_values: PLFunction, s: int) -> PLFunction
     vs = fan.ray(s)
     fs = f_values.values[s - 1]
     j0 = next(j for j in range(m) if vs[j] != 0)
-    m0 = [Fraction(0)] * m
-    m0[j0] = Fraction(fs, vs[j0])
-    # the echelon kernel of v_s: a 1 at each free column, in ascending order
     free = [j for j in range(m) if j != j0]
-    kernel = [tuple(Fraction(x, k[f]) for x in k) for f, k in zip(free, int_kernel([vs], m))]
     on_line = {s}.union(*(p for p in collinear_pairs(fan) if s in p))
     off_line = [i for i in range(1, n + 1) if i not in on_line]
     q = 0
     while True:
         q += 1
-        mq = list(m0)
-        for t, k in enumerate(kernel):
-            c = Fraction(1, q ** (t + 1))
-            mq = [mq[j] + c * k[j] for j in range(m)]
-        vals = tuple(
-            f_values.values[i - 1]
-            - sum(mq[j] * fan.rays[i - 1][j] for j in range(m))
-            for i in range(1, n + 1)
-        )
+        # the form with 1/q, 1/q^2, ... at the free columns, and at j0 the value that gives f at v_s
+        mq = [Fraction(0)] * m
+        for t, j in enumerate(free, 1):
+            mq[j] = Fraction(1, q**t)
+        mq[j0] = (fs - _dot(mq, vs)) / vs[j0]
+        vals = tuple(f - _dot(mq, r) for f, r in zip(f_values.values, fan.rays))
         if all(vals[i - 1] != 0 for i in off_line):
             return PLFunction(vals)
 
@@ -184,8 +181,6 @@ def sign_changes(fan: StackyFan, g: PLFunction, s: int) -> int:
     if fan.rank != 3:
         raise ValueError("sign counting needs a rank 3 fan")
     nb = neighborhood(fan, s)
-    if nb.cycle is None:
-        raise ValueError(f"link of ray {s} is not a single cycle")
     if g.values[s - 1] != 0:
         raise ValueError("the function must vanish at the chosen ray")
     vals = [g.values[i - 1] for i in nb.cycle]

@@ -208,6 +208,14 @@ class TestUsageErrors:
         code, _, err = run(capsys, "scan", "@p2", "--box", "5:1")
         assert code == 3
 
+    def test_box_range_that_is_not_integers(self, capsys):
+        code, out, err = run(capsys, "scan", "@p2", "--box=a:b")
+        assert (code, out, err) == (3, "", "usage error: bad range 'a:b'; expected lo:hi\n")
+
+    def test_r_of_two_ranges(self, capsys):
+        code, out, err = run(capsys, "family", "@p1xp2", "--r=0:1,2:3")
+        assert (code, out, err) == (3, "", "usage error: --r takes a single lo:hi range\n")
+
     @pytest.mark.parametrize("name", ["p2", "p1xp1xp1"])
     def test_report_box_of_wrong_length(self, capsys, name):
         # p2 has free rank 1 and p1xp1xp1 free rank 3

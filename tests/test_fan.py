@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import stackycoh
 from stackycoh.catalog import catalog_fan, catalog_names
+from stackycoh.cli import main
 from stackycoh.fan import (
     FanFormatError,
     FanValidationError,
@@ -39,6 +40,23 @@ P2_JSON = json.dumps(
     }
 )
 
+
+def _p2_with(**fields):
+    return json.dumps({**json.loads(P2_JSON), **fields})
+
+
+# fan JSON of the wrong shape, each with the message load_fan refuses it with
+STRUCTURAL_REFUSALS = [
+    pytest.param("[1, 2]", "fan file must contain a JSON object", id="array"),
+    pytest.param(_p2_with(rank="2"), "rank must be an integer", id="rank_string"),
+    pytest.param(_p2_with(rank=True), "rank must be an integer", id="rank_true"),
+    pytest.param(_p2_with(rays=5), "rays must be a list of integer vectors", id="rays_int"),
+    pytest.param(_p2_with(rays=[1, 0]), "rays must be a list of integer vectors", id="rays_flat"),
+    pytest.param(_p2_with(max_cones={"0": [0, 1]}), "max_cones must be a list of index lists", id="cones_object"),
+    pytest.param(_p2_with(max_cones=[0, 1]), "max_cones must be a list of index lists", id="cones_flat"),
+    pytest.param(_p2_with(max_cones=[[0, "1"], [1, 2], [2, 0]]), "cone entries must be integers", id="entry_string"),
+    pytest.param(_p2_with(max_cones=[[0, True], [1, 2], [2, 0]]), "cone entries must be integers", id="entry_true"),
+]
 
 class TestLoading:
     def test_round_trip(self):
@@ -108,6 +126,20 @@ class TestLoading:
         bad["max_cones"][0] = [0, 1, 1]
         with pytest.raises(FanFormatError, match=r"^cone \[0, 1, 1\] lists a ray index twice$"):
             load_fan(json.dumps(bad))
+
+    @pytest.mark.parametrize("text,message", STRUCTURAL_REFUSALS)
+    def test_rejects_wrong_structure(self, text, message):
+        with pytest.raises(FanFormatError) as info:
+            load_fan(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", STRUCTURAL_REFUSALS)
+    def test_cli_rejects_wrong_structure(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"invalid fan: {message}\n")
 
 
 class TestValidation:
@@ -321,9 +353,29 @@ class TestRayCombinatorics:
         assert nb.members == frozenset()
         assert nb.cycle is None
 
+    # fans built without validate: neighborhood refuses a link that is not one cycle
+    def test_neighborhood_refuses_a_member_with_one_neighbour(self):
+        rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+        fan = StackyFan(3, rays, (frozenset({1, 2, 3}), frozenset({1, 3, 4})))
+        with pytest.raises(FanValidationError, match="^link of ray 1 is not a single cycle$"):
+            neighborhood(fan, 1)
+
+    def test_neighborhood_refuses_two_disjoint_cycles(self):
+        rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1), (0, -1, -1))
+        triangles = [(2, 3), (3, 4), (4, 2), (5, 6), (6, 7), (7, 5)]
+        fan = StackyFan(3, rays, tuple(frozenset({1, i, j}) for i, j in triangles))
+        with pytest.raises(FanValidationError, match="^link of ray 1 is not a single cycle$"):
+            neighborhood(fan, 1)
+
     def test_rank1_stacky_line(self):
         fan = make_fan(1, [(3,), (-2,)], [(1,), (2,)])
         assert collinear_pairs(fan) == ((1, 2),)
+
+
+class TestCatalog:
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown catalog fan 'nope'"):
+            catalog_fan("nope")
 
 
 class TestCaches:
@@ -344,6 +396,7 @@ class TestCaches:
             "homology.delta_fast_lowdim",
             "homology.delta_set",
             "picard.pic_structure",
+            "plsearch._rows",
         }, found
         assert all(size is not None for size in found.values()), found
 

@@ -55,7 +55,7 @@ from oracles import (
     tower_feasible,
     validate_oracle,
 )
-from stackycoh import cohomline, exactlin
+from stackycoh import cohomline, exactlin, plsearch
 from stackycoh.catalog import catalog_fan, catalog_names
 from stackycoh.cli import main
 from stackycoh.cohomline import (
@@ -430,6 +430,7 @@ class TestCircuitComponents:
     @pytest.fixture
     def calls(self, monkeypatch):
         circuits.cache_clear()
+        plsearch._rows.cache_clear()
         calls = Counter()
         for name in ("int_kernel", "int_det"):
             def counted(*args, _name=name, _real=getattr(cohomline, name)):

@@ -154,6 +154,14 @@ class TestCanonicalCoordinates:
                 cb = class_of(fan, _shift(fan, a, w))
                 assert (ca.free, ca.torsion) == (cb.free, cb.torsion)
 
+    @pytest.mark.parametrize("torsion", [(), (0, 1)])
+    def test_wrong_number_of_torsion_residues(self, torsion):
+        # p1_22 has one torsion factor
+        fan = catalog_fan("p1_22")
+        assert len(pic_structure(fan).torsion) == 1
+        with pytest.raises(ValueError, match="^expected 1 torsion residues$"):
+            class_from_canonical(fan, [0] * pic_structure(fan).free_rank, torsion)
+
     def test_round_trip_through_canonical(self):
         # class_from_canonical does not read its coordinates back, so they
         # are read here from its raw vector; the torsion residues are given

@@ -240,6 +240,7 @@ class TestOneRelationSet:
     def test_circuits_computed_once_per_fan(self, fan, command, capsys):
         # report and family search psi and build the table: one computation of the circuits serves both
         circuits.cache_clear()
+        plsearch._rows.cache_clear()
         _delta_table.cache_clear()
         box = ["--box=-1:1"] if command == "report" else []
         assert main([command, fan, *box]) == 0
@@ -365,7 +366,7 @@ class TestFamilyClass:
         rows = plsearch._rows
         monkeypatch.setattr(plsearch, "_rows", lambda *a: calls.append(a) or rows(*a))
         assert len(family_classes(fan, s, psi, (-5, 5))) == 11
-        assert calls == [(fan, s)]
+        assert calls == [(fan,)]
         find_degenerate_psi(fan)
         searched = len(calls) - 1
         calls.clear()

@@ -327,6 +327,15 @@ def test_one_relation_set():
     assert solves == {("fan", "validate")}
 
 
+def test_one_row_table():
+    # plsearch reads its rows from one table per fan: _rows takes the fan
+    # alone, and degenerate_space alone solves for the kernel at a ray
+    tree = ast.parse((PACKAGE / "plsearch.py").read_text())
+    assert _readers(tree, "int_kernel") == {"degenerate_space"}
+    (rows,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_rows"]
+    assert ast.unparse(rows.args) == "fan: StackyFan"
+
+
 def test_one_json_format():
     # fan.canonical_json is the package's one JSON format: no other module
     # serializes with json.dumps or builds a JSONEncoder of its own
