@@ -257,7 +257,7 @@ _FORMAT = {"choices": ("json", "text"), "default": "json"}
 _CAP = {**_LIMIT, "help": f"lattice point enumeration budget per sign system (default {Limits().cap})"}
 _DELTA_CAP = {**_LIMIT, "help": "most rays for which the index family is enumerated "
               f"(default {Limits().delta_cap})"}
-_THREADS = {**_LIMIT, "help": "parallel scan workers, at most one per core and per class (default 1)"}
+_THREADS = {**_LIMIT, "help": "parallel scan workers, at most one per class and per usable core (default 1)"}
 _COEFFS = {"required": True, "help": "a1,a2,... (write --coeffs=-1,0,0 for a leading minus)"}
 _BOX = {"required": True, "help": "lo:hi[,lo:hi...] (write --box=-3:3 for a leading minus)"}
 _R = {"default": "-5:5", "help": "lo:hi"}

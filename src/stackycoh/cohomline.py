@@ -22,23 +22,26 @@ for the psi search of plsearch. Each fan has one table of the circuits
 and of a row per member I of Delta, holding the bitmask of the signed
 circuits that conform to I. One dot product per circuit gives the mask
 of those a class fails, and a row is feasible exactly when the two masks
-are disjoint. The table is the one
-place that decides feasibility and boundedness; a row builds its tower
-when first reached feasible. A feasible row with unit pivots has a point
-(_DeltaRow), so the one flag loop answers it within a cap of m without a
-walk; counts, witnesses and other rows walk. The strict test lives here
-alone. A batch is a list of canonical points y (picard), decided against
-one table whose circuits are composed once as lambda u_inv, since
-lambda . a = (lambda u_inv) . y; u_inv y is built only for a walked row.
+are disjoint. The table is the one place that decides feasibility and
+boundedness; a row builds its tower when first reached feasible. A
+feasible row with unit pivots has a point (_DeltaRow), so the one flag
+loop answers it within a cap of m without a walk; counts, witnesses and
+other rows walk. The strict test lives here alone. A batch is a list of
+canonical points y (picard), decided against one table whose circuits
+are composed once as lambda u_inv, since lambda . a = (lambda u_inv) . y;
+u_inv y is built only for a walked row. The flag loop turns a batch of
+more points than rows around: a row holds the points outside the union
+of its conforming circuits' failing sets, one integer each, and a unit
+row answers them at once; from a row that may walk, a class at a time.
 """
 
 from __future__ import annotations
 
 import os
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, compress
 from math import gcd
-from operator import mul, neg
+from operator import add, mul, neg, or_
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import DEFAULT_CAP, IntVector, TowerLevel, build_tower, int_kernel, mat_mul_int, tower_points
@@ -236,9 +239,8 @@ def _canonical_table(fan: StackyFan, points: Sequence[IntVector], limits: Limits
     """The table of a batch of canonical points, its circuits composed once as lambda u_inv."""
     st = pic_structure(fan)
     # the points come from picard as ints, so only their lengths are checked, once per batch
-    for y in points:
-        if len(y) != len(st.u):
-            raise ValueError(f"canonical point length must be {len(st.u)}, got {len(y)}")
+    if (got := next(filter(len(st.u).__ne__, map(len, points)), None)) is not None:
+        raise ValueError(f"canonical point length must be {len(st.u)}, got {got}")
     table = _table(fan, limits)
     composed = mat_mul_int([c for c, _, _ in table.circuits], st.u_inv)
     return _DeltaTable(table.rows, tuple((c, p, q) for c, (_, p, q) in zip(composed, table.circuits)))
@@ -327,14 +329,37 @@ def h_trivial_flags(fan: StackyFan, points: Sequence[IntVector], limits: Limits 
     if not points:
         return []
     table, st = _canonical_table(fan, points, limits), pic_structure(fan)
-    return [
-        not any(
-            limits.cap >= fan.rank and row.unit
-            or row.points(class_at(st, y).raw, limits.cap, first_only=True)
-            for row in _feasible(table, y)
-        )
-        for y in points
-    ]
+    unit = limits.cap >= fan.rank  # then a unit row is answered without a walk
+
+    def trivial(y: IntVector, rows: Iterator[_DeltaRow]) -> bool:
+        return not any(unit and row.unit or row.points(class_at(st, y).raw, limits.cap, first_only=True) for row in rows)
+
+    if len(points) <= len(table.rows):
+        return [trivial(y, _feasible(table, y)) for y in points]
+    return _batch_flags(table, points, lambda row: not (unit and row.unit), trivial)
+
+
+def _batch_flags(table: _DeltaTable, points: Sequence[IntVector], walks, trivial) -> list[bool]:
+    """The flags of a batch, a row at a time for all its points, then a class at a time from a row that may walk."""
+    n, columns, fails = len(points), [*zip(*points)], []
+    for relation, lo, hi in table.circuits:  # its values over the batch, a coordinate column at a time
+        terms = (col if x == 1 else map(x.__mul__, col) for x, col in zip(relation, columns) if x)
+        t = tuple(reduce(partial(map, add), terms))
+        fails += bytes(map(lo.__gt__, t)), bytes(map(hi.__lt__, t))
+    fails = fails[::2] + fails[1::2]  # byte p of fails[k]: point p fails signed circuit k
+    failing, undecided = [int.from_bytes(f, "little") for f in fails], int.from_bytes(b"\1" * n, "little")
+    for r, row in enumerate(table.rows):
+        if not undecided:
+            break
+        excluded = reduce(or_, compress(failing, map(int, bin(row.conforming)[:1:-1])), 0)
+        if undecided & ~excluded and walks(row):
+            bits, rest, flags = [1 << k for k in range(len(fails))], table.rows[r:], [False] * n
+            for p in compress(range(n), undecided.to_bytes(n, "little")):  # no earlier row holds them
+                mask = sum(compress(bits, [f[p] for f in fails]))
+                flags[p] = trivial(points[p], (row for row in rest if not row.conforming & mask))
+            return flags
+        undecided &= excluded
+    return [*map(bool, undecided.to_bytes(n, "little"))]
 
 
 def scan_h_trivial(
@@ -349,18 +374,17 @@ def scan_h_trivial(
     points = box_points(fan, box)
     # the table is built here, so its errors come before any worker and forked workers inherit it
     _table(fan, limits)
-    # a pool starts every worker at once, so never more than cores or classes
-    workers = min(workers, os.cpu_count() or 1, len(points))
+    # a pool starts every worker at once, so never more than classes or the cores this process may use
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cores, len(points))
     if workers <= 1 or len(points) < 4:
         flags = h_trivial_flags(fan, points, limits)
     else:
         from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off cold starts
 
-        chunks = [points[w::workers] for w in range(workers)]
+        chunks, flags = [points[w::workers] for w in range(workers)], [False] * len(points)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(h_trivial_flags, fan, limits=limits), chunks))
-        flags = [False] * len(points)
-        for w, chunk in enumerate(results):
-            flags[w::workers] = chunk
+            for w, chunk in enumerate(pool.map(partial(h_trivial_flags, fan, limits=limits), chunks)):
+                flags[w::workers] = chunk
     st = pic_structure(fan)
     return tuple(class_at(st, y) for y, ok in zip(points, flags) if ok)

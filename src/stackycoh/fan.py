@@ -95,6 +95,10 @@ def _reject_float(value: str):
     raise FanFormatError(f"non-integer number {value!r} in fan file")
 
 
+# built once: json.loads with any keyword builds a decoder and its scanner on every call
+_decode_json = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float).decode
+
+
 def load_fan(text: bytes | str) -> StackyFan:
     """Parse and validate fan JSON: {"rank", "rays", "max_cones"}.
 
@@ -104,7 +108,9 @@ def load_fan(text: bytes | str) -> StackyFan:
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        if text.startswith("\ufeff"):  # refused by json.loads, which the decoder alone does not check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _decode_json(text)
     except ValueError as exc:  # bad JSON or UTF-8, or an integer over the conversion limit
         raise FanFormatError(f"invalid fan JSON: {exc}") from exc
     except RecursionError as exc:

@@ -1,6 +1,6 @@
 """Independent reference computations used to cross-check the library.
 
-Eight routes that never touch the production paths they check:
+Nine routes that never touch the production paths they check:
 
 * closed-form dimensions for projective spaces and their products;
 * a direct sum over integer functionals in a box, pairing each functional
@@ -44,7 +44,11 @@ Eight routes that never touch the production paths they check:
   linear part of a PL function on every cone (linear_parts) and their
   differences (form_differences), with the kernel of the cones' forms at
   a ray (degenerate_space) and agreement of all linear parts
-  (is_linear_by_parts), against the circuit rows of plsearch.
+  (is_linear_by_parts), against the circuit rows of plsearch;
+* the H-triviality flags of a batch a class at a time (per_class_flags):
+  one dot product per circuit and point, then the rows of Delta in order
+  until one has a point, against the rows that cohomline decides for a
+  whole batch at once.
 
 Three helpers that only tests call also live here: lambda_polytope, the
 per-cone linear parts of a PL function with the rank of their integer
@@ -69,8 +73,9 @@ from stackycoh.exactlin import (
     mat_mul_int,
     rat_rank,
 )
+from stackycoh.cohomline import Limits, _canonical_table, _feasible
 from stackycoh.fan import FanValidationError
-from stackycoh.picard import class_of
+from stackycoh.picard import class_at, class_of, pic_structure
 
 GE = ">="
 GT = ">"
@@ -967,3 +972,18 @@ def paired_smith_normal_form(a):
     if mat_mul_int(mat_mul_int(u_t, a), v_t) != s_t:
         raise AssertionError("smith normal form transform identity failed")
     return s_t, u_t, v_t
+
+
+def per_class_flags(fan, points, limits=Limits()):
+    """h_trivial_flags a class at a time: each point's failing mask, then its feasible rows in order."""
+    if not points:
+        return []
+    table, st = _canonical_table(fan, points, limits), pic_structure(fan)
+    return [
+        not any(
+            limits.cap >= fan.rank and row.unit
+            or row.points(class_at(st, y).raw, limits.cap, first_only=True)
+            for row in _feasible(table, y)
+        )
+        for y in points
+    ]

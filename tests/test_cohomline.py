@@ -30,7 +30,7 @@ from stackycoh.cohomline import (
 from stackycoh.exactlin import DEFAULT_CAP, build_tower, tower_points
 from stackycoh.fan import StackyFan, load_fan
 from stackycoh.homology import DEFAULT_DELTA_CAP, DeltaCapError, delta_family, delta_set
-from stackycoh.picard import class_of, pic_structure
+from stackycoh.picard import box_points, class_of, pic_structure
 
 from fangen import BENCH_FANS
 from oracles import (
@@ -41,12 +41,13 @@ from oracles import (
     h_p1,
     h_p2,
     h_product,
+    per_class_flags,
     sign_rhs,
     sign_system,
     tower_bounded,
     tower_feasible,
 )
-from test_generated_fans import stellar_fans
+from test_generated_fans import oracle_fans, stellar_fans
 from test_plsearch import antiprism_fan
 
 
@@ -360,6 +361,54 @@ class TestBatches:
         # a Delta cap of 1 refuses every table of P2
         assert call(catalog_fan("p2"), [], Limits(delta_cap=1)) == expected
 
+    @pytest.mark.parametrize("fan", oracle_fans())
+    def test_rows_for_the_batch_match_the_class_loop(self, fan):
+        # as many points as the table has rows go a class at a time, one
+        # more goes a row at a time for the whole batch; both against the
+        # class loop of the oracle, and on a box of several points per row
+        rows, r = len(_delta_table(fan).rows), 1
+        while len(points := box_points(fan, (-r, r))) <= 4 * rows:
+            r += 1
+        for batch in (points[:rows], points[: rows + 1], points, points[::-1]):
+            flags = h_trivial_flags(fan, batch)
+            assert flags == per_class_flags(fan, batch)
+            assert set(map(type, flags)) == {bool}
+
+    @pytest.mark.parametrize("fan,box,cap", [
+        ("antiprism", (-1, 1), DEFAULT_CAP),  # every row of the antiprism walks
+        ("p1xp1xp1", (-3, 3), 2),  # below a cap of 3 a unit row walks too
+        ("blp3_center", (-3, 3), 2),
+    ])
+    def test_walking_rows_go_on_class_by_class(self, fan, box, cap):
+        fan = antiprism_fan() if fan == "antiprism" else catalog_fan(fan)
+        points = box_points(fan, box)
+        assert len(points) > len(_delta_table(fan).rows)
+        outcomes = []
+        for flags in (h_trivial_flags, per_class_flags):
+            try:
+                outcomes.append(flags(fan, points, Limits(cap=cap)))
+            except CapExceededError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_cap_refusals_name_the_same_index_set(self, monkeypatch, capsys, cap):
+        # the antiprism box holds 243 classes over 82 rows, so the batch
+        # route runs; a small cap stops it where the class loop stops
+        fan, points = antiprism_fan(), box_points(antiprism_fan(), (-1, 1))
+        with pytest.raises(CapExceededError) as batch:
+            h_trivial_flags(fan, points, Limits(cap=cap))
+        with pytest.raises(CapExceededError) as per_class:
+            per_class_flags(fan, points, Limits(cap=cap))
+        assert str(batch.value) == str(per_class.value)
+        assert f"cap {cap} on index set [" in str(batch.value)
+        argv = ["scan", str(BENCH_FANS / "antiprism.json"), "--box=-1:1", f"--cap={cap}"]
+        runs = [(main(argv), capsys.readouterr())]
+        monkeypatch.setattr(cohomline, "h_trivial_flags", per_class_flags)
+        runs.append((main(argv), capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 2  # computation stopped
+        assert str(batch.value) in runs[0][1].err
+
 
 class TestDeltaTable:
     def test_towers_built_only_for_walked_pairs(self, monkeypatch, capsys):
@@ -398,6 +447,19 @@ class TestDeltaTable:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert built == []
+
+    @pytest.mark.parametrize("box,reached", [((-3, 3), 8), (((0, 3), (-3, 3), (-3, 3)), 4)])
+    def test_batch_builds_the_towers_the_class_loop_reaches(self, box, reached):
+        # a batch answers a unit row for all its points at once, so it
+        # reaches, and builds the tower of, exactly the rows the class loop
+        # does: all 8 rows of P1^3 on the box -3:3, half of them on the other
+        fan = catalog_fan("p1xp1xp1")
+        held = []
+        for run in (lambda: scan_h_trivial(fan, box), lambda: per_class_flags(fan, box_points(fan, box))):
+            _delta_table.cache_clear()
+            run()
+            held.append([row.index_set for row in _delta_table(fan).rows if "tower" in vars(row)])
+        assert held[0] == held[1] and len(held[0]) == reached
 
     @pytest.mark.parametrize("name", ["p1xp2", "cyclic5", "antiprism", *WIDE_MASKS])
     def test_tower_walked_only_when_rationally_feasible(self, monkeypatch, name):
@@ -521,8 +583,19 @@ class TestScans:
         assert serial
         assert scan_h_trivial(fan, box, workers=2) == serial
 
-    @pytest.mark.parametrize("cores", [None, 1, 3, 64])
-    def test_workers_clamped_to_cores_and_classes(self, monkeypatch, cores):
+    @pytest.mark.parametrize("affinity,cpus,expected", [
+        ("unpatched", None, None),
+        ({0}, 64, 1),  # pinned to one core of many: no pool
+        ({0, 1, 2}, 64, 3),
+        (set(range(64)), 64, 9),
+        ("absent", None, 1),
+        ("absent", 1, 1),
+        ("absent", 3, 3),
+        ("absent", 64, 9),
+    ])
+    def test_workers_clamped_to_cores_and_classes(self, monkeypatch, affinity, cpus, expected):
+        # the cores this process may use: its affinity set where the
+        # platform has one, else the machine's count
         sizes = []
 
         class SerialPool:
@@ -540,12 +613,18 @@ class TestScans:
 
         # scan_h_trivial imports the pool from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        if cores is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        if affinity == "unpatched":
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            expected = min(cores, 9)
+        elif affinity == "absent":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         fan = catalog_fan("p1xp1")
         found = scan_h_trivial(fan, (-1, 1), workers=4096)  # 9 classes
         assert found == scan_h_trivial(fan, (-1, 1))
-        expected = min(os.cpu_count() or 1, 9)
         assert sizes == ([expected] if expected > 1 else [])
 
     def test_table_errors_come_before_the_pool(self, monkeypatch):
@@ -557,6 +636,7 @@ class TestScans:
                 sizes.append(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         with pytest.raises(DeltaCapError):
             scan_h_trivial(catalog_fan("p1xp1"), (-1, 1), Limits(delta_cap=1), workers=2)

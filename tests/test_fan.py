@@ -99,6 +99,19 @@ class TestLoading:
         with pytest.raises(FanFormatError):
             load_fan(text)
 
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + P2_JSON, ("\ufeff" + P2_JSON).encode(), "{bad", P2_JSON + " x", "", "  ",
+    ], ids=["byte_order_mark", "byte_order_mark_bytes", "bad", "extra_data", "empty", "blank"])
+    def test_json_refusals_read_as_json_loads_words_them(self, text):
+        # the decoder is built once, at import, and refuses what json.loads
+        # refuses with its words, a leading byte order mark included; bytes
+        # are read as UTF-8 first, so the mark stays in the text
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        with pytest.raises(FanFormatError) as info:
+            load_fan(text)
+        assert str(info.value) == f"invalid fan JSON: {expected.value}"
+
     def test_rejects_bytes_that_are_not_utf8(self):
         with pytest.raises(FanFormatError, match="^invalid fan JSON: 'utf-8' codec"):
             load_fan(b"\xff")

@@ -271,6 +271,19 @@ def test_one_flag_loop():
     assert "h_trivial_flags" in _reachable(_calls(tree), "scan_h_trivial")
 
 
+def test_batch_rows_serve_the_flag_loop_alone():
+    # the bit-parallel rows decide a batch for h_trivial_flags alone: the
+    # counts, the witnesses and the interiors still decide each class
+    # through _feasible, and none of them reaches the batch route
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    readers = {m: _readers(t, "_batch_flags") for m, t in trees.items() if _readers(t, "_batch_flags")}
+    assert readers == {"cohomline": {"h_trivial_flags"}}
+    calls = _calls(trees["cohomline"])
+    for name in ("cohomology", "forbidden_cone", "first_outside_interiors"):
+        assert "_feasible" in calls[name]
+        assert "_batch_flags" not in _reachable(calls, name)
+
+
 def test_one_box_enumeration():
     # picard.box_points alone enumerates a box: every other route reads its
     # canonical points, so no other function reads itertools.product
